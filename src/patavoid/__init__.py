@@ -15,7 +15,7 @@ from .enumerate import (count_brute, count_tree, closure_check, refined_series,
 from .rules import CLASS_IDS, REGISTRY, count_by_rule, refined_by_rule, verify_rule
 from .closed_forms import closed_form, formula_value, verify_identity
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BarredPattern", "GeneralizedPattern", "PatternSyntaxError",

@@ -23,9 +23,6 @@ from .perms import Perm, right_to_left_maxima
 _P213 = parse_pattern_set("2-1-3")
 _P213_ODD = parse_pattern_set("2-1-3,[2o]-31")
 
-PATH_KINDS = ("dyck", "motzkin", "udu_free", "uuu_free", "ddd_free",
-              "subdiagonal")
-
 
 def _balanced(path: str, up: str, down: str, flat: str = "") -> bool:
     h = 0
@@ -283,8 +280,8 @@ def udu_uuu(path: str) -> str:
     rightmost UD factor is then deleted and the path is read backwards with
     the step letters exchanged.
     """
-    if not path_is(path, "udu_free"):
-        raise ValueError(f"{path!r} is not a UDU-free Dyck path")
+    if not path or not path_is(path, "udu_free"):
+        raise ValueError(f"{path!r} is not a nonempty UDU-free Dyck path")
     tokens = list(path)
     n2 = len(tokens)
     match = _match_indices(tokens)
@@ -368,10 +365,12 @@ def subdiag_inverse(path: str) -> Perm:
         total += a
         pos.append(total)
     # The first maximum is n, so the parity of every maximum equals n's.
-    val = [0] * len(pos)
-    val[-1] = total % 2 + 2 * b_runs[-1]
-    for j in range(len(pos) - 2, -1, -1):
-        val[j] = val[j + 1] + 2 * b_runs[j]
+    val = []
+    v = total % 2
+    for b in reversed(b_runs):
+        v += 2 * b
+        val.append(v)
+    val.reverse()
     perm = _fill_gaps(total, pos, val)
     if not avoids(perm, _P213_ODD):
         raise ValueError("path is not in the image of the map")

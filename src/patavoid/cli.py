@@ -4,7 +4,8 @@ Subcommands: count (one class or ad-hoc pattern set, four methods), verify
 (succession rules and generating-function identities), expand (print a
 truncated series), biject (apply one of the lattice-path maps), report
 (cross-method comparison table).  Exit status 0 means every requested check
-agreed, 1 means a mismatch, 2 means a usage error.
+agreed, 1 means a mismatch, 2 means a usage error or an input the requested
+route cannot count soundly.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import sys
 
 from . import bijections
 from .closed_forms import GF_FOR_CLASS, REGISTRY as GF_REGISTRY, closed_form, \
-    series_from_refined, verify_identity
-from .enumerate import BRUTE_GUARD, count_brute, count_tree
+    gf_counts, rule_series, verify_identity
+from .enumerate import BRUTE_GUARD, closure_check, count_brute, count_tree
 from .patterns import parse_pattern_set
 from .perms import format_perm, parse_perm
-from .rules import CLASS_IDS, REGISTRY, count_by_rule, refined_by_rule, verify_rule
+from .rules import CLASS_IDS, REGISTRY, count_by_rule, verify_rule
 
 
 def _patterns_for(args):
@@ -28,38 +29,26 @@ def _patterns_for(args):
     return parse_pattern_set(args.avoid)
 
 
-def _gf_counts(class_id: str, nmax: int) -> list[int]:
-    name = GF_FOR_CLASS[class_id]
-    spec = GF_REGISTRY[name]
-    series = closed_form(name, nmax,
-                         at_u=1 if "u" in spec.variables else None,
-                         at_v=1 if "v" in spec.variables else None)
-    return [int(series.coefficient(n).constant_value()) for n in range(1, nmax + 1)]
-
-
 def _cmd_count(args) -> int:
     if args.method in ("rule", "gf") and not args.klass:
         raise ValueError(f"--method {args.method} requires --class")
     if args.method == "rule":
         counts = count_by_rule(REGISTRY[args.klass], args.max_n)
     elif args.method == "gf":
-        counts = _gf_counts(args.klass, args.max_n)
+        counts = gf_counts(args.klass, args.max_n)
     elif args.method == "brute":
         pats = _patterns_for(args)
         counts = [count_brute(pats, n) for n in range(1, args.max_n + 1)]
     else:
-        counts = count_tree(_patterns_for(args), args.max_n)
+        pats = _patterns_for(args)
+        if args.avoid is not None:
+            # Pruning the tree undercounts a set that is not closed under
+            # last-entry deletion; the check is exhaustive up to n = 6.
+            closure_check(pats, min(args.max_n, 6))
+        counts = count_tree(pats, args.max_n)
     for n, c in enumerate(counts, start=1):
         print(f"{n} {c}")
     return 0
-
-
-def _rule_candidate(class_id: str, order: int):
-    """Rule-refined series substituted to match the registered variables."""
-    name = GF_FOR_CLASS[class_id]
-    variables = GF_REGISTRY[name].variables
-    series = series_from_refined(refined_by_rule(REGISTRY[class_id], order), order)
-    return name, series.subs_one(u="u" not in variables, v="v" not in variables)
 
 
 def _cmd_verify(args) -> int:
@@ -71,8 +60,8 @@ def _cmd_verify(args) -> int:
         if not report.ok:
             failed = True
             continue
-        name, candidate = _rule_candidate(cid, args.order)
-        ok, residual = verify_identity(name, candidate, args.order)
+        name = GF_FOR_CLASS[cid]
+        ok, residual = verify_identity(name, rule_series(cid, args.order), args.order)
         if ok:
             print(f"{cid}: {name} identity holds to order {args.order}")
         else:
@@ -109,7 +98,7 @@ def _cmd_report(args) -> int:
         spec = REGISTRY[cid]
         tree = count_tree(spec.patterns, args.max_n)
         rule = count_by_rule(spec, args.max_n)
-        gf = _gf_counts(cid, args.max_n)
+        gf = gf_counts(cid, args.max_n)
         for n in range(1, args.max_n + 1):
             brute = None
             if not args.no_brute and n <= BRUTE_GUARD:
@@ -185,6 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest, low in (("max_n", 1), ("order", 0)):
+        if getattr(args, dest, low) < low:
+            parser.error(f"--{dest.replace('_', '-')} must be at least {low}")
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .enumerate import RefinedCount
+from .rules import REGISTRY as CLASSES, refined_by_rule
 from .series import Poly, TruncatedSeries, divide_cancel
 
 _MARGIN = 8  # extra orders carried so t-power cancellation never starves
@@ -234,15 +235,29 @@ def series_from_refined(refined: Sequence[RefinedCount],
     return TruncatedSeries(coeffs, order)
 
 
-def _rule_series(spec: GFSpec, order: int,
-                 at_u: int | None, at_v: int | None) -> TruncatedSeries:
-    from .rules import REGISTRY as CLASSES, refined_by_rule
-    cls = CLASSES[spec.class_id]
-    series = series_from_refined(refined_by_rule(cls, order), order)
-    # Entries with a single formal variable live at v = 1 even when the
-    # paired rule carries a statistic pair, so the v exponent is dropped.
-    drop_v = "v" not in spec.variables
-    return series.subs_one(u=at_u == 1, v=(at_v == 1) or drop_v)
+def rule_series(cid: str, order: int) -> TruncatedSeries:
+    """The succession-rule series of class ``cid`` to the given t-order.
+
+    Its coefficients carry the rule's label statistics as u (and v), with 1
+    substituted for each variable the paired generating function does not
+    register, so the result is a candidate for ``verify_identity``.
+    """
+    variables = REGISTRY[GF_FOR_CLASS[cid]].variables
+    series = series_from_refined(refined_by_rule(CLASSES[cid], order), order)
+    return series.subs_one(u="u" not in variables, v="v" not in variables)
+
+
+def gf_counts(cid: str, nmax: int) -> list[int]:
+    """Counts of class ``cid`` for lengths 1..nmax from its closed form.
+
+    The closed form is expanded with u = v = 1 substituted, which is much
+    cheaper than expanding symbolically and summing the coefficients.
+    """
+    name = GF_FOR_CLASS[cid]
+    variables = REGISTRY[name].variables
+    series = closed_form(name, nmax, at_u=1 if "u" in variables else None,
+                         at_v=1 if "v" in variables else None)
+    return [int(series.coefficient(n).constant_value()) for n in range(1, nmax + 1)]
 
 
 def _substituted_parts(spec: GFSpec, order: int,
@@ -283,7 +298,7 @@ def closed_form(name: str, order: int,
         den = parts["den"]
         k = den.first_nonzero()
         if k is None or not den.coeffs[k].is_constant():
-            return _rule_series(spec, order, at_u, at_v)
+            return rule_series(spec.class_id, order).subs_one(u=at_u == 1, v=at_v == 1)
         num = parts["num"] + parts["coef"] * parts["radicand"].sqrt()
         return divide_cancel(num, den).truncate(order)
     if spec.kind == "algebraic":

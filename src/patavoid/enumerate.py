@@ -10,25 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _all_perms
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .patterns import PatternSet, avoids
 from .perms import Perm, append_child, reduce_to_perm, statistic
 from .series import Poly
 
 BRUTE_GUARD = 10
-
-# Filters on a statistic pair (a, b), selecting refined sub-series.
-FILTERS: dict[str, Callable[[int, int], bool]] = {
-    "u>v": lambda a, b: a > b,
-    "u<v": lambda a, b: a < b,
-    "u=v": lambda a, b: a == b,
-    "v=1": lambda a, b: b == 1,
-    "theta1": lambda a, b: a < b != 1,
-    "theta2": lambda a, b: (a, b) == (0, 1),
-    "theta3": lambda a, b: a > b == 1,
-    "theta4": lambda a, b: a > b > 1,
-}
 
 
 class ClosureError(ValueError):
@@ -78,13 +66,12 @@ def closure_check(pats: PatternSet, nmax: int = 6) -> None:
             parent = reduce_to_perm(perm[:-1])
             if not avoids(parent, pats):
                 raise ClosureError(
-                    f"avoider {perm} has non-avoiding parent {parent}")
+                    f"not closed under last-entry deletion: avoider {perm} "
+                    f"has non-avoiding parent {parent}")
 
 
-def count_tree(pats: PatternSet, nmax: int, check_closure: bool = False) -> list[int]:
+def count_tree(pats: PatternSet, nmax: int) -> list[int]:
     """Level sizes 1..nmax of the pruned rightward tree."""
-    if check_closure:
-        closure_check(pats, min(nmax, 6))
     return [len(level) for level in iter_tree_levels(pats, nmax)]
 
 
@@ -95,31 +82,21 @@ class RefinedCount:
     n: int
     poly: Poly
 
-    def total(self) -> int:
-        return self.poly(1, 1)
 
-
-def refined_series(pats: PatternSet, stats: tuple[str, ...], nmax: int,
-                   filter: str | None = None) -> list[RefinedCount]:
+def refined_series(pats: PatternSet, stats: tuple[str, ...],
+                   nmax: int) -> list[RefinedCount]:
     """Per-length polynomials in u (and v) marking the given statistics.
 
-    ``stats`` is one or two of r, l, h, s, m; the optional ``filter`` is a
-    key of FILTERS restricting which statistic pairs are counted.
+    ``stats`` is one or two of r, l, h, s, m.
     """
     if not 1 <= len(stats) <= 2:
         raise ValueError("stats must name one or two statistics")
-    if filter is not None:
-        if len(stats) != 2:
-            raise ValueError("filters require a statistic pair")
-        pred = FILTERS[filter]
     out = []
     for n, level in enumerate(iter_tree_levels(pats, nmax), start=1):
         terms: dict[tuple[int, int], int] = {}
         for perm in level:
             a = statistic(perm, stats[0])
             b = statistic(perm, stats[1]) if len(stats) == 2 else 0
-            if filter is not None and not pred(a, b):
-                continue
             key = (a, b)
             terms[key] = terms.get(key, 0) + 1
         out.append(RefinedCount(n, Poly(terms)))

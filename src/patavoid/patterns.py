@@ -139,10 +139,6 @@ PatternExpr = Union[GeneralizedPattern, BarredPattern]
 PatternSet = tuple[PatternExpr, ...]
 
 
-def render(pat: PatternExpr) -> str:
-    return pat.render()
-
-
 def parse_pattern(text: str) -> PatternExpr:
     """Parse the DSL above into a pattern; offsets in errors are 0-based."""
     if not text:

@@ -11,8 +11,6 @@ from typing import Sequence
 
 Perm = tuple[int, ...]
 
-STATISTICS = ("r", "l", "h", "s", "m")
-
 
 def is_permutation(seq: Sequence[int]) -> bool:
     return sorted(seq) == list(range(1, len(seq) + 1))

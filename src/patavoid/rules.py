@@ -28,18 +28,9 @@ class ClassSpec:
     root_label: Label
     children: Callable[[Label, int], list[Label]]
 
-    @property
-    def arity(self) -> int:
-        return len(self.label_stats)
-
     def label_of(self, perm: Perm) -> Label:
         return tuple(len(perm) if w == "n" else statistic(perm, w)
                      for w in self.label_stats)
-
-
-def rule_children(spec: ClassSpec, label: Label, n: int) -> list[Label]:
-    """The rule's child labels for a node with this label at level n."""
-    return spec.children(label, n)
 
 
 def _c1(label: Label, n: int) -> list[Label]:

@@ -138,7 +138,6 @@ class Poly:
 
 
 _ZERO = Poly()
-_ONE = Poly.const(1)
 
 
 def _as_poly(x) -> Poly:
@@ -313,21 +312,6 @@ class TruncatedSeries:
 
     __repr__ = __str__
 
-    def to_json(self) -> list:
-        """Nested arrays of rational strings: result[n][deg_u][deg_v] = "p/q"."""
-        out = []
-        for c in self.coeffs:
-            du = max((a for (a, _) in c.terms), default=0)
-            dv = max((b for (_, b) in c.terms), default=0)
-            grid = [[str(Fraction(c.terms.get((a, b), 0)))
-                     for b in range(dv + 1)] for a in range(du + 1)]
-            out.append(grid)
-        return out
-
-
-def expand_rational(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
-    """num/den where den has an invertible rational constant term."""
-    return num * den.inverse()
 
 
 def divide_cancel(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
@@ -344,10 +328,6 @@ def divide_cancel(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries
         num = num.shift(-k)
         den = den.shift(-k)
     return num * den.inverse()
-
-
-def sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
-    return s.sqrt()
 
 
 def algebraic_root(eq_coeffs: Sequence[TruncatedSeries], order: int) -> TruncatedSeries:

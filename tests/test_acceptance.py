@@ -7,13 +7,11 @@ appear in the captured output of failing tests.
 import time
 
 from patavoid import bijections as B
-from patavoid.closed_forms import (GF_FOR_CLASS, REGISTRY as GFS, closed_form,
-                                   formula_value, series_from_refined,
-                                   verify_identity)
+from patavoid.closed_forms import (GF_FOR_CLASS, closed_form, formula_value,
+                                   gf_counts, rule_series, verify_identity)
 from patavoid.enumerate import count_brute, count_tree, iter_tree_levels
 from patavoid.patterns import avoids, parse_pattern_set
-from patavoid.rules import (CLASS_IDS, REGISTRY, count_by_rule,
-                            refined_by_rule, verify_rule)
+from patavoid.rules import CLASS_IDS, REGISTRY, count_by_rule, verify_rule
 
 
 def _criterion(k, label, fn):
@@ -32,13 +30,7 @@ def test_acceptance_1_four_way_agreement():
         start = time.monotonic()
         for cid in CLASS_IDS:
             spec = REGISTRY[cid]
-            name = GF_FOR_CLASS[cid]
-            gspec = GFS[name]
-            series = closed_form(name, 8,
-                                 at_u=1 if "u" in gspec.variables else None,
-                                 at_v=1 if "v" in gspec.variables else None)
-            gf = [int(series.coefficient(n).constant_value())
-                  for n in range(1, 9)]
+            gf = gf_counts(cid, 8)
             tree = count_tree(spec.patterns, 8)
             rule = count_by_rule(spec, 8)
             brute = [count_brute(spec.patterns, n) for n in range(1, 9)]
@@ -78,19 +70,13 @@ def test_acceptance_3_cubic_coefficients():
 def test_acceptance_4_series_identities():
     def check():
         start = time.monotonic()
-        for cid in ("C4", "C5", "C6", "C7", "C8"):
-            name = GF_FOR_CLASS[cid]
-            cand = series_from_refined(refined_by_rule(REGISTRY[cid], 25), 25)
-            ok, residual = verify_identity(name, cand, 25)
-            assert ok, (name, residual)
-        for cid in ("C9", "C10", "C11"):
-            name = GF_FOR_CLASS[cid]
-            variables = GFS[name].variables
-            cand = series_from_refined(refined_by_rule(REGISTRY[cid], 40), 40)
-            cand = cand.subs_one(u="u" not in variables,
-                                 v="v" not in variables)
-            ok, residual = verify_identity(name, cand, 40)
-            assert ok, (name, residual)
+        for cids, order in ((("C4", "C5", "C6", "C7", "C8"), 25),
+                            (("C9", "C10", "C11"), 40)):
+            for cid in cids:
+                name = GF_FOR_CLASS[cid]
+                ok, residual = verify_identity(name, rule_series(cid, order),
+                                               order)
+                assert ok, (name, residual)
         assert time.monotonic() - start < 120
     _criterion(4, "symbolic series identities, order 25 and 40", check)
 
@@ -154,11 +140,7 @@ def test_acceptance_8_identity_soundness():
         order = 9
         for cid in CLASS_IDS:
             name = GF_FOR_CLASS[cid]
-            variables = GFS[name].variables
-            cand = series_from_refined(refined_by_rule(REGISTRY[cid], order),
-                                       order)
-            cand = cand.subs_one(u="u" not in variables,
-                                 v="v" not in variables)
+            cand = rule_series(cid, order)
             # stay below the truncation order so a residual cannot be
             # pushed past it by a t-factor in the denominator
             for j in (1, 4, 7):

@@ -1,10 +1,19 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import patavoid
 from patavoid.cli import main
+from patavoid.closed_forms import REGISTRY as GFS
+from patavoid.rules import CLASS_IDS
 
 
 def run(capsys, *argv):
@@ -43,6 +52,30 @@ def test_count_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--class", "C99"])
     assert exc.value.code == 2
+    for argv, message in [
+            (["count", "--class", "C1", "--max-n", "0"], "--max-n must be at least 1"),
+            (["count", "--class", "C1", "--max-n", "-3", "--method", "gf"],
+             "--max-n must be at least 1"),
+            (["verify", "--class", "C1", "--max-n", "0"], "--max-n must be at least 1"),
+            (["verify", "--class", "C1", "--order", "-1"], "--order must be at least 0"),
+            (["report", "--max-n", "0"], "--max-n must be at least 1"),
+            (["report", "--max-n", "-1"], "--max-n must be at least 1")]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2 and message in err, argv
+
+
+def test_count_refuses_sets_not_closed(capsys):
+    # 13-[2] is not closed under last-entry deletion: the pruned tree would
+    # print 1, 1, 1, 1, 1 where brute force finds 1, 1, 2, 6, 24.
+    code, out, err = run(capsys, "count", "--avoid", "13-[2]", "--max-n", "5")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "not closed" in err
+    code, out, _ = run(capsys, "count", "--avoid", "13-[2]", "--max-n", "5",
+                       "--method", "brute")
+    assert code == 0
+    assert out.splitlines() == ["1 1", "2 1", "3 2", "4 6", "5 24"]
 
 
 def test_verify(capsys):
@@ -67,6 +100,10 @@ def test_expand(capsys):
     code, _, err = run(capsys, "expand", "--gf", "P", "--order", "4",
                        "--at-u", "1")
     assert code == 2 and "error" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--gf", "J", "--order", "-1"])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2 and "--order must be at least 0" in err
 
 
 def test_biject(capsys):
@@ -83,6 +120,11 @@ def test_biject(capsys):
     assert (code, out.strip()) == (0, "EENE")
     code, _, err = run(capsys, "biject", "--map", "phi", "--input", "213")
     assert code == 2 and "error" in err
+    code, _, err = run(capsys, "biject", "--map", "udu_uuu", "--input", "")
+    assert code == 2 and "error" in err
+    code, out, _ = run(capsys, "biject", "--map", "subdiag", "--inverse",
+                       "--input", "")
+    assert (code, out) == (0, "\n")
 
 
 def test_report_csv(capsys):
@@ -110,3 +152,64 @@ def test_report_text(capsys):
     code, out, _ = run(capsys, "report", "--max-n", "3")
     assert code == 0
     assert "C1 n=3 brute=2 tree=2 rule=2 gf=2 ok" in out.splitlines()
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match and patavoid.__version__ == match.group(1)
+
+
+def _option(draw, flag, values):
+    return draw(st.one_of(st.just([]), values.map(lambda v: [flag, str(v)])))
+
+
+@st.composite
+def cli_argv(draw):
+    """Argument vectors over the five subcommands, out-of-range values included.
+
+    Sizes that drive brute force, the tree or the rule replay stay small so
+    that one example costs little; the series routes get the full range.
+    """
+    small = st.integers(-3, 5)
+    wide = st.integers(-3, 12)
+    command = draw(st.sampled_from(["count", "verify", "expand", "biject",
+                                    "report"]))
+    if command == "count":
+        method = draw(st.sampled_from(["brute", "tree", "rule", "gf"]))
+        target = draw(st.one_of(
+            st.sampled_from(CLASS_IDS).map(lambda c: ["--class", c]),
+            st.sampled_from(["2-1-3", "13-[2]", "21-[3]", "[2o]-31", "12-3,34-21",
+                             "1-2-", "[4]", ""]).map(lambda a: ["--avoid", a])))
+        sizes = wide if method in ("rule", "gf") else small
+        return [command, *target, "--method", method,
+                "--max-n", str(draw(sizes))]
+    if command == "verify":
+        return [command, "--class", draw(st.sampled_from(CLASS_IDS)),
+                "--max-n", str(draw(small)), *_option(draw, "--order", wide)]
+    if command == "expand":
+        return [command, "--gf", draw(st.sampled_from(sorted(GFS))),
+                "--order", str(draw(wide)),
+                *_option(draw, "--at-u", st.integers(0, 2)),
+                *_option(draw, "--at-v", st.integers(0, 2))]
+    if command == "biject":
+        inverse = ["--inverse"] if draw(st.booleans()) else []
+        return [command, "--map",
+                draw(st.sampled_from(["phi", "callan", "udu_uuu", "subdiag"])),
+                "--input", draw(st.text("UDHEN0123,", max_size=8)), *inverse]
+    return [command, "--max-n", str(draw(small)),
+            *_option(draw, "--format", st.sampled_from(["text", "csv", "json"])),
+            *(["--no-brute"] if draw(st.booleans()) else [])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2), argv

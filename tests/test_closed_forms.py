@@ -5,26 +5,11 @@ from fractions import Fraction
 import pytest
 
 from patavoid.closed_forms import (GF_FOR_CLASS, REGISTRY as GFS, closed_form,
-                                   formula_value, series_from_refined,
-                                   verify_identity, verify_identity_squared)
+                                   formula_value, gf_counts, rule_series,
+                                   series_from_refined, verify_identity,
+                                   verify_identity_squared)
 from patavoid.rules import REGISTRY as CLASSES, count_by_rule, refined_by_rule
 from patavoid.series import Poly, TruncatedSeries
-
-
-def rule_candidate(cid, order):
-    """Rule series substituted to match the registered variables."""
-    name = GF_FOR_CLASS[cid]
-    variables = GFS[name].variables
-    series = series_from_refined(refined_by_rule(CLASSES[cid], order), order)
-    return name, series.subs_one(u="u" not in variables, v="v" not in variables)
-
-
-def totals(name, nmax, spec=None):
-    spec = spec or GFS[name]
-    s = closed_form(name, nmax,
-                    at_u=1 if "u" in spec.variables else None,
-                    at_v=1 if "v" in spec.variables else None)
-    return [int(s.coefficient(n).constant_value()) for n in range(1, nmax + 1)]
 
 
 def test_pairing_covers_all_classes():
@@ -34,16 +19,17 @@ def test_pairing_covers_all_classes():
 
 @pytest.mark.parametrize("cid", sorted(GF_FOR_CLASS))
 def test_expansion_matches_rule_counts(cid):
-    assert totals(GF_FOR_CLASS[cid], 10) == count_by_rule(CLASSES[cid], 10)
+    assert gf_counts(cid, 10) == count_by_rule(CLASSES[cid], 10)
 
 
 def test_known_expansions():
-    assert totals("D", 7) == [formula_value("motzkin", n - 1) for n in range(1, 8)]
-    assert totals("N", 8) == [2 ** (n - 1) for n in range(1, 9)]
-    assert totals("K2", 8) == [formula_value("west", n) for n in range(1, 9)]
-    assert totals("H", 8) == [formula_value("fib_odd", n) for n in range(1, 9)]
-    assert totals("F", 6) == [1, 2, 5, 13, 35, 97]
-    assert totals("K1", 6) == [1, 2, 5, 13, 35, 96]
+    # classes C1, C5, C6, C7, C8, C3 expand D, N, K2, H, F, K1
+    assert gf_counts("C1", 7) == [formula_value("motzkin", n - 1) for n in range(1, 8)]
+    assert gf_counts("C5", 8) == [2 ** (n - 1) for n in range(1, 9)]
+    assert gf_counts("C6", 8) == [formula_value("west", n) for n in range(1, 9)]
+    assert gf_counts("C7", 8) == [formula_value("fib_odd", n) for n in range(1, 9)]
+    assert gf_counts("C8", 6) == [1, 2, 5, 13, 35, 97]
+    assert gf_counts("C3", 6) == [1, 2, 5, 13, 35, 96]
 
 
 def test_sum_expansions():
@@ -82,15 +68,14 @@ def test_substitution_validation():
 
 @pytest.mark.parametrize("cid", sorted(GF_FOR_CLASS))
 def test_identity_holds(cid):
-    name, cand = rule_candidate(cid, 12)
-    ok, residual = verify_identity(name, cand, 12)
+    name = GF_FOR_CLASS[cid]
+    ok, residual = verify_identity(name, rule_series(cid, 12), 12)
     assert ok and residual is None, (name, residual)
 
 
 @pytest.mark.parametrize("name", ["D", "K1", "M", "F"])
 def test_squared_radical_check_agrees(name):
-    cid = next(c for c, g in GF_FOR_CLASS.items() if g == name)
-    _, cand = rule_candidate(cid, 10)
+    cand = rule_series(GFS[name].class_id, 10)
     ok, residual = verify_identity_squared(name, cand, 10)
     assert ok and residual is None
     with pytest.raises(ValueError):
@@ -99,9 +84,8 @@ def test_squared_radical_check_agrees(name):
 
 @pytest.mark.parametrize("name", sorted(GFS))
 def test_identity_detects_perturbations(name):
-    cid = next(c for c, g in GF_FOR_CLASS.items() if g == name)
     order = 9
-    _, cand = rule_candidate(cid, order)
+    cand = rule_series(GFS[name].class_id, order)
     for j in (2, 5, 8):
         bump = TruncatedSeries.from_terms(order, {(j, 0, 0): 1})
         ok, residual = verify_identity(name, cand + bump, order)
@@ -109,9 +93,8 @@ def test_identity_detects_perturbations(name):
 
 
 def test_identity_rejects_short_candidate():
-    name, cand = rule_candidate("C1", 5)
     with pytest.raises(ValueError):
-        verify_identity(name, cand, 8)
+        verify_identity("D", rule_series("C1", 5), 8)
 
 
 def test_formula_values():

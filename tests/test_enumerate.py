@@ -2,9 +2,9 @@
 
 import pytest
 
-from patavoid.enumerate import (BRUTE_GUARD, ClosureError, FILTERS,
-                                closure_check, count_brute, count_tree,
-                                iter_tree_levels, refined_series)
+from patavoid.enumerate import (BRUTE_GUARD, ClosureError, closure_check,
+                                count_brute, count_tree, iter_tree_levels,
+                                refined_series)
 from patavoid.patterns import parse_pattern_set
 from patavoid.rules import REGISTRY
 from patavoid.series import Poly
@@ -51,14 +51,14 @@ def test_closure_check_counterexample():
 def test_refined_series_totals():
     spec = REGISTRY["C4"]
     refined = refined_series(spec.patterns, ("l", "r"), 6)
-    assert [rc.total() for rc in refined] == count_tree(spec.patterns, 6)
+    assert [rc.poly(1, 1) for rc in refined] == count_tree(spec.patterns, 6)
     assert refined[0].poly == Poly({(2, 1): 1})  # the single point has l=2, r=1
 
 
 def test_refined_series_single_statistic():
     refined = refined_series(parse_pattern_set("2-1-3,[2]-31"), ("r",), 4)
     # length 3 avoiders 213, 312, 321, 231? no: count is 2 at n=3
-    assert refined[2].total() == 2
+    assert refined[2].poly(1, 1) == 2
 
 
 def test_refined_series_validation():
@@ -67,40 +67,3 @@ def test_refined_series_validation():
         refined_series(pats, (), 3)
     with pytest.raises(ValueError):
         refined_series(pats, ("r", "l", "h"), 3)
-    with pytest.raises(ValueError):
-        refined_series(pats, ("r",), 3, filter="u>v")
-    with pytest.raises(KeyError):
-        refined_series(pats, ("s", "r"), 3, filter="nope")
-
-
-@pytest.mark.parametrize("cid", ["C10", "C11"])
-def test_theta_filters_partition(cid):
-    spec = REGISTRY[cid]
-    full = refined_series(spec.patterns, ("s", "r"), 7)
-    parts = [refined_series(spec.patterns, ("s", "r"), 7, filter=f)
-             for f in ("theta1", "theta2", "theta3", "theta4")]
-    for i in range(7):
-        total = parts[0][i].poly
-        for p in parts[1:]:
-            total = total + p[i].poly
-        assert total == full[i].poly
-
-
-def test_comparison_filters_partition():
-    spec = REGISTRY["C8"]
-    full = refined_series(spec.patterns, ("l", "r"), 6)
-    parts = [refined_series(spec.patterns, ("l", "r"), 6, filter=f)
-             for f in ("u>v", "u<v", "u=v")]
-    for i in range(6):
-        total = parts[0][i].poly
-        for p in parts[1:]:
-            total = total + p[i].poly
-        assert total == full[i].poly
-
-
-def test_filter_predicates():
-    assert FILTERS["theta1"](1, 3) and not FILTERS["theta1"](1, 1)
-    assert FILTERS["theta2"](0, 1) and not FILTERS["theta2"](1, 1)
-    assert FILTERS["theta3"](4, 1) and not FILTERS["theta3"](1, 1)
-    assert FILTERS["theta4"](4, 2) and not FILTERS["theta4"](4, 1)
-    assert FILTERS["v=1"](9, 1) and not FILTERS["v=1"](9, 2)

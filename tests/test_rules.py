@@ -5,23 +5,23 @@ import pytest
 from patavoid.closed_forms import formula_value
 from patavoid.enumerate import refined_series
 from patavoid.rules import (CLASS_IDS, REGISTRY, count_by_rule,
-                            refined_by_rule, rule_children, verify_rule)
+                            refined_by_rule, verify_rule)
 
 
 def test_registry_shape():
     assert len(CLASS_IDS) == 12
     for spec in REGISTRY.values():
-        assert spec.arity == len(spec.root_label)
+        assert len(spec.label_stats) == len(spec.root_label)
         assert spec.label_of((1,)) == spec.root_label
 
 
 def test_rule_children_examples():
-    assert rule_children(REGISTRY["C1"], (3,), 3) == [(1,), (2,), (4,)]
-    assert rule_children(REGISTRY["C2"], (3,), 3) == [(2,), (4,)]
-    assert rule_children(REGISTRY["C2e"], (3,), 3) == [(1,), (3,), (4,)]
-    assert rule_children(REGISTRY["C3"], (1,), 1) == [(1,), (2,)]
-    assert rule_children(REGISTRY["C5"], (0, 1), 1) == [(1, 1), (0, 2)]
-    assert rule_children(REGISTRY["C9"], (1, 1), 1) == [(1, 2), (2, 2)]
+    assert REGISTRY["C1"].children((3,), 3) == [(1,), (2,), (4,)]
+    assert REGISTRY["C2"].children((3,), 3) == [(2,), (4,)]
+    assert REGISTRY["C2e"].children((3,), 3) == [(1,), (3,), (4,)]
+    assert REGISTRY["C3"].children((1,), 1) == [(1,), (2,)]
+    assert REGISTRY["C5"].children((0, 1), 1) == [(1, 1), (0, 2)]
+    assert REGISTRY["C9"].children((1, 1), 1) == [(1, 2), (2, 2)]
 
 
 def test_counts_match_known_sequences():
