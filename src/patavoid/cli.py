@@ -37,6 +37,9 @@ def _cmd_count(args) -> int:
     elif args.method == "gf":
         counts = gf_counts(args.klass, args.max_n)
     elif args.method == "brute":
+        if args.max_n > BRUTE_GUARD:
+            raise ValueError(f"--max-n {args.max_n} is above the brute-force "
+                             f"guard {BRUTE_GUARD}")
         pats = _patterns_for(args)
         counts = [count_brute(pats, n) for n in range(1, args.max_n + 1)]
     else:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .enumerate import RefinedCount
 from .rules import REGISTRY as CLASSES, refined_by_rule
-from .series import Poly, TruncatedSeries, divide_cancel
+from .series import Poly, TruncatedSeries, algebraic_root, divide_cancel
 
 _MARGIN = 8  # extra orders carried so t-power cancellation never starves
 
@@ -180,7 +180,7 @@ def _sum_p(order):
         num = _p(order, {(2 * k - 1, 0, 0): 1, (2 * k, 0, 0): -(k - 1)})
         den = _prod(order, *({(0, 0, 0): 1, (1, 0, 0): -j} for j in range(1, k + 1)
                              for _ in (0, 1)))
-        return num * den.inverse()
+        return num / den
     return {"start": lambda k: 2 * k - 1, "kmin": 1, "term": term, "offset": 0}
 
 
@@ -190,7 +190,7 @@ def _sum_r(order):
         num = _p(order, {(2 * k, k, 0): 1, (2 * k + 1, k + 1, 0): k})
         den = _prod(order, {(0, 0, 0): 1, (1, 0, 0): -(k + 1)},
                     *({(0, 0, 0): 1, (1, 0, 0): -j} for j in range(1, k)))
-        return num * den.inverse()
+        return num / den
     return {"start": lambda k: 2 * k, "kmin": 0, "term": term, "offset": 1}
 
 
@@ -201,7 +201,7 @@ def _sum_t(order):
         den = (_p(order, {(0, 0, 0): 1, (1, 1, 0): 1}).pow(k)
                * _prod(order, {(0, 0, 0): 1, (1, 0, 0): -k},
                        {(0, 0, 0): 1, (1, 0, 0): -(k + 1)}))
-        return num * den.inverse()
+        return num / den
     return {"start": lambda k: k + 1, "kmin": 0, "term": term, "offset": 0}
 
 
@@ -302,7 +302,6 @@ def closed_form(name: str, order: int,
         num = parts["num"] + parts["coef"] * parts["radicand"].sqrt()
         return divide_cancel(num, den).truncate(order)
     if spec.kind == "algebraic":
-        from .series import algebraic_root
         return algebraic_root(parts["eq"], order)
     # sum kind
     acc = TruncatedSeries.zero(work)

@@ -2,10 +2,13 @@
 
 Coefficients are polynomials in two formal variables u and v over the
 rationals; plain rationals are degree-0 polynomials.  All arithmetic is
-exact.  Division requires the denominator's t^0 coefficient to be a nonzero
-u,v-free rational; square roots require a u,v-free radicand with constant
-term 1.  Any operation combining two series works to the smaller of their
-orders.
+exact.  Division requires the denominator's t^0 coefficient d_0 to be a
+nonzero u,v-free rational; it solves c_n = (b_n - sum_k d_k c_(n-k)) / d_0
+term by term, summing over the denominator's nonzero coefficients only, and
+the reciprocal is one division.  Integer coefficients stay ``int`` when
+d_0 = 1 or -1.  Square roots require a u,v-free radicand with constant term
+1; they halve exactly and keep ``int`` wherever the half is an integer.  Any
+operation combining two series works to the smaller of their orders.
 """
 
 from __future__ import annotations
@@ -232,22 +235,37 @@ class TruncatedSeries:
 
     def inverse(self) -> TruncatedSeries:
         """Reciprocal; requires an invertible rational constant term."""
-        c0 = self.coeffs[0]
-        if not c0.is_constant() or not c0.constant_value():
-            raise ValueError(
-                f"series not invertible: constant term {c0} is not a nonzero rational")
-        inv0 = Fraction(1, 1) / Fraction(c0.constant_value())
-        out = [Poly.const(inv0)]
-        for n in range(1, self.order + 1):
-            acc = _ZERO
-            for k in range(1, n + 1):
-                if not self.coeffs[k].is_zero():
-                    acc = acc + self.coeffs[k] * out[n - k]
-            out.append(acc.scale(-inv0))
-        return TruncatedSeries(out, self.order)
+        return TruncatedSeries([1], self.order) / self
 
     def __truediv__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self * other.inverse()
+        """Quotient by c_n = (b_n - sum_{k>=1} d_k c_(n-k)) / d_0.
+
+        The sum runs over the denominator's nonzero coefficients only.  The
+        denominator's constant term must be a nonzero rational; when its
+        reciprocal is an integer, as for d_0 = 1 or -1, integer coefficients
+        stay integers.
+        """
+        order = min(self.order, other.order)
+        d0 = other.coeffs[0]
+        if not d0.is_constant() or not d0.constant_value():
+            raise ValueError(
+                f"series not invertible: constant term {d0} is not a nonzero rational")
+        inv0 = 1 / Fraction(d0.constant_value())
+        if inv0.denominator == 1:
+            inv0 = inv0.numerator
+        negated = [(k, -d) for k, d in enumerate(other.coeffs[1: order + 1], 1)
+                   if not d.is_zero()]
+        out: list[Poly] = []
+        for n in range(order + 1):
+            acc = self.coeffs[n]
+            for k, d in negated:
+                if k > n:
+                    break
+                c = out[n - k]
+                if not c.is_zero():
+                    acc = acc + d * c
+            out.append(acc if inv0 == 1 else acc.scale(inv0))
+        return TruncatedSeries(out, order)
 
     def sqrt(self) -> TruncatedSeries:
         """Square root with constant term 1; radicand must be u,v-free."""
@@ -255,11 +273,11 @@ class TruncatedSeries:
             raise ValueError("sqrt requires a u,v-free radicand")
         if self.coeffs[0].constant_value() != 1:
             raise ValueError("sqrt requires constant term 1")
-        r = [Fraction(1)]
-        s = [Fraction(c.constant_value()) for c in self.coeffs]
+        r: list[Scalar] = [1]
+        s = [c.constant_value() for c in self.coeffs]
         for n in range(1, self.order + 1):
-            acc = sum(r[i] * r[n - i] for i in range(1, n))
-            r.append((s[n] - acc) / 2)
+            half = Fraction(s[n] - sum(r[i] * r[n - i] for i in range(1, n)), 2)
+            r.append(half.numerator if half.denominator == 1 else half)
         return TruncatedSeries([Poly.const(x) for x in r], self.order)
 
     def pow(self, k: int) -> TruncatedSeries:
@@ -327,7 +345,7 @@ def divide_cancel(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries
     if k:
         num = num.shift(-k)
         den = den.shift(-k)
-    return num * den.inverse()
+    return num / den
 
 
 def algebraic_root(eq_coeffs: Sequence[TruncatedSeries], order: int) -> TruncatedSeries:

@@ -49,6 +49,11 @@ def test_count_adhoc_patterns(capsys):
 def test_count_usage_errors(capsys):
     code, _, err = run(capsys, "count", "--avoid", "2-1-3", "--method", "gf")
     assert code == 2 and "requires --class" in err
+    # refused before any length is enumerated, not after S_1..S_10
+    code, out, err = run(capsys, "count", "--class", "C1", "--max-n", "11",
+                         "--method", "brute")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "brute-force guard 10" in err
     with pytest.raises(SystemExit) as exc:
         main(["count", "--class", "C99"])
     assert exc.value.code == 2
@@ -104,6 +109,22 @@ def test_expand(capsys):
         main(["expand", "--gf", "J", "--order", "-1"])
     _, err = capsys.readouterr()
     assert exc.value.code == 2 and "--order must be at least 0" in err
+
+
+# (argv, stdout) pairs of ``patavoid expand`` at order 8 for every generating
+# function, symbolic and with its registered variables set to 1.
+_GOLDEN_LINES = (Path(__file__).parent / "data" / "expand_order8.txt") \
+    .read_text().splitlines(keepends=True)
+_EXPAND_GOLDEN = [(cmd.split()[2:], out)
+                  for cmd, out in zip(_GOLDEN_LINES[::2], _GOLDEN_LINES[1::2])]
+
+
+@pytest.mark.parametrize("argv,expected", _EXPAND_GOLDEN,
+                         ids=[" ".join(argv[2:]) for argv, _ in _EXPAND_GOLDEN])
+def test_expand_golden(capsys, argv, expected):
+    # Integer-valued coefficients print the same whether they are held as
+    # int or as Fraction; the text must not change with the series kernel.
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_biject(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patavoid.closed_forms import closed_form
 from patavoid.series import Poly, TruncatedSeries, algebraic_root, divide_cancel
 
 
@@ -143,3 +144,56 @@ def test_sqrt_squares(s):
                                       if sq.coefficient(0).is_constant() else 0)}, 6)
     root = shifted.sqrt()
     assert root * root == shifted
+
+
+small_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              st.integers(-2, 2), max_size=3).map(Poly)
+units = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2)])
+
+
+@st.composite
+def bivariate_series(draw, constant=None):
+    """Order-5 series over Q[u, v]; ``constant`` draws the t^0 coefficient."""
+    coeffs = [draw(small_polys) for _ in range(6)]
+    if constant is not None:
+        coeffs[0] = Poly.const(draw(constant))
+    return TruncatedSeries(coeffs, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bivariate_series(), bivariate_series(units))
+def test_bivariate_division_round_trip(a, b):
+    assert (a * b) / b == a
+    assert b.inverse() * b == TruncatedSeries([1], 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bivariate_series(), bivariate_series(units), st.integers(0, 3))
+def test_bivariate_divide_cancel_round_trip(a, b, k):
+    q = divide_cancel((a * b).shift(k), b.shift(k))
+    assert q.order == 5 and q == a
+
+
+def _all_int(s):
+    return all(type(c) is int for p in s.coeffs for c in p.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(bivariate_series(), bivariate_series(st.sampled_from([1, -1])))
+def test_division_by_unit_stays_integer(s, d):
+    assert _all_int(s / d)
+    assert _all_int(d.inverse())
+
+
+def test_sqrt_stays_integer():
+    for radicand in ({(0, 0, 0): 1, (1, 0, 0): -4},
+                     {(0, 0, 0): 1, (1, 0, 0): -2, (2, 0, 0): -3}):
+        assert _all_int(S(radicand, 30).sqrt())
+    # halving is exact: sqrt(1 + t) = 1 + t/2 - t^2/8 + ...
+    root = S({(0, 0, 0): 1, (1, 0, 0): 1}, 3).sqrt()
+    assert [root.coefficient(n).constant_value() for n in range(4)] \
+        == [1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16)]
+
+
+def test_newton_root_stays_integer():
+    assert _all_int(closed_form("J", 50))
