@@ -210,7 +210,7 @@ def _match_indices(tokens: list[str]) -> dict[int, int]:
 
 
 def callan(path: str) -> str:
-    """UDU-free Dyck path of semilength n to a Motzkin path of length n - 1.
+    """UDU-free Dyck path of semilength n >= 1 to a Motzkin path of length n - 1.
 
     Append a down step, then: every down step flanked by down steps is
     deleted and its matching up step becomes a level step; every remaining
@@ -218,8 +218,8 @@ def callan(path: str) -> str:
     step is dropped.  The UDD occurrences are pairwise disjoint, so one
     simultaneous pass suffices.
     """
-    if not path_is(path, "udu_free"):
-        raise ValueError(f"{path!r} is not a UDU-free Dyck path")
+    if not path or not path_is(path, "udu_free"):
+        raise ValueError(f"{path!r} is not a nonempty UDU-free Dyck path")
     tokens = list(path) + ["D"]
     match = _match_indices(tokens)
     marked = {i for i in range(1, len(tokens) - 1)

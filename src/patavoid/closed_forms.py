@@ -7,8 +7,8 @@ Each entry is one of four kinds:
                     radicand;
 * ``algebraic``  -- the power-series root of a polynomial equation in the
                     unknown with t-polynomial coefficients;
-* ``sum``        -- an infinite sum of rational terms where the k-th term
-                    has t-order at least k, so truncation is finite.
+* ``sum``        -- an infinite sum of rational (numerator, denominator)
+                    terms; only the finitely many reaching the order count.
 
 ``closed_form`` expands an entry to a given order.  Entries whose
 denominator has a non-invertible constant term at symbolic u, v (K1, M, F)
@@ -27,8 +27,6 @@ from typing import Callable, Sequence
 from .enumerate import RefinedCount
 from .rules import REGISTRY as CLASSES, refined_by_rule
 from .series import Poly, TruncatedSeries, algebraic_root, divide_cancel
-
-_MARGIN = 8  # extra orders carried so t-power cancellation never starves
 
 
 def _p(order: int, terms: dict[tuple[int, int, int], int]) -> TruncatedSeries:
@@ -180,18 +178,19 @@ def _sum_p(order):
         num = _p(order, {(2 * k - 1, 0, 0): 1, (2 * k, 0, 0): -(k - 1)})
         den = _prod(order, *({(0, 0, 0): 1, (1, 0, 0): -j} for j in range(1, k + 1)
                              for _ in (0, 1)))
-        return num / den
-    return {"start": lambda k: 2 * k - 1, "kmin": 1, "term": term, "offset": 0}
+        return num, den
+    return {"terms": [term(k) for k in range(1, (order + 1) // 2 + 1)]}
 
 
 def _sum_r(order):
-    # 1 + R(t,u,1) = sum_{k>=0} t^(2k) u^k (1+ktu) / ((1-(k+1)t) prod_{j<k}(1-jt))
+    # R(t,u,1) = -1 + sum_{k>=0} t^(2k) u^k (1+ktu) / ((1-(k+1)t) prod_{j<k}(1-jt))
     def term(k):
         num = _p(order, {(2 * k, k, 0): 1, (2 * k + 1, k + 1, 0): k})
         den = _prod(order, {(0, 0, 0): 1, (1, 0, 0): -(k + 1)},
                     *({(0, 0, 0): 1, (1, 0, 0): -j} for j in range(1, k)))
-        return num / den
-    return {"start": lambda k: 2 * k, "kmin": 0, "term": term, "offset": 1}
+        return num, den
+    return {"terms": [(_p(order, {(0, 0, 0): -1}), _p(order, {(0, 0, 0): 1}))]
+            + [term(k) for k in range(order // 2 + 1)]}
 
 
 def _sum_t(order):
@@ -201,8 +200,8 @@ def _sum_t(order):
         den = (_p(order, {(0, 0, 0): 1, (1, 1, 0): 1}).pow(k)
                * _prod(order, {(0, 0, 0): 1, (1, 0, 0): -k},
                        {(0, 0, 0): 1, (1, 0, 0): -(k + 1)}))
-        return num / den
-    return {"start": lambda k: k + 1, "kmin": 0, "term": term, "offset": 0}
+        return num, den
+    return {"terms": [term(k) for k in range(order)]}
 
 
 REGISTRY: dict[str, GFSpec] = {s.name: s for s in [
@@ -267,15 +266,25 @@ def _substituted_parts(spec: GFSpec, order: int,
             raise ValueError(f"{var} may only be substituted by 1")
         if val is not None and var not in spec.variables:
             raise ValueError(f"{spec.name} has no variable {var}")
-    parts = spec.build(order)
     subs = dict(u=at_u == 1, v=at_v == 1)
-    out = {}
-    for key, val in parts.items():
+
+    def substituted(val):
         if isinstance(val, TruncatedSeries):
-            out[key] = val.subs_one(**subs)
-        else:
-            out[key] = val
-    return out
+            return val.subs_one(**subs)
+        return [substituted(x) for x in val]
+    return {key: substituted(val) for key, val in spec.build(order).items()}
+
+
+def _cancelling_parts(spec: GFSpec, order: int,
+                      at_u: int | None, at_v: int | None) -> dict:
+    """The parts built to order + k, where ``divide_cancel`` cancels t^k."""
+    work = order
+    while True:
+        parts = _substituted_parts(spec, work, at_u, at_v)
+        k = parts["den"].first_nonzero()
+        if k is not None and work == order + k:
+            return parts
+        work = work + 1 if k is None else order + k  # None: k is beyond work
 
 
 def closed_form(name: str, order: int,
@@ -290,28 +299,18 @@ def closed_form(name: str, order: int,
     if name not in REGISTRY:
         raise KeyError(f"unknown generating function {name!r}")
     spec = REGISTRY[name]
-    work = order + _MARGIN
-    parts = _substituted_parts(spec, work, at_u, at_v)
-    if spec.kind == "rational":
-        return divide_cancel(parts["num"], parts["den"]).truncate(order)
-    if spec.kind == "radical":
-        den = parts["den"]
-        k = den.first_nonzero()
-        if k is None or not den.coeffs[k].is_constant():
-            return rule_series(spec.class_id, order).subs_one(u=at_u == 1, v=at_v == 1)
-        num = parts["num"] + parts["coef"] * parts["radicand"].sqrt()
-        return divide_cancel(num, den).truncate(order)
     if spec.kind == "algebraic":
-        return algebraic_root(parts["eq"], order)
-    # sum kind
-    acc = TruncatedSeries.zero(work)
-    k = parts["kmin"]
-    while parts["start"](k) <= work:
-        acc = acc + parts["term"](k)
-        k += 1
-    if parts["offset"]:
-        acc = acc - _p(work, {(0, 0, 0): parts["offset"]})
-    return acc.subs_one(u=at_u == 1, v=at_v == 1).truncate(order)
+        return algebraic_root(_substituted_parts(spec, order, at_u, at_v)["eq"], order)
+    if spec.kind == "sum":
+        terms = _substituted_parts(spec, order, at_u, at_v)["terms"]
+        return sum((num / den for num, den in terms), TruncatedSeries.zero(order))
+    parts = _cancelling_parts(spec, order, at_u, at_v)
+    num, den = parts["num"], parts["den"]
+    if spec.kind == "radical":
+        if not den.coeffs[den.first_nonzero()].is_constant():
+            return rule_series(spec.class_id, order).subs_one(u=at_u == 1, v=at_v == 1)
+        num = num + parts["coef"] * parts["radicand"].sqrt()
+    return divide_cancel(num, den)
 
 
 def verify_identity(name: str, candidate: TruncatedSeries,
@@ -327,7 +326,7 @@ def verify_identity(name: str, candidate: TruncatedSeries,
     if candidate.order < order:
         raise ValueError(f"candidate order {candidate.order} below requested {order}")
     cand = candidate.truncate(order)
-    parts = spec.build(order)
+    parts = {} if spec.kind == "sum" else spec.build(order)
     if spec.kind == "rational":
         residual = parts["den"] * cand - parts["num"]
     elif spec.kind == "radical":

@@ -4,7 +4,7 @@ Each class couples a pattern set with labels drawn from the statistics of
 ``perms.statistic`` (plus, for C9-C11, the current length) and a children
 map: the label of a node determines the multiset of its children's labels.
 ``count_by_rule`` runs a dynamic program over label multiplicities;
-``verify_rule`` replays the actual rightward tree and compares.
+``verify_rule`` compares it with the tree ``iter_tree_levels`` grows.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .enumerate import RefinedCount, iter_tree_levels
-from .patterns import PatternSet, avoids, parse_pattern_set
-from .perms import Perm, append_child, statistic
+from .patterns import PatternSet, parse_pattern_set
+from .patterns import avoids  # unused; bench/tracing.py rebinds and checks rules.avoids
+from .perms import Perm, reduce_to_perm, statistic
 from .series import Poly
 
 Label = tuple[int, ...]
@@ -211,23 +212,26 @@ class RuleReport:
 
 
 def verify_rule(spec: ClassSpec, nmax: int) -> RuleReport:
-    """Compare rule-predicted child labels with the actual rightward tree."""
+    """Compare rule-predicted child labels with the levels of the actual tree."""
     seen: set[Label] = set()
     root = (1,)
     if spec.label_of(root) != spec.root_label:
         return RuleReport(spec.id, nmax, False, frozenset(),
                           (root, (spec.root_label,), (spec.label_of(root),)))
-    for n, level in enumerate(iter_tree_levels(spec.patterns, nmax), start=1):
-        for perm in level:
-            label = spec.label_of(perm)
+    parents: list[tuple[Perm, Label]] = []
+    for n, level in enumerate(iter_tree_levels(spec.patterns, nmax)):
+        # level n + 1; a child's parent is its last entry deleted, rest relabeled
+        nodes = [(perm, spec.label_of(perm)) for perm in level]
+        children: dict[Perm, list[Label]] = {}
+        for child, label in nodes:
+            children.setdefault(reduce_to_perm(child[:-1]), []).append(label)
+        for perm, label in parents:
             seen.add(label)
-            if n == nmax:
-                continue
-            actual = sorted(spec.label_of(append_child(perm, v))
-                            for v in range(1, n + 2)
-                            if avoids(append_child(perm, v), spec.patterns))
+            actual = sorted(children.get(perm, []))
             predicted = sorted(spec.children(label, n))
             if actual != predicted:
                 return RuleReport(spec.id, nmax, False, frozenset(seen),
                                   (perm, tuple(predicted), tuple(actual)))
+        parents = nodes
+    seen.update(label for _, label in parents)
     return RuleReport(spec.id, nmax, True, frozenset(seen), None)

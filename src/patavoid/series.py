@@ -5,9 +5,9 @@ rationals; plain rationals are degree-0 polynomials.  All arithmetic is
 exact.  Division requires the denominator's t^0 coefficient d_0 to be a
 nonzero u,v-free rational; it solves c_n = (b_n - sum_k d_k c_(n-k)) / d_0
 term by term, summing over the denominator's nonzero coefficients only, and
-the reciprocal is one division.  Integer coefficients stay ``int`` when
-d_0 = 1 or -1.  Square roots require a u,v-free radicand with constant term
-1; they halve exactly and keep ``int`` wherever the half is an integer.  Any
+the reciprocal is one division.  Square roots require a u,v-free radicand
+with constant term 1 and halve exactly.  Quotients and halves that are
+integers are held as ``int``, so integer series stay integer.  Any
 operation combining two series works to the smaller of their orders.
 """
 
@@ -17,6 +17,11 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+
+def _exact(x: Scalar) -> Scalar:
+    """x as an ``int`` when it is an integer."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class Poly:
@@ -30,10 +35,6 @@ class Poly:
     @classmethod
     def const(cls, c: Scalar) -> Poly:
         return cls({(0, 0): c} if c else {})
-
-    @classmethod
-    def monomial(cls, c: Scalar, du: int = 0, dv: int = 0) -> Poly:
-        return cls({(du, dv): c} if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -81,11 +82,7 @@ class Poly:
         return res
 
     def scale(self, c: Scalar) -> Poly:
-        if not c:
-            return Poly()
-        res = Poly.__new__(Poly)
-        res.terms = {k: c * v for k, v in self.terms.items()}
-        return res
+        return Poly({k: _exact(c * v) for k, v in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
@@ -241,18 +238,15 @@ class TruncatedSeries:
         """Quotient by c_n = (b_n - sum_{k>=1} d_k c_(n-k)) / d_0.
 
         The sum runs over the denominator's nonzero coefficients only.  The
-        denominator's constant term must be a nonzero rational; when its
-        reciprocal is an integer, as for d_0 = 1 or -1, integer coefficients
-        stay integers.
+        denominator's constant term must be a nonzero rational; integral
+        quotient coefficients are held as ``int``.
         """
         order = min(self.order, other.order)
         d0 = other.coeffs[0]
         if not d0.is_constant() or not d0.constant_value():
             raise ValueError(
                 f"series not invertible: constant term {d0} is not a nonzero rational")
-        inv0 = 1 / Fraction(d0.constant_value())
-        if inv0.denominator == 1:
-            inv0 = inv0.numerator
+        inv0 = _exact(1 / Fraction(d0.constant_value()))
         negated = [(k, -d) for k, d in enumerate(other.coeffs[1: order + 1], 1)
                    if not d.is_zero()]
         out: list[Poly] = []
@@ -277,7 +271,7 @@ class TruncatedSeries:
         s = [c.constant_value() for c in self.coeffs]
         for n in range(1, self.order + 1):
             half = Fraction(s[n] - sum(r[i] * r[n - i] for i in range(1, n)), 2)
-            r.append(half.numerator if half.denominator == 1 else half)
+            r.append(_exact(half))
         return TruncatedSeries([Poly.const(x) for x in r], self.order)
 
     def pow(self, k: int) -> TruncatedSeries:

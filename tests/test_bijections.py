@@ -90,6 +90,8 @@ def test_callan_examples():
     with pytest.raises(ValueError):
         B.callan("UDUD")
     with pytest.raises(ValueError):
+        B.callan("")  # semilength 0 is outside the domain; "UD" maps to ""
+    with pytest.raises(ValueError):
         B.callan_inverse("UDD")
 
 

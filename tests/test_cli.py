@@ -143,6 +143,8 @@ def test_biject(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "biject", "--map", "udu_uuu", "--input", "")
     assert code == 2 and "error" in err
+    code, _, err = run(capsys, "biject", "--map", "callan", "--input", "")
+    assert code == 2 and "error" in err and len(err.splitlines()) == 1
     code, out, _ = run(capsys, "biject", "--map", "subdiag", "--inverse",
                        "--input", "")
     assert (code, out) == (0, "\n")

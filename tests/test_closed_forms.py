@@ -55,6 +55,18 @@ def test_refined_symbolic_expansions():
     assert m == viarule
 
 
+@pytest.mark.parametrize("name", sorted(GFS))
+def test_expansion_has_the_requested_order(name):
+    # The working order follows the t-power divide_cancel cancels, also
+    # when the requested order is below it (D; M and F at u = v = 1).
+    at_one = {f"at_{var}": 1 for var in GFS[name].variables}
+    for subs in ({}, at_one):
+        deep = closed_form(name, 8, **subs)
+        for order in range(4):
+            series = closed_form(name, order, **subs)
+            assert series.order == order and series == deep.truncate(order)
+
+
 def test_substitution_validation():
     with pytest.raises(KeyError):
         closed_form("X", 5)

@@ -1,9 +1,13 @@
 """Succession rules: registry consistency, dynamic program, tree replay."""
 
+import dataclasses
+
 import pytest
 
+from patavoid import enumerate as enumeration, rules
 from patavoid.closed_forms import formula_value
-from patavoid.enumerate import refined_series
+from patavoid.enumerate import count_tree, refined_series
+from patavoid.patterns import avoids
 from patavoid.rules import (CLASS_IDS, REGISTRY, count_by_rule,
                             refined_by_rule, verify_rule)
 
@@ -84,3 +88,36 @@ def test_rule_report_str():
     report = verify_rule(REGISTRY["C1"], 5)
     text = str(report)
     assert "C1" in text and "n=5" in text
+
+
+@pytest.mark.parametrize("cid", CLASS_IDS)
+def test_verify_rule_grows_the_tree_once(cid, monkeypatch):
+    # verify_rule reads the levels iter_tree_levels grows: it tests no
+    # permutation that count_tree does not.
+    calls = []
+
+    def counted(perm, pats):
+        calls.append(perm)
+        return avoids(perm, pats)
+    monkeypatch.setattr(enumeration, "avoids", counted)
+    monkeypatch.setattr(rules, "avoids", counted)
+    spec = REGISTRY[cid]
+    count_tree(spec.patterns, 8)
+    tree_calls = len(calls)
+    calls.clear()
+    verify_rule(spec, 8)
+    assert len(calls) == tree_calls
+
+
+def test_verify_rule_reports_the_first_mismatch():
+    c1_with_c2 = dataclasses.replace(REGISTRY["C1"], children=REGISTRY["C2"].children)
+    report = verify_rule(c1_with_c2, 5)
+    assert not report.ok
+    assert report.counterexample == ((1, 2, 3), ((2,), (4,)), ((1,), (2,), (4,)))
+    assert len(report.labels_seen) == 3
+    assert "MISMATCH" in str(report)
+    c4_with_c8 = dataclasses.replace(REGISTRY["C4"], children=REGISTRY["C8"].children)
+    assert verify_rule(c4_with_c8, 6).counterexample \
+        == ((1, 2), ((2, 3), (3, 1), (3, 2)), ((3, 1), (3, 2)))
+    wrong_root = dataclasses.replace(REGISTRY["C4"], root_label=(1, 1))
+    assert verify_rule(wrong_root, 6).counterexample == ((1,), ((1, 1),), ((2, 1),))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patavoid.closed_forms import closed_form
+from patavoid.closed_forms import REGISTRY as GFS, closed_form
 from patavoid.series import Poly, TruncatedSeries, algebraic_root, divide_cancel
 
 
@@ -197,3 +197,11 @@ def test_sqrt_stays_integer():
 
 def test_newton_root_stays_integer():
     assert _all_int(closed_form("J", 50))
+
+
+@pytest.mark.parametrize("name", ["D", "K1", "M", "F"])
+def test_integral_quotient_stays_integer(name):
+    # the denominator's lowest coefficient is not 1 or -1 (2 for D), so the
+    # quotient is scaled by a fractional reciprocal; the counts are integers
+    at_one = {f"at_{var}": 1 for var in GFS[name].variables}
+    assert _all_int(closed_form(name, 20, **at_one))
