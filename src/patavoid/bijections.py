@@ -1,7 +1,10 @@
 """Lattice-path bijections for the pattern classes.
 
 Paths are plain strings: Dyck and Motzkin paths over U, D (and H for the
-level steps of Motzkin paths), subdiagonal paths over E, N.  The four maps:
+level steps of Motzkin paths), subdiagonal paths over E, N.  One walk table
+defines each family: its steps, in generation order, with their height
+changes, and the highest height allowed at the end.  ``path_is`` walks the
+table and one pruned generator enumerates it.  The four maps:
 
 * ``phi``       -- avoiders of 2-1-3 to Dyck paths, via right-to-left maxima;
 * ``callan``    -- UDU-free Dyck paths of semilength n to Motzkin paths of
@@ -10,11 +13,15 @@ level steps of Motzkin paths), subdiagonal paths over E, N.  The four maps:
                    paths of semilength n;
 * ``subdiag``   -- avoiders of {2-1-3, [2o]-31} to subdiagonal E/N paths.
 
-Each map has an explicit inverse, exercised by exhaustive round-trip tests.
+``phi`` and ``subdiag`` are one run codec with different letters and step:
+up runs from the positions of the right-to-left maxima, down runs from the
+drops between their values.  Each map has an explicit inverse, exercised by
+exhaustive round-trip tests.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 from .patterns import avoids, parse_pattern_set
@@ -23,156 +30,103 @@ from .perms import Perm, right_to_left_maxima
 _P213 = parse_pattern_set("2-1-3")
 _P213_ODD = parse_pattern_set("2-1-3,[2o]-31")
 
-
-def _balanced(path: str, up: str, down: str, flat: str = "") -> bool:
-    h = 0
-    for c in path:
-        if c == up:
-            h += 1
-        elif c == down:
-            h -= 1
-        elif c not in flat:
-            return False
-        if h < 0:
-            return False
-    return h == 0
+# family -> ({step: height change} in generation order, highest end height);
+# heights never go below 0.  A subdiagonal path's height is x - 2y, so a
+# path to (n, n // 2) ends at n mod 2.
+_WALKS = {
+    "dyck": ({"D": -1, "U": 1}, 0),
+    "motzkin": ({"D": -1, "H": 0, "U": 1}, 0),
+    "subdiagonal": ({"E": 1, "N": -2}, 1),
+}
+_FACTOR_FREE = {"udu_free": "UDU", "uuu_free": "UUU"}
 
 
 def path_is(path: str, kind: str) -> bool:
     """Membership test for the path families used by the bijections."""
-    if kind == "dyck":
-        return _balanced(path, "U", "D")
-    if kind == "motzkin":
-        return _balanced(path, "U", "D", "H")
-    if kind == "udu_free":
-        return _balanced(path, "U", "D") and "UDU" not in path
-    if kind == "uuu_free":
-        return _balanced(path, "U", "D") and "UUU" not in path
-    if kind == "ddd_free":
-        return _balanced(path, "U", "D") and "DDD" not in path
-    if kind == "subdiagonal":
-        x = y = 0
-        for c in path:
-            if c == "E":
-                x += 1
-            elif c == "N":
-                y += 1
-            else:
-                return False
-            if 2 * y > x:
-                return False
-        return y == x // 2
-    raise ValueError(f"unknown path kind {kind!r}")
+    if kind in _FACTOR_FREE:
+        return path_is(path, "dyck") and _FACTOR_FREE[kind] not in path
+    if kind not in _WALKS:
+        raise ValueError(f"unknown path kind {kind!r}")
+    steps, top = _WALKS[kind]
+    h = 0
+    for c in path:
+        if c not in steps:
+            return False
+        h += steps[c]
+        if h < 0:
+            return False
+    return h <= top
+
+
+def _walks(kind: str, length: int) -> Iterator[str]:
+    """The family's paths with ``length`` steps, in step order.  A prefix is
+    cut once it is too high to come back down to the end height in time."""
+    steps, top = _WALKS[kind]
+    fall = -min(steps.values())
+
+    def rec(path: str, left: int, h: int) -> Iterator[str]:
+        if not left:
+            if h <= top:
+                yield path
+            return
+        ceiling = top + fall * (left - 1)
+        for step, dh in steps.items():
+            if 0 <= h + dh <= ceiling:
+                yield from rec(path + step, left - 1, h + dh)
+    return rec("", length, 0)
 
 
 def dyck_paths(n: int) -> Iterator[str]:
     """All Dyck paths with n up steps, lexicographically (D < U)."""
-    def rec(prefix: list[str], ups: int, h: int) -> Iterator[str]:
-        if ups == 0 and h == 0:
-            yield "".join(prefix)
-            return
-        if h > 0:
-            prefix.append("D")
-            yield from rec(prefix, ups, h - 1)
-            prefix.pop()
-        if ups > 0:
-            prefix.append("U")
-            yield from rec(prefix, ups - 1, h + 1)
-            prefix.pop()
-    return rec([], n, 0)
+    return _walks("dyck", 2 * n)
 
 
 def motzkin_paths(n: int) -> Iterator[str]:
     """All Motzkin paths of length n."""
-    def rec(prefix: list[str], left: int, h: int) -> Iterator[str]:
-        if left == 0:
-            if h == 0:
-                yield "".join(prefix)
-            return
-        for step, dh in (("D", -1), ("H", 0), ("U", 1)):
-            if 0 <= h + dh <= left - 1:
-                prefix.append(step)
-                yield from rec(prefix, left - 1, h + dh)
-                prefix.pop()
-    return rec([], n, 0)
+    return _walks("motzkin", n)
 
 
 def subdiagonal_paths(n: int) -> Iterator[str]:
     """All E/N paths staying weakly below y = x/2 from (0,0) to (n, n//2)."""
-    goal = n // 2
-    def rec(prefix: list[str], x: int, y: int) -> Iterator[str]:
-        if x == n and y == goal:
-            yield "".join(prefix)
-            return
-        if x < n:
-            prefix.append("E")
-            yield from rec(prefix, x + 1, y)
-            prefix.pop()
-        if y < goal and 2 * (y + 1) <= x:
-            prefix.append("N")
-            yield from rec(prefix, x, y + 1)
-            prefix.pop()
-    return rec([], 0, 0)
+    return _walks("subdiagonal", n + n // 2)
 
 
-def _maxima_runs(perm: Perm) -> tuple[list[int], list[int]]:
+def _encode(perm: Perm, up: str, down: str, step: int) -> str:
+    """Up runs from the gaps between the right-to-left maxima positions, down
+    runs from the drops between their values over ``step``; the last maximum
+    drops to n mod step."""
     maxima = right_to_left_maxima(perm)
-    return [i for i, _ in maxima], [v for _, v in maxima]
-
-
-def phi(perm: Perm) -> str:
-    """Dyck path of an avoider of 2-1-3: up runs from the positions of the
-    right-to-left maxima, down runs from the drops between their values."""
-    if not avoids(perm, _P213):
-        raise ValueError(f"{perm} contains 2-1-3")
-    pos, val = _maxima_runs(perm)
+    floors = [v for _, v in maxima[1:]] + [len(perm) % step]
     out = []
     prev_pos = 0
-    for j in range(len(pos)):
-        out.append("U" * (pos[j] - prev_pos))
-        drop = val[j] - val[j + 1] if j + 1 < len(val) else val[j]
-        out.append("D" * drop)
-        prev_pos = pos[j]
+    for (pos, val), floor in zip(maxima, floors):
+        drops, rest = divmod(val - floor, step)
+        if rest:
+            raise AssertionError(f"maxima gap not a multiple of {step} in {perm}")
+        out.append(up * (pos - prev_pos) + down * drops)
+        prev_pos = pos
     return "".join(out)
 
 
-def _parse_runs(path: str, first: str, second: str) -> tuple[list[int], list[int]]:
-    """Split a path of alternating first/second runs; raise if malformed."""
-    a_runs, b_runs = [], []
-    i = 0
-    while i < len(path):
-        j = i
-        while j < len(path) and path[j] == first:
-            j += 1
-        k = j
-        while k < len(path) and path[k] == second:
-            k += 1
-        if j == i or (k == j and k < len(path)):
-            raise ValueError(f"malformed path {path!r}")
-        a_runs.append(j - i)
-        b_runs.append(k - j)
-        i = k
-    return a_runs, b_runs
-
-
-def _fill_gaps(n: int, pos: list[int], val: list[int]) -> Perm:
-    """Place the maxima, then fill the remaining positions right to left:
-    each takes the largest unused value below the next maximum's value."""
+def _decode(path: str, up: str, down: str, step: int) -> Perm:
+    """Inverse of ``_encode`` on a path of the family: place the maxima, then
+    fill the other positions right to left, each with the largest unused
+    value below the value of the nearest maximum to its right."""
+    runs = re.findall(f"({up}+)({down}*)", path)
+    n = sum(len(ups) for ups, _ in runs)
     out = [0] * n
-    for i, v in zip(pos, val):
-        out[i - 1] = v
-    used = set(val)
-    bound_at = [0] * n
+    pos, val = n, n % step
+    for ups, downs in reversed(runs):
+        val += step * len(downs)
+        out[pos - 1] = val
+        pos -= len(ups)
+    used = set(out)
     bound = 0
     for i in range(n - 1, -1, -1):
         if out[i]:
             bound = out[i]
-        bound_at[i] = bound
-    for i in range(n - 1, -1, -1):
-        if out[i]:
             continue
-        pick = max((v for v in range(1, bound_at[i]) if v not in used),
-                   default=0)
+        pick = max((v for v in range(1, bound) if v not in used), default=0)
         if pick == 0:
             raise ValueError("path is not in the image of the map")
         out[i] = pick
@@ -180,21 +134,17 @@ def _fill_gaps(n: int, pos: list[int], val: list[int]) -> Perm:
     return tuple(out)
 
 
+def phi(perm: Perm) -> str:
+    """Dyck path of an avoider of 2-1-3, by the run codec with step 1."""
+    if not avoids(perm, _P213):
+        raise ValueError(f"{perm} contains 2-1-3")
+    return _encode(perm, "U", "D", 1)
+
+
 def phi_inverse(path: str) -> Perm:
     if not path_is(path, "dyck"):
         raise ValueError(f"{path!r} is not a Dyck path")
-    a_runs, b_runs = _parse_runs(path, "U", "D")
-    pos, val = [], []
-    total = 0
-    for a in a_runs:
-        total += a
-        pos.append(total)
-    v = 0
-    for b in reversed(b_runs):
-        v += b
-        val.append(v)
-    val.reverse()
-    return _fill_gaps(total, pos, val)
+    return _decode(path, "U", "D", 1)
 
 
 def _match_indices(tokens: list[str]) -> dict[int, int]:
@@ -333,45 +283,17 @@ def udu_uuu_inverse(path: str) -> str:
 
 
 def subdiag(perm: Perm) -> str:
-    """Avoider of {2-1-3, [2o]-31} to a subdiagonal E/N path: east runs from
-    the right-to-left maxima positions, north runs from half the value drops
-    (the drops are even on this class)."""
+    """Avoider of {2-1-3, [2o]-31} to a subdiagonal E/N path, by the run
+    codec with step 2 (the maxima drops are even on this class)."""
     if not avoids(perm, _P213_ODD):
         raise ValueError(f"{perm} is not an avoider of 2-1-3 and [2o]-31")
-    pos, val = _maxima_runs(perm)
-    out = []
-    prev_pos = 0
-    for j in range(len(pos)):
-        out.append("E" * (pos[j] - prev_pos))
-        drop = val[j] - val[j + 1] if j + 1 < len(val) else None
-        if drop is None:
-            rise = val[j] // 2
-        else:
-            if drop % 2:
-                raise AssertionError(f"odd maxima gap in {perm}")
-            rise = drop // 2
-        out.append("N" * rise)
-        prev_pos = pos[j]
-    return "".join(out)
+    return _encode(perm, "E", "N", 2)
 
 
 def subdiag_inverse(path: str) -> Perm:
     if not path_is(path, "subdiagonal"):
         raise ValueError(f"{path!r} is not a subdiagonal path")
-    a_runs, b_runs = _parse_runs(path, "E", "N")
-    pos = []
-    total = 0
-    for a in a_runs:
-        total += a
-        pos.append(total)
-    # The first maximum is n, so the parity of every maximum equals n's.
-    val = []
-    v = total % 2
-    for b in reversed(b_runs):
-        v += 2 * b
-        val.append(v)
-    val.reverse()
-    perm = _fill_gaps(total, pos, val)
+    perm = _decode(path, "E", "N", 2)
     if not avoids(perm, _P213_ODD):
         raise ValueError("path is not in the image of the map")
     return perm

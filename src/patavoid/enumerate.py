@@ -40,11 +40,11 @@ def iter_tree_levels(pats: PatternSet, nmax: int) -> Iterator[list[Perm]]:
     """Levels 1..nmax of the rightward generating tree, as permutation lists.
 
     Assumes (does not check) that the class is closed under last-entry
-    deletion, so pruning at each level is sound.
+    deletion, so pruning at each level is sound.  The tree grows from the
+    empty permutation, so there are no levels when nmax < 1.
     """
-    level: list[Perm] = [(1,)] if avoids((1,), pats) else []
-    yield level
-    for n in range(1, nmax):
+    level: list[Perm] = [()]
+    for n in range(nmax):
         nxt = []
         for perm in level:
             for v in range(1, n + 2):

@@ -109,9 +109,6 @@ class BarredPattern:
             raise ValueError("barred letter must be dash-separated")
         if self.mode not in (EXISTS, ODD, EVEN):
             raise ValueError(f"unknown mode {self.mode!r}")
-
-    def reduced(self) -> GeneralizedPattern:
-        """The pattern with the barred letter removed and letters relabeled."""
         e = self.barred_index
         bar = self.full.letters[e]
         letters = tuple(x - 1 if x > bar else x
@@ -120,7 +117,15 @@ class BarredPattern:
             adjacency = self.full.adjacency[1:]
         else:
             adjacency = self.full.adjacency[:-1]
-        return GeneralizedPattern(letters, adjacency)
+        object.__setattr__(self, "_reduced", GeneralizedPattern(letters, adjacency))
+        # Positions, within a reduced occurrence, of the entries whose values
+        # bound the barred entry's from below and from above (None: unbounded).
+        object.__setattr__(self, "_below", letters.index(bar - 1) if bar > 1 else None)
+        object.__setattr__(self, "_above", letters.index(bar) if bar < k else None)
+
+    def reduced(self) -> GeneralizedPattern:
+        """The pattern with the barred letter removed and letters relabeled."""
+        return self._reduced
 
     def render(self) -> str:
         suffix = {EXISTS: "", ODD: "o", EVEN: "e"}[self.mode]
@@ -206,15 +211,6 @@ def parse_pattern_set(text: str) -> PatternSet:
     return tuple(parse_pattern(part.strip()) for part in text.split(","))
 
 
-def _order_iso(values: tuple[int, ...], letters: tuple[int, ...]) -> bool:
-    k = len(letters)
-    for b in range(k):
-        for a in range(b):
-            if (values[a] < values[b]) != (letters[a] < letters[b]):
-                return False
-    return True
-
-
 def _iter_occurrences(perm: Perm, pat: GeneralizedPattern) -> Iterator[tuple[int, ...]]:
     """Yield 0-based index tuples of occurrences in lexicographic order."""
     n = len(perm)
@@ -262,20 +258,12 @@ def has_occurrence(perm: Perm, pat: GeneralizedPattern) -> bool:
 
 
 def _count_extensions0(perm: Perm, pat: BarredPattern, occ0: tuple[int, ...]) -> int:
-    """Extension count for a 0-based occurrence of the reduced pattern."""
-    n = len(perm)
-    letters = pat.full.letters
-    e = pat.barred_index
-    count = 0
-    if e == 0:
-        for p in range(0, occ0[0]):
-            if _order_iso((perm[p],) + tuple(perm[i] for i in occ0), letters):
-                count += 1
-    else:
-        for p in range(occ0[-1] + 1, n):
-            if _order_iso(tuple(perm[i] for i in occ0) + (perm[p],), letters):
-                count += 1
-    return count
+    """Extension count for a 0-based occurrence of the reduced pattern: the
+    entries in the barred slot whose values lie strictly between the bounds."""
+    lo = perm[occ0[pat._below]] if pat._below is not None else 0
+    hi = perm[occ0[pat._above]] if pat._above is not None else len(perm) + 1
+    slot = perm[:occ0[0]] if pat.barred_index == 0 else perm[occ0[-1] + 1:]
+    return sum(1 for x in slot if lo < x < hi)
 
 
 def count_extensions(perm: Perm, pat: BarredPattern, occ: tuple[int, ...]) -> int:
@@ -283,15 +271,9 @@ def count_extensions(perm: Perm, pat: BarredPattern, occ: tuple[int, ...]) -> in
 
     ``occ`` is a 1-based occurrence of ``pat.reduced()`` in ``perm``.
     """
-    occ0 = tuple(i - 1 for i in occ)
-    red = pat.reduced()
-    if (len(occ0) != red.k
-            or any(not 0 <= i < len(perm) for i in occ0)
-            or any(occ0[j + 1] != occ0[j] + 1 for j in range(red.k - 1) if red.adjacency[j])
-            or any(occ0[j + 1] <= occ0[j] for j in range(red.k - 1))
-            or not _order_iso(tuple(perm[i] for i in occ0), red.letters)):
-        raise ValueError(f"{occ} is not an occurrence of {red.render()}")
-    return _count_extensions0(perm, pat, occ0)
+    if tuple(occ) not in occurrences(perm, pat._reduced):
+        raise ValueError(f"{occ} is not an occurrence of {pat._reduced.render()}")
+    return _count_extensions0(perm, pat, tuple(i - 1 for i in occ))
 
 
 def _mode_ok(mode: str, count: int) -> bool:
@@ -310,7 +292,7 @@ def avoids(perm: Perm, pats: PatternSet) -> bool:
                 return False
         else:
             mode = pat.mode
-            for occ0 in _iter_occurrences(perm, pat.reduced()):
+            for occ0 in _iter_occurrences(perm, pat._reduced):
                 if not _mode_ok(mode, _count_extensions0(perm, pat, occ0)):
                     return False
     return True

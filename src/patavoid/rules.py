@@ -159,8 +159,8 @@ CLASS_IDS = tuple(REGISTRY)
 
 
 def _dp_levels(spec: ClassSpec, nmax: int) -> list[dict[Label, int]]:
-    """Label -> multiplicity maps for levels 1..nmax."""
-    levels = [{spec.root_label: 1}]
+    """Label -> multiplicity maps for levels 1..nmax (none when nmax < 1)."""
+    levels = [{spec.root_label: 1}][:nmax]
     for n in range(1, nmax):
         nxt: dict[Label, int] = {}
         for label, mult in levels[-1].items():

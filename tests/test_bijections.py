@@ -1,6 +1,6 @@
 """Lattice-path bijections: worked examples, round trips, image sets."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -29,13 +29,32 @@ def test_path_kinds():
     assert not B.path_is("UDUD", "udu_free")
     assert B.path_is("UUDDUD", "uuu_free")
     assert not B.path_is("UUUDDD", "uuu_free")
-    assert B.path_is("UUDUDD", "ddd_free")
-    assert not B.path_is("UUUDDD", "ddd_free")
     assert B.path_is("EEENENEEEN", "subdiagonal")
     assert not B.path_is("ENE", "subdiagonal")  # rises above y = x/2
     assert not B.path_is("EEE", "subdiagonal")  # stops short of y = x // 2
     with pytest.raises(ValueError):
         B.path_is("UD", "nope")
+    with pytest.raises(ValueError):
+        B.path_is("UD", "ddd_free")
+
+
+FAMILIES = {  # kind: (steps in generation order, generator, length for n)
+    "dyck": ("DU", B.dyck_paths, lambda n: 2 * n),
+    "motzkin": ("DHU", B.motzkin_paths, lambda n: n),
+    "subdiagonal": ("EN", B.subdiagonal_paths, lambda n: n + n // 2),
+}
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_generators_yield_the_members(kind):
+    # a generator yields exactly the words over its steps that path_is
+    # accepts, in step order; lengths it never produces have no members
+    steps, paths, length = FAMILIES[kind]
+    by_length = {length(n): list(paths(n)) for n in range(11) if length(n) <= 10}
+    for size in range(11):
+        members = ["".join(w) for w in product(steps, repeat=size)
+                   if B.path_is("".join(w), kind)]
+        assert by_length.get(size, []) == members, size
 
 
 def test_generators_have_known_sizes():

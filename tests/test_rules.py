@@ -90,6 +90,19 @@ def test_rule_report_str():
     assert "C1" in text and "n=5" in text
 
 
+@pytest.mark.parametrize("nmax", [0, -3])
+def test_no_levels_below_one(nmax):
+    # levels 1..nmax are none when nmax < 1, on every route that reads them
+    spec = REGISTRY["C1"]
+    assert count_tree(spec.patterns, nmax) == []
+    assert refined_series(spec.patterns, ("r",), nmax) == []
+    assert count_by_rule(spec, nmax) == []
+    assert refined_by_rule(spec, nmax) == []
+    report = verify_rule(spec, nmax)
+    assert report.ok and report.labels_seen == frozenset()
+    assert "(0 distinct labels)" in str(report)
+
+
 @pytest.mark.parametrize("cid", CLASS_IDS)
 def test_verify_rule_grows_the_tree_once(cid, monkeypatch):
     # verify_rule reads the levels iter_tree_levels grows: it tests no
