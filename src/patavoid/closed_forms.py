@@ -1,20 +1,29 @@
 """Registry of the closed-form generating functions for the twelve classes.
 
-Each entry is one of four kinds:
+Each entry is order-free data of one of four kinds:
 
 * ``rational``   -- numerator / denominator, polynomials in t, u, v;
 * ``radical``    -- (num + coef * sqrt(radicand)) / den, with a u,v-free
                     radicand;
 * ``algebraic``  -- the power-series root of a polynomial equation in the
                     unknown with t-polynomial coefficients;
-* ``sum``        -- an infinite sum of rational (numerator, denominator)
-                    terms; only the finitely many reaching the order count.
+* ``sum``        -- an infinite sum whose term k is
+                    num_k / (own_k * new_1 * ... * new_k); the entry yields
+                    the term factors (num_k, own_k, new_k) in order of k.
 
-``closed_form`` expands an entry to a given order.  Entries whose
-denominator has a non-invertible constant term at symbolic u, v (K1, M, F)
-cannot be divided out in the polynomial coefficient ring; for those the
-symbolic series is defined as the succession-rule series, and the closed
-form is checked against it by cross-multiplication in ``verify_identity``.
+Every polynomial is an exact series whose order is its t-degree, built once
+at import as a product of factors.  ``closed_form`` is the only code that
+knows about orders.  It substitutes u = v = 1 as asked, lifts each part to
+the requested order plus the t-power k the denominator cancels, and divides
+once.  A sum takes the terms whose numerator reaches the order and nests
+them from the top down, acc = (acc + num_k / own_k) / new_k, so each
+division is by a polynomial of two or three terms.
+
+Entries whose denominator has a non-invertible constant term at symbolic
+u, v (K1, M, F) cannot be divided out in the polynomial coefficient ring;
+for those the symbolic series is defined as the succession-rule series, and
+the closed form is checked against it by cross-multiplication in
+``verify_identity``.
 """
 
 from __future__ import annotations
@@ -22,22 +31,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import reduce
+from itertools import count, takewhile
+from operator import mul
+from typing import Sequence
 
 from .enumerate import RefinedCount
 from .rules import REGISTRY as CLASSES, refined_by_rule
 from .series import Poly, TruncatedSeries, algebraic_root, divide_cancel
 
 
-def _p(order: int, terms: dict[tuple[int, int, int], int]) -> TruncatedSeries:
-    return TruncatedSeries.from_terms(order, terms)
+def _poly(*factors: dict[tuple[int, int, int], int]) -> TruncatedSeries:
+    """The product of factors {(deg_t, deg_u, deg_v): coefficient}, exactly.
+
+    Its order is the sum of the factors' t-degrees, so nothing is truncated.
+    """
+    order = sum(max(i for i, _, _ in f) for f in factors)
+    return reduce(mul, (TruncatedSeries.from_terms(order, f) for f in factors))
 
 
-def _prod(order: int, *factors: dict[tuple[int, int, int], int]) -> TruncatedSeries:
-    out = _p(order, {(0, 0, 0): 1})
-    for f in factors:
-        out = out * _p(order, f)
-    return out
+def _lin(j: int) -> dict[tuple[int, int, int], int]:
+    """1 - jt."""
+    return {(0, 0, 0): 1, (1, 0, 0): -j}
 
 
 @dataclass(frozen=True)
@@ -46,177 +61,141 @@ class GFSpec:
     kind: str  # rational | radical | algebraic | sum
     variables: tuple[str, ...]  # formal variables beyond t
     class_id: str  # paired succession-rule class
-    build: Callable[[int], dict]
+    parts: dict  # exact polynomials by role; a sum's "terms" yields its term factors
 
 
-_RADICAND_MOTZKIN = {(0, 0, 0): 1, (1, 0, 0): -2, (2, 0, 0): -3}
-_RADICAND_F = {(0, 0, 0): 1, (1, 0, 0): -4, (2, 0, 0): 2, (4, 0, 0): 1}
+_ONE = _poly({(0, 0, 0): 1})
+_ONE_PLUS_TU = _poly({(0, 0, 0): 1, (1, 1, 0): 1})
+_RADICAND_MOTZKIN = _poly({(0, 0, 0): 1, (1, 0, 0): -2, (2, 0, 0): -3})
+
+_D = {
+    "num": _poly({(0, 0, 0): 1, (1, 0, 0): -1}),
+    "coef": _poly({(0, 0, 0): -1}),
+    "radicand": _RADICAND_MOTZKIN,
+    "den": _poly({(1, 0, 0): 2}),
+}
+
+_K1 = {
+    "num": _poly({(0, 1, 0): 1, (1, 1, 0): -1, (1, 2, 0): -2}),
+    "coef": _poly({(0, 1, 0): -1}),
+    "radicand": _RADICAND_MOTZKIN,
+    "den": _poly({(0, 1, 0): -2, (1, 0, 0): 2, (1, 1, 0): 2, (1, 2, 0): 2}),
+}
+
+_M = {
+    "num": _poly({(0, 2, 1): 1},
+                 {(0, 0, 1): 1, (0, 1, 1): -1,
+                  (1, 0, 0): 2, (1, 1, 0): -1, (1, 0, 1): -1, (1, 1, 1): -1, (1, 2, 1): 2,
+                  (2, 1, 0): -1, (2, 1, 1): 2, (2, 2, 1): -1, (2, 2, 2): 2, (2, 1, 2): -2,
+                  (3, 2, 1): -3, (3, 2, 2): 2, (3, 3, 2): -2,
+                  (4, 3, 2): -2}),
+    "coef": _poly({(0, 2, 1): -1},
+                  {(0, 0, 1): 1, (0, 1, 1): -1, (1, 1, 0): 1, (2, 2, 1): 1}),
+    "radicand": _RADICAND_MOTZKIN,
+    "den": _poly({(0, 0, 0): 2},
+                 {(0, 0, 0): 1, (0, 1, 0): -1, (1, 1, 0): -1, (1, 2, 0): 1, (2, 2, 0): 1},
+                 {(0, 0, 0): 1, (0, 1, 1): -1, (1, 1, 1): 1, (2, 2, 2): 1}),
+}
+
+_N = {
+    "num": _poly({(1, 0, 1): 1},
+                 {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 0): 1, (1, 1, 1): -1}),
+    "den": _poly({(0, 0, 0): 1, (1, 0, 1): -1},
+                 {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 1): -1}),
+}
+
+_K2 = {
+    "num": _poly({(1, 0, 1): 1},
+                 {(0, 0, 0): 1,
+                  (1, 0, 0): -1, (1, 1, 0): -1, (1, 1, 1): -1,
+                  (2, 2, 0): 1, (2, 1, 1): 1, (2, 2, 1): 1}),
+    "den": _poly({(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 0): -1},
+                 {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 1): -1},
+                 {(0, 0, 0): 1, (1, 1, 1): -1}),
+}
+
+_H = {
+    "num": _poly({(1, 2, 1): 1},
+                 {(0, 0, 0): 1,
+                  (1, 0, 1): 1, (1, 0, 0): -3,
+                  (2, 0, 0): 1, (2, 1, 0): 1, (2, 0, 1): -1, (2, 1, 1): -1,
+                  (2, 0, 2): 1,
+                  (3, 1, 1): 1, (3, 1, 2): -1}),
+    "den": _poly({(0, 0, 0): 1, (1, 0, 0): -3, (2, 0, 0): 1},
+                 {(0, 0, 0): 1, (1, 1, 0): -1}),
+}
+
+_F = {
+    "num": _poly({(0, 2, 1): 1},
+                 {(0, 0, 1): 1, (0, 1, 1): -1,
+                  (1, 0, 0): 2, (1, 1, 0): -1, (1, 0, 1): -4, (1, 1, 1): 2, (1, 0, 2): 1,
+                  (1, 2, 1): 2, (1, 1, 2): -1,
+                  (2, 0, 0): -4, (2, 1, 0): 1, (2, 0, 1): 6, (2, 1, 1): 1, (2, 0, 2): -3,
+                  (2, 2, 1): -6, (2, 2, 2): 3,
+                  (3, 0, 0): 2, (3, 1, 0): 1, (3, 0, 1): -4, (3, 1, 1): -5, (3, 0, 2): 3,
+                  (3, 2, 1): 4, (3, 1, 2): 4, (3, 2, 2): -4, (3, 1, 3): -2, (3, 3, 2): -2,
+                  (3, 2, 3): 2,
+                  (4, 1, 0): -1, (4, 0, 1): 1, (4, 1, 1): 4, (4, 0, 2): -1, (4, 1, 2): -4,
+                  (4, 2, 2): -1, (4, 1, 3): 2, (4, 3, 2): 2, (4, 3, 3): -2,
+                  (5, 2, 3): -2, (5, 1, 2): 1, (5, 2, 2): 2, (5, 1, 1): -1}),
+    "coef": _poly({(0, 2, 1): 1},
+                  {(0, 1, 1): 1, (0, 0, 1): -1,
+                   (1, 1, 2): 1, (1, 1, 1): -2, (1, 0, 2): -1, (1, 0, 1): 2, (1, 1, 0): -1,
+                   (2, 1, 0): 1, (2, 0, 1): -1, (2, 0, 2): 1, (2, 2, 2): -1,
+                   (3, 1, 1): 1, (3, 1, 2): -1}),
+    "radicand": _poly({(0, 0, 0): 1, (1, 0, 0): -4, (2, 0, 0): 2, (4, 0, 0): 1}),
+    "den": _poly({(0, 0, 0): 2},
+                 {(0, 0, 0): 1, (1, 1, 1): 2, (2, 2, 2): 1,
+                  (0, 1, 1): -1, (1, 0, 0): -1, (2, 1, 1): -1},
+                 {(0, 0, 0): 1, (1, 2, 0): 1, (0, 1, 0): -1, (2, 1, 0): 1, (1, 0, 0): -1}),
+}
+
+_J = {"eq": [_poly({(1, 0, 0): 1}),
+             _poly({(0, 0, 0): -1, (1, 0, 0): 3}),
+             _poly({(0, 0, 0): -2, (1, 0, 0): 3}),
+             _poly({(1, 0, 0): 1})]}
+
+_Q = {"eq": [_poly({(1, 0, 0): 1}),
+             _poly({(0, 0, 0): -1, (1, 0, 0): 4}),
+             _poly({(0, 0, 0): -2, (1, 0, 0): 4}),
+             _poly({(1, 0, 0): 1})]}
 
 
-def _build_d(order):
-    return {
-        "num": _p(order, {(0, 0, 0): 1, (1, 0, 0): -1}),
-        "coef": _p(order, {(0, 0, 0): -1}),
-        "radicand": _p(order, _RADICAND_MOTZKIN),
-        "den": _p(order, {(1, 0, 0): 2}),
-    }
+def _terms_p():
+    # P = sum_{k>=1} t^(2k-1) (1-(k-1)t) / prod_{j=1}^{k} (1-jt)^2
+    for k in count(1):
+        yield (_poly({(2 * k - 1, 0, 0): 1, (2 * k, 0, 0): -(k - 1)}), _ONE,
+               _poly(_lin(k), _lin(k)))
 
 
-def _build_k1(order):
-    return {
-        "num": _p(order, {(0, 1, 0): 1, (1, 1, 0): -1, (1, 2, 0): -2}),
-        "coef": _p(order, {(0, 1, 0): -1}),
-        "radicand": _p(order, _RADICAND_MOTZKIN),
-        "den": _p(order, {(0, 1, 0): -2, (1, 0, 0): 2, (1, 1, 0): 2, (1, 2, 0): 2}),
-    }
+def _terms_r():
+    # R(t,u,1) = -1 + sum_{k>=0} t^(2k) u^k (1+ktu) / ((1-(k+1)t) prod_{j=1}^{k-1} (1-jt))
+    yield _poly({(0, 0, 0): -1}), _ONE, _ONE
+    for k in count():
+        yield (_poly({(2 * k, k, 0): 1, (2 * k + 1, k + 1, 0): k}), _poly(_lin(k + 1)),
+               _poly(_lin(k - 1)) if k >= 2 else _ONE)
 
 
-def _build_m(order):
-    inner = {
-        (0, 0, 1): 1, (0, 1, 1): -1,
-        (1, 0, 0): 2, (1, 1, 0): -1, (1, 0, 1): -1, (1, 1, 1): -1, (1, 2, 1): 2,
-        (2, 1, 0): -1, (2, 1, 1): 2, (2, 2, 1): -1, (2, 2, 2): 2, (2, 1, 2): -2,
-        (3, 2, 1): -3, (3, 2, 2): 2, (3, 3, 2): -2,
-        (4, 3, 2): -2,
-    }
-    inner_rad = {(0, 0, 1): 1, (0, 1, 1): -1, (1, 1, 0): 1, (2, 2, 1): 1}
-    den_f1 = {(0, 0, 0): 1, (0, 1, 0): -1, (1, 1, 0): -1, (1, 2, 0): 1, (2, 2, 0): 1}
-    den_f2 = {(0, 0, 0): 1, (0, 1, 1): -1, (1, 1, 1): 1, (2, 2, 2): 1}
-    return {
-        "num": _prod(order, {(0, 2, 1): 1}, inner),
-        "coef": _prod(order, {(0, 2, 1): -1}, inner_rad),
-        "radicand": _p(order, _RADICAND_MOTZKIN),
-        "den": _prod(order, {(0, 0, 0): 2}, den_f1, den_f2),
-    }
-
-
-def _build_n(order):
-    return {
-        "num": _prod(order, {(1, 0, 1): 1},
-                     {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 0): 1, (1, 1, 1): -1}),
-        "den": _prod(order,
-                     {(0, 0, 0): 1, (1, 0, 1): -1},
-                     {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 1): -1}),
-    }
-
-
-def _build_k2(order):
-    return {
-        "num": _prod(order, {(1, 0, 1): 1},
-                     {(0, 0, 0): 1,
-                      (1, 0, 0): -1, (1, 1, 0): -1, (1, 1, 1): -1,
-                      (2, 2, 0): 1, (2, 1, 1): 1, (2, 2, 1): 1}),
-        "den": _prod(order,
-                     {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 0): -1},
-                     {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 1): -1},
-                     {(0, 0, 0): 1, (1, 1, 1): -1}),
-    }
-
-
-def _build_h(order):
-    return {
-        "num": _prod(order, {(1, 2, 1): 1},
-                     {(0, 0, 0): 1,
-                      (1, 0, 1): 1, (1, 0, 0): -3,
-                      (2, 0, 0): 1, (2, 1, 0): 1, (2, 0, 1): -1, (2, 1, 1): -1,
-                      (2, 0, 2): 1,
-                      (3, 1, 1): 1, (3, 1, 2): -1}),
-        "den": _prod(order,
-                     {(0, 0, 0): 1, (1, 0, 0): -3, (2, 0, 0): 1},
-                     {(0, 0, 0): 1, (1, 1, 0): -1}),
-    }
-
-
-def _build_f(order):
-    p1 = {
-        (0, 0, 1): 1, (0, 1, 1): -1,
-        (1, 0, 0): 2, (1, 1, 0): -1, (1, 0, 1): -4, (1, 1, 1): 2, (1, 0, 2): 1,
-        (1, 2, 1): 2, (1, 1, 2): -1,
-        (2, 0, 0): -4, (2, 1, 0): 1, (2, 0, 1): 6, (2, 1, 1): 1, (2, 0, 2): -3,
-        (2, 2, 1): -6, (2, 2, 2): 3,
-        (3, 0, 0): 2, (3, 1, 0): 1, (3, 0, 1): -4, (3, 1, 1): -5, (3, 0, 2): 3,
-        (3, 2, 1): 4, (3, 1, 2): 4, (3, 2, 2): -4, (3, 1, 3): -2, (3, 3, 2): -2,
-        (3, 2, 3): 2,
-        (4, 1, 0): -1, (4, 0, 1): 1, (4, 1, 1): 4, (4, 0, 2): -1, (4, 1, 2): -4,
-        (4, 2, 2): -1, (4, 1, 3): 2, (4, 3, 2): 2, (4, 3, 3): -2,
-        (5, 2, 3): -2, (5, 1, 2): 1, (5, 2, 2): 2, (5, 1, 1): -1,
-    }
-    p2 = {
-        (0, 1, 1): 1, (0, 0, 1): -1,
-        (1, 1, 2): 1, (1, 1, 1): -2, (1, 0, 2): -1, (1, 0, 1): 2, (1, 1, 0): -1,
-        (2, 1, 0): 1, (2, 0, 1): -1, (2, 0, 2): 1, (2, 2, 2): -1,
-        (3, 1, 1): 1, (3, 1, 2): -1,
-    }
-    den_f1 = {(0, 0, 0): 1, (1, 1, 1): 2, (2, 2, 2): 1,
-              (0, 1, 1): -1, (1, 0, 0): -1, (2, 1, 1): -1}
-    den_f2 = {(0, 0, 0): 1, (1, 2, 0): 1, (0, 1, 0): -1, (2, 1, 0): 1, (1, 0, 0): -1}
-    return {
-        "num": _prod(order, {(0, 2, 1): 1}, p1),
-        "coef": _prod(order, {(0, 2, 1): 1}, p2),
-        "radicand": _p(order, _RADICAND_F),
-        "den": _prod(order, {(0, 0, 0): 2}, den_f1, den_f2),
-    }
-
-
-def _build_j(order):
-    return {"eq": [_p(order, {(1, 0, 0): 1}),
-                   _p(order, {(0, 0, 0): -1, (1, 0, 0): 3}),
-                   _p(order, {(0, 0, 0): -2, (1, 0, 0): 3}),
-                   _p(order, {(1, 0, 0): 1})]}
-
-
-def _build_q(order):
-    return {"eq": [_p(order, {(1, 0, 0): 1}),
-                   _p(order, {(0, 0, 0): -1, (1, 0, 0): 4}),
-                   _p(order, {(0, 0, 0): -2, (1, 0, 0): 4}),
-                   _p(order, {(1, 0, 0): 1})]}
-
-
-def _sum_p(order):
-    # term k >= 1: t^(2k-1) (1-(k-1)t) / prod_{j=1}^{k} (1-jt)^2
-    def term(k):
-        num = _p(order, {(2 * k - 1, 0, 0): 1, (2 * k, 0, 0): -(k - 1)})
-        den = _prod(order, *({(0, 0, 0): 1, (1, 0, 0): -j} for j in range(1, k + 1)
-                             for _ in (0, 1)))
-        return num, den
-    return {"terms": [term(k) for k in range(1, (order + 1) // 2 + 1)]}
-
-
-def _sum_r(order):
-    # R(t,u,1) = -1 + sum_{k>=0} t^(2k) u^k (1+ktu) / ((1-(k+1)t) prod_{j<k}(1-jt))
-    def term(k):
-        num = _p(order, {(2 * k, k, 0): 1, (2 * k + 1, k + 1, 0): k})
-        den = _prod(order, {(0, 0, 0): 1, (1, 0, 0): -(k + 1)},
-                    *({(0, 0, 0): 1, (1, 0, 0): -j} for j in range(1, k)))
-        return num, den
-    return {"terms": [(_p(order, {(0, 0, 0): -1}), _p(order, {(0, 0, 0): 1}))]
-            + [term(k) for k in range(order // 2 + 1)]}
-
-
-def _sum_t(order):
+def _terms_t():
     # T(t,u,1) = sum_{k>=0} t^(k+1) u^k (1+ktu) / ((1+tu)^k (1-kt)(1-(k+1)t))
-    def term(k):
-        num = _p(order, {(k + 1, k, 0): 1, (k + 2, k + 1, 0): k})
-        den = (_p(order, {(0, 0, 0): 1, (1, 1, 0): 1}).pow(k)
-               * _prod(order, {(0, 0, 0): 1, (1, 0, 0): -k},
-                       {(0, 0, 0): 1, (1, 0, 0): -(k + 1)}))
-        return num, den
-    return {"terms": [term(k) for k in range(order)]}
+    for k in count():
+        yield (_poly({(k + 1, k, 0): 1, (k + 2, k + 1, 0): k}), _poly(_lin(k), _lin(k + 1)),
+               _ONE_PLUS_TU if k else _ONE)
 
 
 REGISTRY: dict[str, GFSpec] = {s.name: s for s in [
-    GFSpec("D", "radical", (), "C1", _build_d),
-    GFSpec("J", "algebraic", (), "C2", _build_j),
-    GFSpec("Q", "algebraic", (), "C2e", _build_q),
-    GFSpec("K1", "radical", ("u",), "C3", _build_k1),
-    GFSpec("M", "radical", ("u", "v"), "C4", _build_m),
-    GFSpec("N", "rational", ("u", "v"), "C5", _build_n),
-    GFSpec("K2", "rational", ("u", "v"), "C6", _build_k2),
-    GFSpec("H", "rational", ("u", "v"), "C7", _build_h),
-    GFSpec("F", "radical", ("u", "v"), "C8", _build_f),
-    GFSpec("P", "sum", (), "C9", _sum_p),
-    GFSpec("R", "sum", ("u",), "C10", _sum_r),
-    GFSpec("T", "sum", ("u",), "C11", _sum_t),
+    GFSpec("D", "radical", (), "C1", _D),
+    GFSpec("J", "algebraic", (), "C2", _J),
+    GFSpec("Q", "algebraic", (), "C2e", _Q),
+    GFSpec("K1", "radical", ("u",), "C3", _K1),
+    GFSpec("M", "radical", ("u", "v"), "C4", _M),
+    GFSpec("N", "rational", ("u", "v"), "C5", _N),
+    GFSpec("K2", "rational", ("u", "v"), "C6", _K2),
+    GFSpec("H", "rational", ("u", "v"), "C7", _H),
+    GFSpec("F", "radical", ("u", "v"), "C8", _F),
+    GFSpec("P", "sum", (), "C9", {"terms": _terms_p}),
+    GFSpec("R", "sum", ("u",), "C10", {"terms": _terms_r}),
+    GFSpec("T", "sum", ("u",), "C11", {"terms": _terms_t}),
 ]}
 
 GF_FOR_CLASS = {spec.class_id: spec.name for spec in REGISTRY.values()}
@@ -254,37 +233,14 @@ def gf_counts(cid: str, nmax: int) -> list[int]:
     """
     name = GF_FOR_CLASS[cid]
     variables = REGISTRY[name].variables
-    series = closed_form(name, nmax, at_u=1 if "u" in variables else None,
+    series = closed_form(name, max(nmax, 0), at_u=1 if "u" in variables else None,
                          at_v=1 if "v" in variables else None)
     return [int(series.coefficient(n).constant_value()) for n in range(1, nmax + 1)]
 
 
-def _substituted_parts(spec: GFSpec, order: int,
-                       at_u: int | None, at_v: int | None) -> dict:
-    for var, val in (("u", at_u), ("v", at_v)):
-        if val not in (None, 1):
-            raise ValueError(f"{var} may only be substituted by 1")
-        if val is not None and var not in spec.variables:
-            raise ValueError(f"{spec.name} has no variable {var}")
-    subs = dict(u=at_u == 1, v=at_v == 1)
-
-    def substituted(val):
-        if isinstance(val, TruncatedSeries):
-            return val.subs_one(**subs)
-        return [substituted(x) for x in val]
-    return {key: substituted(val) for key, val in spec.build(order).items()}
-
-
-def _cancelling_parts(spec: GFSpec, order: int,
-                      at_u: int | None, at_v: int | None) -> dict:
-    """The parts built to order + k, where ``divide_cancel`` cancels t^k."""
-    work = order
-    while True:
-        parts = _substituted_parts(spec, work, at_u, at_v)
-        k = parts["den"].first_nonzero()
-        if k is not None and work == order + k:
-            return parts
-        work = work + 1 if k is None else order + k  # None: k is beyond work
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
 
 
 def closed_form(name: str, order: int,
@@ -298,19 +254,45 @@ def closed_form(name: str, order: int,
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown generating function {name!r}")
+    _check_order(order)
     spec = REGISTRY[name]
+    for var, val in (("u", at_u), ("v", at_v)):
+        if val not in (None, 1):
+            raise ValueError(f"{var} may only be substituted by 1")
+        if val is not None and var not in spec.variables:
+            raise ValueError(f"{spec.name} has no variable {var}")
+    subs = dict(u=at_u == 1, v=at_v == 1)
+
+    def lift(p: TruncatedSeries, work: int = order) -> TruncatedSeries:
+        return TruncatedSeries(p.subs_one(**subs).coeffs, work)
+
     if spec.kind == "algebraic":
-        return algebraic_root(_substituted_parts(spec, order, at_u, at_v)["eq"], order)
+        return algebraic_root([lift(c) for c in spec.parts["eq"]], order)
     if spec.kind == "sum":
-        terms = _substituted_parts(spec, order, at_u, at_v)["terms"]
-        return sum((num / den for num, den in terms), TruncatedSeries.zero(order))
-    parts = _cancelling_parts(spec, order, at_u, at_v)
+        reach = takewhile(lambda term: term[0].first_nonzero() <= order, spec.parts["terms"]())
+        acc = TruncatedSeries.zero(order)
+        for num, own, new in reversed(list(reach)):
+            acc = (acc + lift(num) / lift(own)) / lift(new)
+        return acc
+    k = spec.parts["den"].subs_one(**subs).first_nonzero()
+    parts = {key: lift(p, order + k) for key, p in spec.parts.items()}
     num, den = parts["num"], parts["den"]
     if spec.kind == "radical":
-        if not den.coeffs[den.first_nonzero()].is_constant():
-            return rule_series(spec.class_id, order).subs_one(u=at_u == 1, v=at_v == 1)
+        if not den.coeffs[k].is_constant():
+            return rule_series(spec.class_id, order).subs_one(**subs)
         num = num + parts["coef"] * parts["radicand"].sqrt()
     return divide_cancel(num, den)
+
+
+def _first_residual(residual: TruncatedSeries) -> tuple[bool, tuple[int, Poly] | None]:
+    n = residual.first_nonzero()
+    if n is None:
+        return True, None
+    return False, (n, residual.coeffs[n])
+
+
+def _lifted(spec: GFSpec, order: int) -> dict[str, TruncatedSeries]:
+    return {key: TruncatedSeries(p.coeffs, order) for key, p in spec.parts.items()}
 
 
 def verify_identity(name: str, candidate: TruncatedSeries,
@@ -320,31 +302,29 @@ def verify_identity(name: str, candidate: TruncatedSeries,
     Rational kinds are cross-multiplied, radical kinds compared after
     isolating the radical (the radicand is u,v-free, so its square root is a
     t-series scalar), algebraic kinds substituted into their equation, sum
-    kinds compared term by term.  Returns (ok, first nonzero residual).
+    kinds compared with their expansion.  Returns (ok, first nonzero
+    residual).
     """
     spec = REGISTRY[name]
+    _check_order(order)
     if candidate.order < order:
         raise ValueError(f"candidate order {candidate.order} below requested {order}")
     cand = candidate.truncate(order)
-    parts = {} if spec.kind == "sum" else spec.build(order)
-    if spec.kind == "rational":
-        residual = parts["den"] * cand - parts["num"]
-    elif spec.kind == "radical":
-        residual = (parts["den"] * cand - parts["num"]
-                    - parts["coef"] * parts["radicand"].sqrt())
-    elif spec.kind == "algebraic":
+    if spec.kind == "sum":
+        return _first_residual(cand - closed_form(name, order))
+    if spec.kind == "algebraic":
         residual = TruncatedSeries.zero(order)
-        ypow = _p(order, {(0, 0, 0): 1})
-        for i, c in enumerate(parts["eq"]):
-            residual = residual + c * ypow
-            if i + 1 < len(parts["eq"]):
+        ypow = TruncatedSeries([1], order)
+        for i, c in enumerate(spec.parts["eq"]):
+            residual = residual + TruncatedSeries(c.coeffs, order) * ypow
+            if i + 1 < len(spec.parts["eq"]):
                 ypow = ypow * cand
-    else:
-        residual = cand - closed_form(name, order)
-    n = residual.first_nonzero()
-    if n is None:
-        return True, None
-    return False, (n, residual.coeffs[n])
+        return _first_residual(residual)
+    parts = _lifted(spec, order)
+    residual = parts["den"] * cand - parts["num"]
+    if spec.kind == "radical":
+        residual = residual - parts["coef"] * parts["radicand"].sqrt()
+    return _first_residual(residual)
 
 
 def verify_identity_squared(name: str, candidate: TruncatedSeries,
@@ -357,14 +337,11 @@ def verify_identity_squared(name: str, candidate: TruncatedSeries,
     spec = REGISTRY[name]
     if spec.kind != "radical":
         raise ValueError(f"{name} is not a radical entry")
+    _check_order(order)
     cand = candidate.truncate(order)
-    parts = spec.build(order)
+    parts = _lifted(spec, order)
     iso = parts["den"] * cand - parts["num"]
-    residual = iso * iso - parts["coef"] * parts["coef"] * parts["radicand"]
-    n = residual.first_nonzero()
-    if n is None:
-        return True, None
-    return False, (n, residual.coeffs[n])
+    return _first_residual(iso * iso - parts["coef"] * parts["coef"] * parts["radicand"])
 
 
 def _binom(n: int, k: int) -> int:

@@ -108,9 +108,6 @@ class Poly:
         res.terms = out
         return res
 
-    def __call__(self, uval: Scalar, vval: Scalar) -> Scalar:
-        return sum(c * uval**a * vval**b for (a, b), c in self.terms.items())
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -273,16 +270,6 @@ class TruncatedSeries:
             half = Fraction(s[n] - sum(r[i] * r[n - i] for i in range(1, n)), 2)
             r.append(_exact(half))
         return TruncatedSeries([Poly.const(x) for x in r], self.order)
-
-    def pow(self, k: int) -> TruncatedSeries:
-        out = TruncatedSeries.from_terms(self.order, {(0, 0, 0): 1})
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def subs_one(self, u: bool = False, v: bool = False) -> TruncatedSeries:
         return TruncatedSeries([c.subs_one(u, v) for c in self.coeffs], self.order)

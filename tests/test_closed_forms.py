@@ -1,5 +1,7 @@
 """Generating-function registry: expansion, identities, count formulas."""
 
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -76,6 +78,47 @@ def test_substitution_validation():
         closed_form("R", 5, at_v=1)  # R is registered at v = 1 already
     with pytest.raises(ValueError):
         closed_form("N", 5, at_u=2)
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), raising TimeoutError instead of hanging past the limit."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{fn.__name__}{args} ran over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name", sorted(GFS))
+def test_negative_orders(name):
+    cid = GFS[name].class_id
+    cand = rule_series(cid, 3)
+    for order in (-1, -2):
+        with pytest.raises(ValueError):
+            _within(5, closed_form, name, order)
+        with pytest.raises(ValueError):
+            _within(5, verify_identity, name, cand, order)
+        if GFS[name].kind == "radical":
+            with pytest.raises(ValueError):
+                _within(5, verify_identity_squared, name, cand, order)
+    for nmax in (0, -1, -2):
+        assert _within(5, gf_counts, cid, nmax) == []
+
+
+def test_deep_sum_expansions():
+    # The sums P, R and T at orders no other test reaches, under a time gate.
+    start = time.perf_counter()
+    deep = {cid: gf_counts(cid, 200) for cid in ("C9", "C10", "C11")}
+    elapsed = time.perf_counter() - start
+    assert deep["C9"][:120] == [formula_value("b_rec", n) for n in range(1, 121)]
+    for cid, counts in deep.items():
+        assert len(counts) == 200
+        assert counts[:40] == count_by_rule(CLASSES[cid], 40), cid
+    assert elapsed < 5, elapsed
 
 
 @pytest.mark.parametrize("cid", sorted(GF_FOR_CLASS))

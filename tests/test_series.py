@@ -20,7 +20,6 @@ def test_poly_arithmetic():
     q = Poly({(0, 1): 1})  # v
     assert (p * q).terms == {(1, 1): 1, (0, 1): 2}
     assert (p - p).is_zero()
-    assert p(3, 1) == 5
     assert p.subs_one(u=True) == Poly.const(3)
     assert str(Poly({(2, 1): 1, (0, 0): -1})) == "-1 + u^2v"
 
