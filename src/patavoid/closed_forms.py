@@ -350,8 +350,17 @@ def _binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+# The first index of each count formula; Motzkin numbers start at M_0 = 1.
+_FORMULA_START = {"motzkin": 0, "cat3": 1, "even_formula": 1, "pow2": 1,
+                  "west": 1, "fib_odd": 1, "b_rec": 1}
+
+
 def formula_value(name: str, n: int) -> int:
     """Exact closed-form count formulas (binomials with negative index are 0)."""
+    if name not in _FORMULA_START:
+        raise KeyError(f"unknown formula {name!r}")
+    if n < _FORMULA_START[name]:
+        raise ValueError(f"{name} is defined for n >= {_FORMULA_START[name]}, got {n}")
     if name == "motzkin":
         m = [1, 1]
         for i in range(2, n + 1):
@@ -383,9 +392,7 @@ def formula_value(name: str, n: int) -> int:
         for _ in range(2 * n - 2):
             a, b = b, a + b
         return a
-    if name == "b_rec":
-        b = [1, 1]
-        for i in range(n - 1):
-            b.append(b[i + 1] + sum(_binom(i, k) * b[k] for k in range(i + 1)))
-        return b[n]
-    raise KeyError(f"unknown formula {name!r}")
+    b = [1, 1]  # b_rec
+    for i in range(n - 1):
+        b.append(b[i + 1] + sum(_binom(i, k) * b[k] for k in range(i + 1)))
+    return b[n]

@@ -29,10 +29,10 @@ def iter_avoiders_brute(pats: PatternSet, n: int) -> Iterator[Perm]:
             yield perm
 
 
-def count_brute(pats: PatternSet, n: int, guard: int = BRUTE_GUARD) -> int:
+def count_brute(pats: PatternSet, n: int) -> int:
     """|S_n(pats)| by filtering all n! permutations."""
-    if not 1 <= n <= guard:
-        raise ValueError(f"n={n} outside the brute-force guard 1..{guard}")
+    if not 1 <= n <= BRUTE_GUARD:
+        raise ValueError(f"n={n} outside the brute-force guard 1..{BRUTE_GUARD}")
     return sum(1 for _ in iter_avoiders_brute(pats, n))
 
 

@@ -8,7 +8,11 @@ term by term, summing over the denominator's nonzero coefficients only, and
 the reciprocal is one division.  Square roots require a u,v-free radicand
 with constant term 1 and halve exactly.  Quotients and halves that are
 integers are held as ``int``, so integer series stay integer.  Any
-operation combining two series works to the smaller of their orders.
+operation combining two series works to the smaller of their orders, and
+an order is never negative.  Algebraic roots come from Newton iteration,
+which doubles the correct precision each step and stops as soon as that
+precision covers the order; the equation and its derivative are evaluated
+by Horner's rule.
 """
 
 from __future__ import annotations
@@ -22,6 +26,28 @@ Scalar = Union[int, Fraction]
 def _exact(x: Scalar) -> Scalar:
     """x as an ``int`` when it is an integer."""
     return x.numerator if x.denominator == 1 else x
+
+
+def _term(c: Scalar | Poly, powers: Sequence[tuple[str, int]]) -> str:
+    """The term c * prod var^k; a non-constant Poly c is parenthesised."""
+    mono = "".join(var if k == 1 else f"{var}^{k}" for var, k in powers if k)
+    if isinstance(c, Poly):
+        return f"({c}){mono}"
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    return f"-{mono}" if c == -1 else f"{c}{mono}"
+
+
+def _signed_sum(terms: Sequence[str]) -> str:
+    """Join terms with " + ", writing a leading minus as " - "."""
+    if not terms:
+        return "0"
+    out = terms[0]
+    for p in terms[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 class Poly:
@@ -91,9 +117,6 @@ class Poly:
             return self == Poly.const(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def subs_one(self, u: bool = False, v: bool = False) -> Poly:
         """Substitute 1 for u and/or v."""
         out: dict[tuple[int, int], Scalar] = {}
@@ -109,27 +132,8 @@ class Poly:
         return res
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (a, b), c in sorted(self.terms.items()):
-            mono = ""
-            if a:
-                mono += "u" if a == 1 else f"u^{a}"
-            if b:
-                mono += "v" if b == 1 else f"v^{b}"
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum([_term(c, (("u", a), ("v", b)))
+                            for (a, b), c in sorted(self.terms.items())])
 
     __repr__ = __str__
 
@@ -152,6 +156,8 @@ class TruncatedSeries:
         coeffs = [_as_poly(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
+        if order < 0:
+            raise ValueError(f"order must be non-negative, got {order}")
         if len(coeffs) < order + 1:
             coeffs += [_ZERO] * (order + 1 - len(coeffs))
         self.order = order
@@ -280,37 +286,11 @@ class TruncatedSeries:
         order = min(self.order, other.order)
         return all(self.coeffs[i] == other.coeffs[i] for i in range(order + 1))
 
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
     def __str__(self) -> str:
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            tpart = "" if n == 0 else ("t" if n == 1 else f"t^{n}")
-            if c.is_constant():
-                val = c.constant_value()
-                if not tpart:
-                    parts.append(str(val))
-                elif val == 1:
-                    parts.append(tpart)
-                elif val == -1:
-                    parts.append(f"-{tpart}")
-                else:
-                    parts.append(f"{val}{tpart}")
-            else:
-                body = str(c)
-                parts.append(f"({body}){tpart}" if tpart else f"({body})")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum([_term(c.constant_value() if c.is_constant() else c, (("t", n),))
+                            for n, c in enumerate(self.coeffs) if not c.is_zero()])
 
     __repr__ = __str__
-
 
 
 def divide_cancel(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
@@ -329,46 +309,37 @@ def divide_cancel(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries
     return num / den
 
 
+def _horner(coeffs: Sequence[TruncatedSeries], y: TruncatedSeries) -> TruncatedSeries:
+    """sum_i coeffs[i] y^i, to the order of y."""
+    acc = TruncatedSeries.zero(y.order)
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return acc
+
+
 def algebraic_root(eq_coeffs: Sequence[TruncatedSeries], order: int) -> TruncatedSeries:
     """The unique power-series root Y with Y(0) = 0 of sum_i c_i(t) Y^i = 0.
 
     Requires c_0(0) = 0 and c_1(0) invertible; solved by Newton iteration
     with doubling precision.
     """
-    coeffs = [c.truncate(order) if c.order > order
-              else TruncatedSeries(c.coeffs, order) for c in eq_coeffs]
+    coeffs = [TruncatedSeries(c.coeffs, order) for c in eq_coeffs]
     c0 = coeffs[0].coeffs[0]
     c1 = coeffs[1].coeffs[0]
     if not c0.is_zero():
         raise ValueError("no power-series branch: equation does not vanish at Y=0, t=0")
     if not c1.is_constant() or not c1.constant_value():
         raise ValueError("branch not unique: linear coefficient not invertible at t=0")
+    derivs = [coeffs[i].scale(i) for i in range(1, len(coeffs))]
 
-    def eval_eq(y: TruncatedSeries, upto: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-        # value sum_i c_i Y^i and derivative sum_i i c_i Y^(i-1), both mod t^(upto+1)
-        val = TruncatedSeries.zero(upto)
-        der = TruncatedSeries.zero(upto)
-        ypow = TruncatedSeries.from_terms(upto, {(0, 0, 0): 1})
-        yt = TruncatedSeries(y.coeffs[: upto + 1], upto)
-        for i, c in enumerate(coeffs):
-            ct = c.truncate(upto)
-            val = val + ct * ypow
-            if i + 1 < len(coeffs):
-                der = der + coeffs[i + 1].truncate(upto).scale(Poly.const(i + 1)) * ypow
-                ypow = ypow * yt
-        return val, der
-
-    y = TruncatedSeries.zero(1)
-    prec = 1
+    y = TruncatedSeries.zero(0)
+    prec = 1  # y is Y mod t^prec; one step makes it Y mod t^(2 prec)
     while True:
-        upto = min(order, 2 * prec)
-        ycur = TruncatedSeries(y.coeffs, upto)
-        val, der = eval_eq(ycur, upto)
-        y = ycur - val * der.inverse()
-        if prec >= order:
+        y = TruncatedSeries(y.coeffs, min(order, 2 * prec))
+        y = y - _horner(coeffs, y) * _horner(derivs, y).inverse()
+        if 2 * prec > order:
             break
-        prec = upto
-    val, _ = eval_eq(y, order)
-    if not val.is_zero():
+        prec *= 2
+    if not _horner(coeffs, y).is_zero():
         raise ArithmeticError("Newton iteration failed to converge")
     return y

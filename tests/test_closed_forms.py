@@ -165,6 +165,15 @@ def test_formula_values():
         formula_value("nope", 3)
 
 
+@pytest.mark.parametrize("name,first", [
+    ("motzkin", 0), ("cat3", 1), ("even_formula", 1), ("pow2", 1),
+    ("west", 1), ("fib_odd", 1), ("b_rec", 1)])
+def test_formula_domain(name, first):
+    assert type(formula_value(name, first)) is int
+    with pytest.raises(ValueError, match=f"{name} is defined for n >= {first}"):
+        formula_value(name, first - 1)
+
+
 def test_even_formula_is_integral():
     # the inner expression is a Fraction; integrality is part of the contract
     for n in range(1, 40):

@@ -16,7 +16,7 @@ def test_brute_guard():
         count_brute(pats, 0)
     with pytest.raises(ValueError):
         count_brute(pats, BRUTE_GUARD + 1)
-    assert count_brute(pats, 3, guard=3) == 5
+    assert count_brute(pats, 3) == 5
 
 
 def test_catalan_class():

@@ -107,6 +107,32 @@ def test_algebraic_root_preconditions():
         algebraic_root([S({(1, 0, 0): 1}, order), S({(1, 0, 0): 1}, order)], order)
 
 
+def test_negative_order_is_refused():
+    message = "order must be non-negative, got -1"
+    with pytest.raises(ValueError, match=message):
+        TruncatedSeries.zero(-1)
+    with pytest.raises(ValueError, match=message):
+        S({(0, 0, 0): 1}, 3).truncate(-1)
+    with pytest.raises(ValueError, match=message):
+        TruncatedSeries([])
+    with pytest.raises(ValueError, match=message):
+        algebraic_root([S({(1, 0, 0): 1}, 3), S({(0, 0, 0): -1}, 3)], -1)
+    assert TruncatedSeries.zero(0).order == 0
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 8, 127, 128, 200])
+def test_newton_stops_when_precision_covers_order(monkeypatch, order):
+    # each Newton step inverts the derivative once and doubles the precision
+    # from t^1, so t^(order+1) takes ceil(log2(order + 1)) steps, at least
+    # one; for order >= 1 that is the bit length of order
+    calls = []
+    inverse = TruncatedSeries.inverse
+    monkeypatch.setattr(TruncatedSeries, "inverse",
+                        lambda self: calls.append(self.order) or inverse(self))
+    closed_form("J", order)
+    assert len(calls) == max(1, order.bit_length())
+
+
 def test_str_formatting():
     s = S({(1, 1, 1): 1, (2, 1, 0): 2, (3, 0, 0): -1}, 3)
     assert str(s) == "(uv)t + (2u)t^2 - t^3"
