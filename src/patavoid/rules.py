@@ -1,16 +1,24 @@
 """The registry of succession rules for the twelve studied classes.
 
 Each class couples a pattern set with labels drawn from the statistics of
-``perms.statistic`` (plus, for C9-C11, the current length) and a children
-map: the label of a node determines the multiset of its children's labels.
-``count_by_rule`` runs a dynamic program over label multiplicities;
-``verify_rule`` compares it with the tree ``iter_tree_levels`` grows.
+``perms.statistic`` (plus, for C9-C11, the current length) and a rule: the
+label of a length-n node determines the multiset of its children's labels.
+A rule returns them as ``(fixed, spans)``: a tuple of labels, and a tuple
+of spans ``(template, lo, hi, step)``, each standing for the labels
+``template`` with j put in place of the placeholder ``J``, for lo <= j <= hi
+in steps of ``step``.  Guards such as ``l > r`` stay ordinary code.
+``ClassSpec.children`` lists the labels one by one; ``count_by_rule`` runs a
+dynamic program over label multiplicities that adds each span as one
+difference-list update, so a parent with O(n) children costs O(1) there.
+``verify_rule`` compares ``children`` with the tree ``iter_tree_levels``
+grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import accumulate
+from typing import Callable, Iterator
 
 from .enumerate import RefinedCount, iter_tree_levels
 from .patterns import PatternSet, parse_pattern_set
@@ -21,123 +29,143 @@ from .series import Poly
 Label = tuple[int, ...]
 
 
+class _Placeholder:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "J"
+
+
+J = _Placeholder()  # the varying component of a span's template
+
+Template = tuple  # a Label with J in one or more components
+Span = tuple[Template, int, int, int]  # (template, lo, hi, step)
+Successors = tuple[tuple[Label, ...], tuple[Span, ...]]  # (fixed, spans)
+
+
 @dataclass(frozen=True)
 class ClassSpec:
     id: str
     patterns: PatternSet
     label_stats: tuple[str, ...]  # statistic names; "n" = current length
     root_label: Label
-    children: Callable[[Label, int], list[Label]]
+    rule: Callable[[Label, int], Successors]
 
     def label_of(self, perm: Perm) -> Label:
         return tuple(len(perm) if w == "n" else statistic(perm, w)
                      for w in self.label_stats)
 
+    def children(self, label: Label, n: int) -> list[Label]:
+        """The child labels of a length-n node: the spans' labels, then the fixed ones."""
+        fixed, spans = self.rule(label, n)
+        out = [tuple([j if x is J else x for x in template])
+               for template, lo, hi, step in spans
+               for j in range(lo, hi + 1, step)]
+        out += fixed
+        return out
 
-def _c1(label: Label, n: int) -> list[Label]:
+
+def _c1(label: Label, n: int) -> Successors:
     (r,) = label
-    return [(j,) for j in range(1, r)] + [(r + 1,)]
+    return ((r + 1,),), (((J,), 1, r - 1, 1),)
 
 
-def _c2(label: Label, n: int) -> list[Label]:
+def _c2(label: Label, n: int) -> Successors:
+    # j runs over 1..r+1 with r - j odd
     (r,) = label
-    return [(j,) for j in range(1, r + 2) if (r - j) % 2 == 1]
+    return (), (((J,), 2 - (r - 1) % 2, r + 1, 2),)
 
 
-def _c2e(label: Label, n: int) -> list[Label]:
+def _c2e(label: Label, n: int) -> Successors:
     # Derived rule: appending j <= r leaves r - j entries strictly between
     # j and the old last entry, all to its left, so the new descent has
     # exactly r - j extensions; j = r + 1 creates no descent.
     (r,) = label
-    return [(j,) for j in range(1, r + 1) if (r - j) % 2 == 0] + [(r + 1,)]
+    return ((r + 1,),), (((J,), 2 - r % 2, r, 2),)
 
 
-def _c3(label: Label, n: int) -> list[Label]:
+def _c3(label: Label, n: int) -> Successors:
     (r,) = label
     if r == 1:
-        return [(1,), (2,)]
-    return [(r - 1,), (r,), (r + 1,)]
+        return ((1,), (2,)), ()
+    return ((r - 1,), (r,), (r + 1,)), ()
 
 
-def _c4(label: Label, n: int) -> list[Label]:
+def _c4(label: Label, n: int) -> Successors:
     l, r = label
     if l == r:
-        return [(l + 1, j) for j in range(1, l + 1)]
+        return (), (((l + 1, J), 1, l, 1),)
     if l > r:
-        return [(l + 1, j) for j in range(1, r + 1)] + [(r + 1, r + 1)]
-    return []
+        return ((r + 1, r + 1),), (((l + 1, J), 1, r, 1),)
+    return (), ()
 
 
-def _c5(label: Label, n: int) -> list[Label]:
+def _c5(label: Label, n: int) -> Successors:
     h, r = label
-    return [(j, j) for j in range(h + 1, r + 1)] + [(h, r + 1)]
+    return ((h, r + 1),), (((J, J), h + 1, r, 1),)
 
 
-def _c6(label: Label, n: int) -> list[Label]:
+def _c6(label: Label, n: int) -> Successors:
     s, r = label
     if s < r:
-        return ([(s + 1, j) for j in range(1, s + 1)]
-                + [(s, s + 1), (r, r + 1)])
+        return ((s, s + 1), (r, r + 1)), (((s + 1, J), 1, s, 1),)
     if s > r:
-        return [(s + 1, r + 1)]
-    return []
+        return ((s + 1, r + 1),), ()
+    return (), ()
 
 
-def _c7(label: Label, n: int) -> list[Label]:
+def _c7(label: Label, n: int) -> Successors:
     m, r = label
     if r == 1:
-        return [(m + 1, 1), (2, 2)]
+        return ((m + 1, 1), (2, 2)), ()
     if m == r == 2:
-        return [(3, 1), (2, 2), (2, 3)]
+        return ((3, 1), (2, 2), (2, 3)), ()
     if m < r:
-        return [(m + 1, 1), (2, 2)] + [(m, j) for j in range(m + 1, r + 1)]
-    return []
+        return ((m + 1, 1), (2, 2)), (((m, J), m + 1, r, 1),)
+    return (), ()
 
 
-def _c8(label: Label, n: int) -> list[Label]:
+def _c8(label: Label, n: int) -> Successors:
     l, r = label
     if l > r:
-        return [(l + 1, j) for j in range(1, r + 1)] + [(r + 1, r + 1)]
+        return ((r + 1, r + 1),), (((l + 1, J), 1, r, 1),)
     if l == r:
-        return [(l + 1, j) for j in range(1, l + 1)] + [(l, l + 1)]
-    return [(l + 1, j) for j in range(1, l + 1)] + [(l, j) for j in range(l + 1, r + 1)]
+        return ((l, l + 1),), (((l + 1, J), 1, l, 1),)
+    return (), (((l + 1, J), 1, l, 1), ((l, J), l + 1, r, 1))
 
 
-def _c9(label: Label, n: int) -> list[Label]:
+def _c9(label: Label, n: int) -> Successors:
     r, _ = label
     if r == 1:
-        return [(1, n + 1), (n + 1, n + 1)]
-    return [(j, n + 1) for j in range(1, r + 1)]
+        return ((1, n + 1), (n + 1, n + 1)), ()
+    return (), (((J, n + 1), 1, r, 1),)
 
 
-def _c10(label: Label, n: int) -> list[Label]:
+def _c10(label: Label, n: int) -> Successors:
     s, r, _ = label
     if s < r != 1:
-        return ([(s + 1, j, n + 1) for j in range(1, s + 1)]
-                + [(s, j, n + 1) for j in range(s + 1, r + 1)])
+        return (), (((s + 1, J, n + 1), 1, s, 1), ((s, J, n + 1), s + 1, r, 1))
     if (s, r) == (0, 1):
-        return [(0, 1, n + 1), (1, n + 1, n + 1)]
+        return ((0, 1, n + 1), (1, n + 1, n + 1)), ()
     if s > r == 1:
-        return [(s, n + 1, n + 1)]
-    return []
+        return ((s, n + 1, n + 1),), ()
+    return (), ()
 
 
-def _c11(label: Label, n: int) -> list[Label]:
+def _c11(label: Label, n: int) -> Successors:
     s, r, _ = label
     if s < r != 1:
-        return ([(s + 1, j, n + 1) for j in range(1, s + 1)]
-                + [(s, j, n + 1) for j in range(s + 1, r + 1)])
+        return (), (((s + 1, J, n + 1), 1, s, 1), ((s, J, n + 1), s + 1, r, 1))
     if (s, r) == (0, 1):
-        return [(0, 1, n + 1)] + [(1, j, n + 1) for j in range(2, n + 2)]
+        return ((0, 1, n + 1),), (((1, J, n + 1), 2, n + 1, 1),)
     if s > r == 1:
-        return ([(s + 1, j, n + 1) for j in range(2, s + 1)]
-                + [(s, j, n + 1) for j in range(s + 1, n + 2)])
-    return []
+        return (), (((s + 1, J, n + 1), 2, s, 1), ((s, J, n + 1), s + 1, n + 1, 1))
+    return (), ()
 
 
 def _spec(id: str, patterns: str, stats: tuple[str, ...], root: Label,
-          children: Callable[[Label, int], list[Label]]) -> ClassSpec:
-    return ClassSpec(id, parse_pattern_set(patterns), stats, root, children)
+          rule: Callable[[Label, int], Successors]) -> ClassSpec:
+    return ClassSpec(id, parse_pattern_set(patterns), stats, root, rule)
 
 
 REGISTRY: dict[str, ClassSpec] = {s.id: s for s in [
@@ -158,16 +186,51 @@ REGISTRY: dict[str, ClassSpec] = {s.id: s for s in [
 CLASS_IDS = tuple(REGISTRY)
 
 
-def _dp_levels(spec: ClassSpec, nmax: int) -> list[dict[Label, int]]:
-    """Label -> multiplicity maps for levels 1..nmax (none when nmax < 1)."""
-    levels = [{spec.root_label: 1}][:nmax]
+def _dp_levels(spec: ClassSpec, nmax: int) -> Iterator[dict[Label, int]]:
+    """Label -> multiplicity maps for levels 1..nmax, yielded one at a time.
+
+    Fixed children are added one by one.  The spans that share a template
+    and a step add into one difference list over j, prefix-summed per
+    residue class mod the step, so each of their child labels is written
+    once per level however many parents reach it.
+    """
+    if nmax < 1:
+        return
+    rule = spec.rule
+    level = {spec.root_label: 1}
+    yield level
     for n in range(1, nmax):
         nxt: dict[Label, int] = {}
-        for label, mult in levels[-1].items():
-            for child in spec.children(label, n):
-                nxt[child] = nxt.get(child, 0) + mult
-        levels.append(nxt)
-    return levels
+        get = nxt.get
+        groups: dict[tuple[Template, int], list[tuple[int, int, int]]] = {}
+        for label, mult in level.items():
+            fixed, spans = rule(label, n)
+            for child in fixed:
+                nxt[child] = get(child, 0) + mult
+            for template, lo, hi, step in spans:
+                if lo <= hi:
+                    # end: the first j past hi in lo's residue class
+                    end = hi - (hi - lo) % step + step
+                    groups.setdefault((template, step), []).append((lo, end, mult))
+        for (template, step), ranges in groups.items():
+            base = min(lo for lo, _, _ in ranges)
+            top = max(end for _, end, _ in ranges)
+            diff = [0] * (top - base + 1)
+            for lo, end, mult in ranges:
+                diff[lo - base] += mult
+                diff[end - base] -= mult
+            slots = [i for i, x in enumerate(template) if x is J]
+            child = list(template)
+            for first in range(base, base + step):
+                sums = accumulate(diff[first - base::step])
+                for j, count in zip(range(first, top, step), sums):
+                    if count:
+                        for i in slots:
+                            child[i] = j
+                        key = tuple(child)
+                        nxt[key] = get(key, 0) + count
+        level = nxt
+        yield level
 
 
 def count_by_rule(spec: ClassSpec, nmax: int) -> list[int]:

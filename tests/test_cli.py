@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import patavoid
+from patavoid import enumerate as enumeration
 from patavoid.cli import main
 from patavoid.closed_forms import REGISTRY as GFS
+from patavoid.patterns import avoids, parse_pattern_set
 from patavoid.rules import CLASS_IDS
 
 
@@ -81,6 +83,24 @@ def test_count_refuses_sets_not_closed(capsys):
                        "--method", "brute")
     assert code == 0
     assert out.splitlines() == ["1 1", "2 1", "3 2", "4 6", "5 24"]
+
+
+def test_count_skips_the_closure_check_where_it_cannot_fail(capsys, monkeypatch):
+    # [2]-31 has its bar first, so it is closed: the tree's own avoids
+    # calls are the only ones.
+    calls = []
+
+    def counted(perm, pats):
+        calls.append(perm)
+        return avoids(perm, pats)
+    monkeypatch.setattr(enumeration, "avoids", counted)
+    enumeration.count_tree(parse_pattern_set("[2]-31"), 6)
+    tree_calls = len(calls)
+    calls.clear()
+    code, out, _ = run(capsys, "count", "--avoid", "[2]-31", "--max-n", "6")
+    assert code == 0
+    assert out.splitlines() == ["1 1", "2 1", "3 2", "4 6", "5 24", "6 120"]
+    assert len(calls) == tree_calls
 
 
 def test_verify(capsys):

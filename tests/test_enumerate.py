@@ -1,11 +1,15 @@
 """Brute-force and tree counting, closure checking, refined series."""
 
+from itertools import permutations, product
+
 import pytest
 
+from patavoid import enumerate as enumeration
 from patavoid.enumerate import (BRUTE_GUARD, ClosureError, closure_check,
                                 count_brute, count_tree, iter_tree_levels,
                                 refined_series)
-from patavoid.patterns import parse_pattern_set
+from patavoid.patterns import avoids, parse_pattern_set
+from patavoid.perms import reduce_to_perm
 from patavoid.rules import REGISTRY
 from patavoid.series import Poly
 
@@ -46,6 +50,43 @@ def test_closure_check_registered_classes():
 def test_closure_check_counterexample():
     with pytest.raises(ClosureError):
         closure_check(parse_pattern_set("21-[3]"), 4)
+
+
+def _bar_first_patterns():
+    # Every single barred pattern of length 2-3 with the bar first: letters,
+    # the adjacency of the unbarred gap, and the mode (42 in all).
+    for k in (2, 3):
+        for letters in permutations("123"[:k]):
+            for glued in product(("-", ""), repeat=k - 2):
+                for mode in ("", "o", "e"):
+                    rest = letters[1] + "".join(g + x for g, x in zip(glued, letters[2:]))
+                    yield f"[{letters[0]}{mode}]-{rest}"
+
+
+def test_bar_first_patterns_are_closed():
+    texts = list(_bar_first_patterns())
+    assert len(set(texts)) == 42
+    for text in texts:
+        pats = parse_pattern_set(text)
+        for n in range(2, 7):
+            for perm in permutations(range(1, n + 1)):
+                if avoids(perm, pats):
+                    assert avoids(reduce_to_perm(perm[:-1]), pats), (text, perm)
+
+
+def test_closure_check_skips_sets_that_cannot_fail(monkeypatch):
+    calls = []
+
+    def counted(perm, pats):
+        calls.append(perm)
+        return avoids(perm, pats)
+    monkeypatch.setattr(enumeration, "avoids", counted)
+    for text in ["[2]-31", "2-1-3,[2o]-31", "12-3,34-21", "[1e]-32"]:
+        closure_check(parse_pattern_set(text), 6)
+    assert calls == []
+    with pytest.raises(ClosureError):
+        closure_check(parse_pattern_set("2-1-3,13-[2]"), 6)
+    assert calls
 
 
 def test_refined_series_totals():

@@ -1,15 +1,17 @@
 """Succession rules: registry consistency, dynamic program, tree replay."""
 
 import dataclasses
+import time
 
 import pytest
 
 from patavoid import enumerate as enumeration, rules
-from patavoid.closed_forms import formula_value
+from patavoid.closed_forms import formula_value, gf_counts
 from patavoid.enumerate import count_tree, refined_series
 from patavoid.patterns import avoids
 from patavoid.rules import (CLASS_IDS, REGISTRY, count_by_rule,
                             refined_by_rule, verify_rule)
+from patavoid.series import Poly
 
 
 def test_registry_shape():
@@ -56,6 +58,40 @@ def test_counts_match_formulas():
         assert count_by_rule(REGISTRY["C6"], n)[-1] == formula_value("west", n)
         assert count_by_rule(REGISTRY["C7"], n)[-1] == formula_value("fib_odd", n)
         assert count_by_rule(REGISTRY["C9"], n)[-1] == formula_value("b_rec", n)
+
+
+@pytest.mark.parametrize("cid", CLASS_IDS)
+def test_span_sweep_matches_plain_expansion(cid):
+    # A reference DP that adds every child label one at a time; the label
+    # DP adds each span as a range, step-2 spans (C2, C2e) and the diagonal
+    # span of C5 included.
+    spec = REGISTRY[cid]
+    level = {spec.root_label: 1}
+    expected = []
+    for n in range(1, 41):
+        terms = {}
+        for label, mult in level.items():
+            exps = tuple(x for x, w in zip(label, spec.label_stats) if w != "n")
+            key = exps if len(exps) == 2 else (exps[0], 0)
+            terms[key] = terms.get(key, 0) + mult
+        expected.append((n, Poly(terms)))
+        nxt = {}
+        for label, mult in level.items():
+            for child in spec.children(label, n):
+                nxt[child] = nxt.get(child, 0) + mult
+        level = nxt
+    assert [(rc.n, rc.poly) for rc in refined_by_rule(spec, 40)] == expected
+
+
+def test_deep_counts_within_a_time_gate():
+    # Two-label rules give O(n) children per node; the DP adds them as
+    # ranges, so n = 100 is reached in seconds.
+    start = time.perf_counter()
+    deep = {cid: count_by_rule(REGISTRY[cid], 100) for cid in ("C5", "C10", "C11")}
+    elapsed = time.perf_counter() - start
+    for cid, counts in deep.items():
+        assert counts == gf_counts(cid, 100), cid
+    assert elapsed < 5, f"count_by_rule to n=100 took {elapsed:.1f}s"
 
 
 @pytest.mark.parametrize("cid", CLASS_IDS)
@@ -123,13 +159,13 @@ def test_verify_rule_grows_the_tree_once(cid, monkeypatch):
 
 
 def test_verify_rule_reports_the_first_mismatch():
-    c1_with_c2 = dataclasses.replace(REGISTRY["C1"], children=REGISTRY["C2"].children)
+    c1_with_c2 = dataclasses.replace(REGISTRY["C1"], rule=REGISTRY["C2"].rule)
     report = verify_rule(c1_with_c2, 5)
     assert not report.ok
     assert report.counterexample == ((1, 2, 3), ((2,), (4,)), ((1,), (2,), (4,)))
     assert len(report.labels_seen) == 3
     assert "MISMATCH" in str(report)
-    c4_with_c8 = dataclasses.replace(REGISTRY["C4"], children=REGISTRY["C8"].children)
+    c4_with_c8 = dataclasses.replace(REGISTRY["C4"], rule=REGISTRY["C8"].rule)
     assert verify_rule(c4_with_c8, 6).counterexample \
         == ((1, 2), ((2, 3), (3, 1), (3, 2)), ((3, 1), (3, 2)))
     wrong_root = dataclasses.replace(REGISTRY["C4"], root_label=(1, 1))
