@@ -17,10 +17,13 @@ import sys
 from . import bijections
 from .closed_forms import GF_FOR_CLASS, REGISTRY as GF_REGISTRY, closed_form, \
     gf_counts, rule_series, verify_identity
-from .enumerate import BRUTE_GUARD, closure_check, count_brute, count_tree
+from .enumerate import BRUTE_GUARD, closure_check, count_brute, count_tree, \
+    may_be_unclosed
 from .patterns import parse_pattern_set
 from .perms import format_perm, parse_perm
 from .rules import CLASS_IDS, REGISTRY, count_by_rule, verify_rule
+
+CLOSURE_N = 6  # largest n to which count --avoid checks closure
 
 
 def _patterns_for(args):
@@ -46,8 +49,11 @@ def _cmd_count(args) -> int:
         pats = _patterns_for(args)
         if args.avoid is not None:
             # Pruning the tree undercounts a set that is not closed under
-            # last-entry deletion; the check is exhaustive up to n = 6.
-            closure_check(pats, min(args.max_n, 6))
+            # last-entry deletion; the check is exhaustive up to CLOSURE_N.
+            closure_check(pats, min(args.max_n, CLOSURE_N))
+            if args.max_n > CLOSURE_N and may_be_unclosed(pats):
+                print(f"note: closure under last-entry deletion was checked "
+                      f"exhaustively only to n = {CLOSURE_N}", file=sys.stderr)
         counts = count_tree(pats, args.max_n)
     for n, c in enumerate(counts, start=1):
         print(f"{n} {c}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations as _all_perms
 from typing import Iterator
 
-from .patterns import BarredPattern, PatternSet, avoids
+from .patterns import BarredPattern, PatternSet, at_end, avoids
 from .perms import Perm, append_child, reduce_to_perm, statistic
 from .series import Poly
 
@@ -39,21 +39,32 @@ def count_brute(pats: PatternSet, n: int) -> int:
 def iter_tree_levels(pats: PatternSet, nmax: int) -> Iterator[list[Perm]]:
     """Levels 1..nmax of the rightward generating tree, as permutation lists.
 
-    Pruning at each level is sound only if the class is closed under
-    last-entry deletion.  The library trusts its caller on that and does
-    not check it; ``closure_check`` is the check.  The tree grows from the
-    empty permutation, so there are no levels when nmax < 1.
+    Every node's parent avoids ``pats``, so a child is searched only for
+    occurrences that end at its new last entry (``patterns.at_end``); that
+    decides avoidance exactly, and a level holds the same permutations as
+    under the full check.  Pruning at each level is sound only if the class
+    is closed under last-entry deletion.  The library trusts its caller on
+    that and does not check it; ``closure_check`` is the check.  The tree
+    grows from the empty permutation, so there are no levels when nmax < 1.
     """
+    items = at_end(pats)
     level: list[Perm] = [()]
     for n in range(nmax):
         nxt = []
         for perm in level:
             for v in range(1, n + 2):
                 child = append_child(perm, v)
-                if avoids(child, pats):
+                if avoids(child, items):
                     nxt.append(child)
         level = nxt
         yield level
+
+
+def may_be_unclosed(pats: PatternSet) -> bool:
+    """Whether ``pats`` has a barred pattern whose bar is last, the only kind
+    that can make a set fail to be closed under last-entry deletion."""
+    return any(isinstance(p, BarredPattern) and p.barred_index == p.full.k - 1
+               for p in pats)
 
 
 def closure_check(pats: PatternSet, nmax: int = 6) -> None:
@@ -66,8 +77,7 @@ def closure_check(pats: PatternSet, nmax: int = 6) -> None:
     one in the child.  So is a reduced occurrence of a bar-first pattern,
     and its extensions all lie left of it, so their count is the same.
     """
-    if not any(isinstance(p, BarredPattern) and p.barred_index == p.full.k - 1
-               for p in pats):
+    if not may_be_unclosed(pats):
         return
     for n in range(2, nmax + 1):
         for perm in iter_avoiders_brute(pats, n):
@@ -81,8 +91,9 @@ def closure_check(pats: PatternSet, nmax: int = 6) -> None:
 def count_tree(pats: PatternSet, nmax: int) -> list[int]:
     """Level sizes 1..nmax of the pruned rightward tree.
 
-    Like ``iter_tree_levels``, trusts its caller that the class is closed
-    under last-entry deletion.
+    Like ``iter_tree_levels``, checks each child only for occurrences that
+    end at its new last entry, and trusts its caller that the class is
+    closed under last-entry deletion.
     """
     return [len(level) for level in iter_tree_levels(pats, nmax)]
 

@@ -15,6 +15,29 @@ the bracketed letter removed must extend to the full pattern in at least one
 way (plain brackets), in an odd number of ways (``[2o]``) or in an even
 number of ways (``[2e]``; zero counts as even).  The bracketed letter must be
 the first or last letter and must be dash-separated from the rest.
+
+A generating tree grows a permutation by appending a last entry, so each
+child's parent (the child with its last entry deleted and the rest
+relabeled) already avoids the set.  ``at_end`` compiles the set for such a
+child into items that search only the occurrences whose last letter sits on
+the new last entry.  ``avoids(child, at_end(pats))`` equals
+``avoids(child, pats)`` whenever the parent avoids ``pats``, by four cases:
+
+* A vincular pattern: an occurrence that misses the last entry is one in
+  the parent, so the child contains the pattern iff an occurrence ends at
+  the last entry.
+* Bar first: a reduced occurrence that misses the last entry is one in the
+  parent, and its barred slot lies to its left, so its extension count is
+  the parent's.  Only reduced occurrences ending at the last entry need
+  their mode checked.
+* Bar last, plain brackets: a reduced occurrence ending at the last entry
+  has an empty slot, so 0 extensions, and fails.  An earlier one keeps its
+  extensions and may gain the new entry.  The item is the reduced pattern.
+* Bar last, ``o`` or ``e``: the new entry flips the parity of an earlier
+  reduced occurrence exactly when it lies between that occurrence's bounds,
+  that is when the full pattern, read as vincular, has an occurrence ending
+  at the last entry.  So ``e`` gives one item, the full pattern, and ``o``
+  gives two: the full pattern and the reduced one (0 extensions is even).
 """
 
 from __future__ import annotations
@@ -34,6 +57,7 @@ class PatternSyntaxError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -207,8 +231,17 @@ def parse_pattern(text: str) -> PatternExpr:
 
 
 def parse_pattern_set(text: str) -> PatternSet:
-    """Parse a comma-separated list of patterns."""
-    return tuple(parse_pattern(part.strip()) for part in text.split(","))
+    """Parse a comma-separated list of patterns; error offsets index ``text``."""
+    pats = []
+    start = 0
+    for part in text.split(","):
+        try:
+            pats.append(parse_pattern(part.strip()))
+        except PatternSyntaxError as exc:
+            lead = len(part) - len(part.lstrip())
+            raise PatternSyntaxError(exc.message, start + lead + exc.offset) from None
+        start += len(part) + 1
+    return tuple(pats)
 
 
 def _iter_occurrences(perm: Perm, pat: GeneralizedPattern) -> Iterator[tuple[int, ...]]:
@@ -284,15 +317,126 @@ def _mode_ok(mode: str, count: int) -> bool:
     return count % 2 == 0
 
 
-def avoids(perm: Perm, pats: PatternSet) -> bool:
-    """True iff ``perm`` avoids every pattern in ``pats``."""
+class AnchoredPattern:
+    """A vincular pattern compiled to search only occurrences ending at the
+    last entry; ``at_end`` makes these.
+
+    Letters are placed in a fixed order: the last block first, on the last
+    positions, then the other blocks left to right.  Each letter is stored
+    as ``(j, lo, hi)``: its index j and the indices of the letters placed
+    before it that are next below and next above it in value, with k and
+    k + 1 standing for the bounds 0 and n + 1.  So one chained comparison
+    checks a letter against every letter placed before it.  ``bar`` is
+    ``(lo, hi, mode)`` for the reduced pattern of a bar-first pattern: an
+    occurrence then counts only if its extension count breaks the mode.
+    """
+
+    __slots__ = ("k", "tail", "blocks", "need", "bar")
+
+    def __init__(self, pat: GeneralizedPattern, barred: BarredPattern | None = None):
+        k, letters = pat.k, pat.letters
+        *heads, (start, length) = pat._blocks
+        order = list(range(start, k)) + [j for s, l in heads for j in range(s, s + l)]
+        item = {}
+        for m, j in enumerate(order):
+            placed = order[:m]
+            below = [i for i in placed if letters[i] < letters[j]]
+            above = [i for i in placed if letters[i] > letters[j]]
+            item[j] = (j, max(below, key=letters.__getitem__, default=k),
+                       min(above, key=letters.__getitem__, default=k + 1))
+        self.k = k
+        self.tail = tuple(item[j] for j in range(start, k))
+        self.blocks = tuple(tuple(item[j] for j in range(s, s + l)) for s, l in heads)
+        # Positions taken by blocks b, b + 1, ... and the last block.
+        self.need = tuple(length + sum(l for _, l in heads[b:]) for b in range(len(heads)))
+        self.bar = None
+        if barred is not None:
+            self.bar = (k if barred._below is None else barred._below,
+                        k + 1 if barred._above is None else barred._above,
+                        barred.mode)
+
+
+def at_end(pats: PatternSet) -> tuple[AnchoredPattern, ...]:
+    """Compile ``pats`` for children of parents that avoid it.
+
+    The four cases of the module docstring: a vincular pattern and the
+    reduced pattern of a bar-first one are searched as they are; a bar-last
+    pattern becomes its reduced pattern (``exists``), its full pattern
+    (``even``) or both (``odd``).
+    """
+    items = []
+    for pat in pats:
+        if isinstance(pat, GeneralizedPattern):
+            items.append(AnchoredPattern(pat))
+        elif pat.barred_index == 0:
+            items.append(AnchoredPattern(pat._reduced, pat))
+        else:
+            if pat.mode != EVEN:
+                items.append(AnchoredPattern(pat._reduced))
+            if pat.mode != EXISTS:
+                items.append(AnchoredPattern(pat.full))
+    return tuple(items)
+
+
+def _fails_at_end(perm: Perm, item: AnchoredPattern) -> bool:
+    """True iff an occurrence of ``item`` ends at the last entry of ``perm``
+    (and, for a bar-first item, breaks the mode)."""
+    n, k = len(perm), item.k
+    if n < k:
+        return False
+    vals = [0] * (k + 2)
+    vals[k + 1] = n + 1
+    p = first = n - len(item.tail)
+    for j, lo, hi in item.tail:
+        v = perm[p]
+        if not vals[lo] < v < vals[hi]:
+            return False
+        vals[j] = v
+        p += 1
+    return _place(perm, item, vals, 0, 0, first)
+
+
+def _place(perm: Perm, item: AnchoredPattern, vals: list[int], b: int,
+           minpos: int, first: int) -> bool:
+    """Place blocks b, b + 1, ... of ``item`` from ``minpos`` on; ``first`` is
+    the position of the occurrence's first entry once block 0 is placed."""
+    blocks = item.blocks
+    if b == len(blocks):
+        if item.bar is None:
+            return True
+        lo, hi, mode = item.bar
+        lo, hi = vals[lo], vals[hi]
+        return not _mode_ok(mode, sum(1 for x in perm[:first] if lo < x < hi))
+    letters = blocks[b]
+    for p in range(minpos, len(perm) - item.need[b] + 1):
+        q = p
+        for j, lo, hi in letters:
+            v = perm[q]
+            if not vals[lo] < v < vals[hi]:
+                break
+            vals[j] = v
+            q += 1
+        else:
+            if _place(perm, item, vals, b + 1, q, first if b else p):
+                return True
+    return False
+
+
+def avoids(perm: Perm, pats: PatternSet | tuple[AnchoredPattern, ...]) -> bool:
+    """True iff ``perm`` avoids every pattern in ``pats``.
+
+    ``pats`` may instead be the items ``at_end`` compiles; the answer is
+    then exact only when the parent of ``perm`` avoids the patterns.
+    """
     for pat in pats:
         if isinstance(pat, GeneralizedPattern):
             if has_occurrence(perm, pat):
                 return False
-        else:
+        elif isinstance(pat, BarredPattern):
             mode = pat.mode
             for occ0 in _iter_occurrences(perm, pat._reduced):
                 if not _mode_ok(mode, _count_extensions0(perm, pat, occ0)):
                     return False
+        elif _fails_at_end(perm, pat):
+            return False
     return True

@@ -103,6 +103,21 @@ def test_count_skips_the_closure_check_where_it_cannot_fail(capsys, monkeypatch)
     assert len(calls) == tree_calls
 
 
+def test_count_notes_the_reach_of_the_closure_check(capsys):
+    # 12-[3] has its bar last and is closed; the check covers n <= 6 only.
+    code, out, err = run(capsys, "count", "--avoid", "12-[3]", "--max-n", "7")
+    assert code == 0
+    assert out.splitlines() == [f"{n} 1" for n in range(1, 8)]
+    assert len(err.splitlines()) == 1
+    assert "checked exhaustively only to n = 6" in err
+    for argv in (["--avoid", "12-[3]", "--max-n", "6"],
+                 ["--avoid", "[2]-31", "--max-n", "7"],
+                 ["--avoid", "12-[3]", "--max-n", "7", "--method", "brute"],
+                 ["--class", "C3", "--max-n", "7"]):
+        code, _, err = run(capsys, "count", *argv)
+        assert (code, err) == (0, ""), argv
+
+
 def test_verify(capsys):
     code, out, _ = run(capsys, "verify", "--class", "C4", "--max-n", "6",
                        "--order", "10")

@@ -1,15 +1,18 @@
 """Pattern DSL parsing and occurrence matching, against a naive matcher."""
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patavoid.enumerate import iter_tree_levels
 from patavoid.patterns import (BarredPattern, GeneralizedPattern,
-                               PatternSyntaxError, avoids, count_extensions,
-                               has_occurrence, occurrences, parse_pattern,
-                               parse_pattern_set)
+                               PatternSyntaxError, at_end, avoids,
+                               count_extensions, has_occurrence, occurrences,
+                               parse_pattern, parse_pattern_set)
+from patavoid.perms import append_child
+from patavoid.rules import CLASS_IDS, REGISTRY
 
 
 def naive_occurrences(perm, pat):
@@ -64,11 +67,18 @@ def test_parse_barred():
     ("2-1-2", 4),
     ("[2]-3[1]", 5),
     ("2-1-3-4-5-6-7-8-9-0", 18),
+    ("12,1x", 4),
+    ("2-1-3, 3-[1]2", 9),
+    ("1-2,", 4),
+    ("12,21,3-1-4", 10),
 ])
 def test_syntax_errors_carry_offsets(text, offset):
-    with pytest.raises(PatternSyntaxError) as exc:
-        parse_pattern(text)
-    assert exc.value.offset == offset
+    # Offsets index the whole text, also past the commas of a pattern set.
+    parsers = [parse_pattern_set] if "," in text else [parse_pattern, parse_pattern_set]
+    for parse in parsers:
+        with pytest.raises(PatternSyntaxError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
 
 
 def test_barred_structural_errors():
@@ -158,3 +168,89 @@ def test_dashed_and_adjacent_form_agree():
         a = {p for p in permutations(range(1, n + 1)) if avoids(p, dashed)}
         b = {p for p in permutations(range(1, n + 1)) if avoids(p, glued)}
         assert a == b
+
+
+def _pattern_text(letters, glued, bar=None, mode=""):
+    """DSL text of one pattern; ``bar`` is None, "first" or "last"."""
+    out = [str(letters[0])]
+    for g, x in zip(glued, letters[1:]):
+        out.append(("" if g else "-") + str(x))
+    if bar == "first":
+        out[0] = f"[{letters[0]}{mode}]"
+    elif bar == "last":
+        out[-1] = f"-[{letters[-1]}{mode}]"
+    return "".join(out)
+
+
+def _single_patterns(kmax):
+    """Every vincular pattern of length 1..kmax, and every pattern barred at
+    either end, in all three modes."""
+    for k in range(1, kmax + 1):
+        for letters in permutations(range(1, k + 1)):
+            for glued in product((False, True), repeat=k - 1):
+                yield _pattern_text(letters, glued)
+                for mode in ("", "o", "e"):
+                    if k >= 2 and not glued[0]:
+                        yield _pattern_text(letters, glued, "first", mode)
+                    if k >= 2 and not glued[-1]:
+                        yield _pattern_text(letters, glued, "last", mode)
+
+
+def _anchored_mismatches(pats, nmax):
+    """Children of length <= nmax, of every avoiding parent, on which the
+    anchored items and the full check disagree."""
+    items = at_end(pats)
+    bad = []
+    for n in range(nmax):
+        for parent in permutations(range(1, n + 1)):
+            if avoids(parent, pats):
+                for v in range(1, n + 2):
+                    child = append_child(parent, v)
+                    if avoids(child, items) != avoids(child, pats):
+                        bad.append(child)
+    return bad
+
+
+def test_anchored_items_decide_every_single_pattern():
+    texts = list(_single_patterns(3))
+    assert len(set(texts)) == len(texts) == 113
+    for text in texts:
+        assert _anchored_mismatches(parse_pattern_set(text), 6) == [], text
+
+
+@st.composite
+def _pattern_texts(draw):
+    k = draw(st.integers(1, 4))
+    letters = draw(st.permutations(list(range(1, k + 1))))
+    glued = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
+    bar = draw(st.sampled_from([None, "first", "last"])) if k >= 2 else None
+    if bar is not None:
+        glued[0 if bar == "first" else -1] = False
+    return _pattern_text(letters, glued, bar, draw(st.sampled_from(["", "o", "e"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_pattern_texts(), min_size=1, max_size=3))
+def test_anchored_items_decide_random_sets(texts):
+    pats = parse_pattern_set(",".join(texts))
+    assert _anchored_mismatches(pats, 6) == []
+
+
+def _reference_levels(pats, nmax):
+    level, out = [()], []
+    for n in range(nmax):
+        level = [child for perm in level for child in
+                 (append_child(perm, v) for v in range(1, n + 2))
+                 if avoids(child, pats)]
+        out.append(level)
+    return out
+
+
+@pytest.mark.parametrize("text", ["13-[2]", "12-[3o]", "1-3-[2e]", *CLASS_IDS])
+def test_tree_levels_match_the_full_check(text):
+    # 13-[2] and 1-3-[2e] are not closed, so both trees undercount them
+    # alike; 12-[3o] compiles to two items.
+    pats = REGISTRY[text].patterns if text in REGISTRY else parse_pattern_set(text)
+    assert list(iter_tree_levels(pats, 7)) == _reference_levels(pats, 7)
+    if text == "13-[2]":
+        assert [len(level) for level in iter_tree_levels(pats, 7)] == [1] * 7
