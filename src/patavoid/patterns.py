@@ -16,11 +16,21 @@ way (plain brackets), in an odd number of ways (``[2o]``) or in an even
 number of ways (``[2e]``; zero counts as even).  The bracketed letter must be
 the first or last letter and must be dash-separated from the rest.
 
+Every check runs one backtracking search over a ``SearchForm``: the
+pattern's blocks (maximal runs of adjacent letters) in a placement order,
+each letter with the already-placed letters just below and just above it
+in value, and for a barred pattern a test on the extension count of each
+reduced occurrence.  There are two placement orders.  The full form, which
+every pattern builds at construction, places the blocks left to right;
+``avoids(perm, pats)``, ``occurrences`` and ``has_occurrence`` use it.  The
+anchored form, which ``at_end`` builds, pins the last block on the last
+entries first and then places the other blocks left to right.
+
 A generating tree grows a permutation by appending a last entry, so each
 child's parent (the child with its last entry deleted and the rest
 relabeled) already avoids the set.  ``at_end`` compiles the set for such a
-child into items that search only the occurrences whose last letter sits on
-the new last entry.  ``avoids(child, at_end(pats))`` equals
+child into anchored forms that search only the occurrences whose last
+letter sits on the new last entry.  ``avoids(child, at_end(pats))`` equals
 ``avoids(child, pats)`` whenever the parent avoids ``pats``, by four cases:
 
 * A vincular pattern: an occurrence that misses the last entry is one in
@@ -43,9 +53,10 @@ the new last entry.  ``avoids(child, at_end(pats))`` equals
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 Perm = tuple[int, ...]
+_INF = float("inf")
 
 EXISTS = "exists"
 ODD = "odd"
@@ -78,21 +89,7 @@ class GeneralizedPattern:
             raise ValueError("letters must be a permutation of 1..k")
         if len(self.adjacency) != k - 1:
             raise ValueError("adjacency must have length k-1")
-        # Maximal runs of adjacent letters, as (start index, length) pairs.
-        blocks = []
-        start = 0
-        for j, glued in enumerate(self.adjacency):
-            if not glued:
-                blocks.append((start, j + 1 - start))
-                start = j + 1
-        blocks.append((start, k - start))
-        object.__setattr__(self, "_blocks", tuple(blocks))
-        # For each pattern position j, the order constraints against all
-        # earlier positions: (i, True) means value at i must be smaller.
-        cmp = []
-        for j in range(k):
-            cmp.append(tuple((i, self.letters[i] < self.letters[j]) for i in range(j)))
-        object.__setattr__(self, "_cmp", tuple(cmp))
+        object.__setattr__(self, "_form", SearchForm(self))
 
     @property
     def k(self) -> int:
@@ -142,10 +139,7 @@ class BarredPattern:
         else:
             adjacency = self.full.adjacency[:-1]
         object.__setattr__(self, "_reduced", GeneralizedPattern(letters, adjacency))
-        # Positions, within a reduced occurrence, of the entries whose values
-        # bound the barred entry's from below and from above (None: unbounded).
-        object.__setattr__(self, "_below", letters.index(bar - 1) if bar > 1 else None)
-        object.__setattr__(self, "_above", letters.index(bar) if bar < k else None)
+        object.__setattr__(self, "_form", SearchForm(self._reduced, barred=self))
 
     def reduced(self) -> GeneralizedPattern:
         """The pattern with the barred letter removed and letters relabeled."""
@@ -244,59 +238,135 @@ def parse_pattern_set(text: str) -> PatternSet:
     return tuple(pats)
 
 
-def _iter_occurrences(perm: Perm, pat: GeneralizedPattern) -> Iterator[tuple[int, ...]]:
-    """Yield 0-based index tuples of occurrences in lexicographic order."""
-    n = len(perm)
-    blocks = pat._blocks
-    cmp = pat._cmp
-    nblocks = len(blocks)
-    # Minimal number of positions still needed from each block on.
-    tail = [0] * (nblocks + 1)
-    for b in range(nblocks - 1, -1, -1):
-        tail[b] = tail[b + 1] + blocks[b][1]
-    idx = [0] * pat.k
+class SearchForm:
+    """A vincular pattern compiled for the one occurrence search.
 
-    def place(b: int, minpos: int) -> Iterator[tuple[int, ...]]:
-        start, length = blocks[b]
-        for p in range(minpos, n - tail[b] + 1):
-            ok = True
-            for off in range(length):
-                j = start + off
-                v = perm[p + off]
-                for i, less in cmp[j]:
-                    if (perm[idx[i]] < v) != less:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                idx[j] = p + off
-            if ok:
-                if b == nblocks - 1:
-                    yield tuple(idx)
-                else:
-                    yield from place(b + 1, p + length)
+    Each letter is stored as ``(j, lo, hi)``: its index j and the indices
+    of the letters placed before it that are next below and next above it
+    in value, with k and k + 1 standing for the bounds -inf and +inf.  So
+    one chained comparison checks a letter against every letter placed
+    before it.  ``pinned`` is the last block when the form is anchored (it
+    is placed first, on the last entries) and empty otherwise; ``blocks``
+    are the remaining blocks, placed left to right, and ``need[b]`` counts
+    the positions that blocks b, b + 1, ... and the pinned block take.
+    ``bar`` is ``(lo, hi, mode, first)`` for the reduced pattern of a
+    barred one: an occurrence then counts only if its extension count
+    breaks the mode.  An anchored form carries a bar only when it is first.
+    """
 
-    yield from place(0, 0)
+    __slots__ = ("k", "pinned", "blocks", "need", "bar")
+
+    def __init__(self, pat: GeneralizedPattern, anchored: bool = False,
+                 barred: BarredPattern | None = None):
+        k, letters = pat.k, pat.letters
+        # Maximal runs of adjacent letters, as index ranges.
+        blocks, start = [], 0
+        for j, glued in enumerate(pat.adjacency):
+            if not glued:
+                blocks.append(range(start, j + 1))
+                start = j + 1
+        blocks.append(range(start, k))
+        pinned = blocks.pop() if anchored else range(0)
+        order = [*pinned, *(j for block in blocks for j in block)]
+        item = {}
+        for m, j in enumerate(order):
+            placed = order[:m]
+            below = [i for i in placed if letters[i] < letters[j]]
+            above = [i for i in placed if letters[i] > letters[j]]
+            item[j] = (j, max(below, key=letters.__getitem__, default=k),
+                       min(above, key=letters.__getitem__, default=k + 1))
+        self.k = k
+        self.pinned = tuple(item[j] for j in pinned)
+        self.blocks = tuple(tuple(item[j] for j in block) for block in blocks)
+        self.need = tuple(len(pinned) + sum(map(len, blocks[b:]))
+                          for b in range(len(blocks)))
+        self.bar = None
+        if barred is not None:
+            # The reduced letters next below and next above the barred one.
+            x = barred.full.letters[barred.barred_index]
+            self.bar = (letters.index(x - 1) if x > 1 else k,
+                        letters.index(x) if x <= k else k + 1,
+                        barred.mode, barred.barred_index == 0)
+
+
+def _extensions(perm: Perm, bar: tuple, vals: list, first: int, end: int) -> int:
+    """Extension count of a reduced occurrence spanning positions
+    first..end - 1 with letter values ``vals``: the entries in the barred
+    slot whose values lie strictly between the bounds."""
+    lo, hi, _, bar_first = bar
+    lo, hi = vals[lo], vals[hi]
+    return sum(1 for x in (perm[:first] if bar_first else perm[end:]) if lo < x < hi)
+
+
+def _counts(perm: Perm, form: SearchForm, vals: list, first: int, end: int) -> bool:
+    """The default leaf: an occurrence counts unless it passes the bar test."""
+    bar = form.bar
+    if bar is None:
+        return True
+    count = _extensions(perm, bar, vals, first, end)
+    if bar[2] == EXISTS:
+        return count == 0
+    return count % 2 == (1 if bar[2] == EVEN else 0)
+
+
+def _search(perm: Perm, form: SearchForm, leaf=_counts) -> bool:
+    """True iff some occurrence of ``form`` in ``perm`` satisfies ``leaf``.
+
+    ``leaf(perm, form, vals, first, end)`` sees each occurrence in turn:
+    ``vals`` holds its letter values, and it spans positions first..end - 1
+    (end is only exact for a form that is not anchored).
+    """
+    n, k = len(perm), form.k
+    if n < k:
+        return False
+    vals = [0] * k + [-_INF, _INF]
+    p = first = n - len(form.pinned)
+    for j, lo, hi in form.pinned:
+        v = perm[p]
+        if not vals[lo] < v < vals[hi]:
+            return False
+        vals[j] = v
+        p += 1
+    return _place(perm, form, vals, 0, 0, first, leaf)
+
+
+def _place(perm: Perm, form: SearchForm, vals: list, b: int, minpos: int,
+           first: int, leaf) -> bool:
+    """Place blocks b, b + 1, ... of ``form`` from ``minpos`` on; ``first``
+    is the position of the occurrence's first entry once block 0 is placed."""
+    blocks = form.blocks
+    if b == len(blocks):
+        return leaf(perm, form, vals, first, minpos)
+    letters = blocks[b]
+    for p in range(minpos, len(perm) - form.need[b] + 1):
+        q = p
+        for j, lo, hi in letters:
+            v = perm[q]
+            if not vals[lo] < v < vals[hi]:
+                break
+            vals[j] = v
+            q += 1
+        else:
+            if _place(perm, form, vals, b + 1, q, first if b else p, leaf):
+                return True
+    return False
 
 
 def occurrences(perm: Perm, pat: GeneralizedPattern) -> list[tuple[int, ...]]:
     """All occurrences as 1-based index tuples, in lexicographic order."""
-    return [tuple(i + 1 for i in occ) for occ in _iter_occurrences(perm, pat)]
+    where = {v: i for i, v in enumerate(perm, 1)}
+    out = []
+
+    def record(perm, form, vals, first, end):
+        out.append(tuple(where[v] for v in vals[:form.k]))
+        return False
+
+    _search(perm, pat._form, record)
+    return out
 
 
 def has_occurrence(perm: Perm, pat: GeneralizedPattern) -> bool:
-    for _ in _iter_occurrences(perm, pat):
-        return True
-    return False
-
-
-def _count_extensions0(perm: Perm, pat: BarredPattern, occ0: tuple[int, ...]) -> int:
-    """Extension count for a 0-based occurrence of the reduced pattern: the
-    entries in the barred slot whose values lie strictly between the bounds."""
-    lo = perm[occ0[pat._below]] if pat._below is not None else 0
-    hi = perm[occ0[pat._above]] if pat._above is not None else len(perm) + 1
-    slot = perm[:occ0[0]] if pat.barred_index == 0 else perm[occ0[-1] + 1:]
-    return sum(1 for x in slot if lo < x < hi)
+    return _search(perm, pat._form)
 
 
 def count_extensions(perm: Perm, pat: BarredPattern, occ: tuple[int, ...]) -> int:
@@ -306,57 +376,11 @@ def count_extensions(perm: Perm, pat: BarredPattern, occ: tuple[int, ...]) -> in
     """
     if tuple(occ) not in occurrences(perm, pat._reduced):
         raise ValueError(f"{occ} is not an occurrence of {pat._reduced.render()}")
-    return _count_extensions0(perm, pat, tuple(i - 1 for i in occ))
+    vals = [perm[i - 1] for i in occ] + [-_INF, _INF]
+    return _extensions(perm, pat._form.bar, vals, occ[0] - 1, occ[-1])
 
 
-def _mode_ok(mode: str, count: int) -> bool:
-    if mode == EXISTS:
-        return count >= 1
-    if mode == ODD:
-        return count % 2 == 1
-    return count % 2 == 0
-
-
-class AnchoredPattern:
-    """A vincular pattern compiled to search only occurrences ending at the
-    last entry; ``at_end`` makes these.
-
-    Letters are placed in a fixed order: the last block first, on the last
-    positions, then the other blocks left to right.  Each letter is stored
-    as ``(j, lo, hi)``: its index j and the indices of the letters placed
-    before it that are next below and next above it in value, with k and
-    k + 1 standing for the bounds 0 and n + 1.  So one chained comparison
-    checks a letter against every letter placed before it.  ``bar`` is
-    ``(lo, hi, mode)`` for the reduced pattern of a bar-first pattern: an
-    occurrence then counts only if its extension count breaks the mode.
-    """
-
-    __slots__ = ("k", "tail", "blocks", "need", "bar")
-
-    def __init__(self, pat: GeneralizedPattern, barred: BarredPattern | None = None):
-        k, letters = pat.k, pat.letters
-        *heads, (start, length) = pat._blocks
-        order = list(range(start, k)) + [j for s, l in heads for j in range(s, s + l)]
-        item = {}
-        for m, j in enumerate(order):
-            placed = order[:m]
-            below = [i for i in placed if letters[i] < letters[j]]
-            above = [i for i in placed if letters[i] > letters[j]]
-            item[j] = (j, max(below, key=letters.__getitem__, default=k),
-                       min(above, key=letters.__getitem__, default=k + 1))
-        self.k = k
-        self.tail = tuple(item[j] for j in range(start, k))
-        self.blocks = tuple(tuple(item[j] for j in range(s, s + l)) for s, l in heads)
-        # Positions taken by blocks b, b + 1, ... and the last block.
-        self.need = tuple(length + sum(l for _, l in heads[b:]) for b in range(len(heads)))
-        self.bar = None
-        if barred is not None:
-            self.bar = (k if barred._below is None else barred._below,
-                        k + 1 if barred._above is None else barred._above,
-                        barred.mode)
-
-
-def at_end(pats: PatternSet) -> tuple[AnchoredPattern, ...]:
+def at_end(pats: PatternSet) -> tuple[SearchForm, ...]:
     """Compile ``pats`` for children of parents that avoid it.
 
     The four cases of the module docstring: a vincular pattern and the
@@ -367,76 +391,24 @@ def at_end(pats: PatternSet) -> tuple[AnchoredPattern, ...]:
     items = []
     for pat in pats:
         if isinstance(pat, GeneralizedPattern):
-            items.append(AnchoredPattern(pat))
+            items.append(SearchForm(pat, anchored=True))
         elif pat.barred_index == 0:
-            items.append(AnchoredPattern(pat._reduced, pat))
+            items.append(SearchForm(pat._reduced, anchored=True, barred=pat))
         else:
             if pat.mode != EVEN:
-                items.append(AnchoredPattern(pat._reduced))
+                items.append(SearchForm(pat._reduced, anchored=True))
             if pat.mode != EXISTS:
-                items.append(AnchoredPattern(pat.full))
+                items.append(SearchForm(pat.full, anchored=True))
     return tuple(items)
 
 
-def _fails_at_end(perm: Perm, item: AnchoredPattern) -> bool:
-    """True iff an occurrence of ``item`` ends at the last entry of ``perm``
-    (and, for a bar-first item, breaks the mode)."""
-    n, k = len(perm), item.k
-    if n < k:
-        return False
-    vals = [0] * (k + 2)
-    vals[k + 1] = n + 1
-    p = first = n - len(item.tail)
-    for j, lo, hi in item.tail:
-        v = perm[p]
-        if not vals[lo] < v < vals[hi]:
-            return False
-        vals[j] = v
-        p += 1
-    return _place(perm, item, vals, 0, 0, first)
-
-
-def _place(perm: Perm, item: AnchoredPattern, vals: list[int], b: int,
-           minpos: int, first: int) -> bool:
-    """Place blocks b, b + 1, ... of ``item`` from ``minpos`` on; ``first`` is
-    the position of the occurrence's first entry once block 0 is placed."""
-    blocks = item.blocks
-    if b == len(blocks):
-        if item.bar is None:
-            return True
-        lo, hi, mode = item.bar
-        lo, hi = vals[lo], vals[hi]
-        return not _mode_ok(mode, sum(1 for x in perm[:first] if lo < x < hi))
-    letters = blocks[b]
-    for p in range(minpos, len(perm) - item.need[b] + 1):
-        q = p
-        for j, lo, hi in letters:
-            v = perm[q]
-            if not vals[lo] < v < vals[hi]:
-                break
-            vals[j] = v
-            q += 1
-        else:
-            if _place(perm, item, vals, b + 1, q, first if b else p):
-                return True
-    return False
-
-
-def avoids(perm: Perm, pats: PatternSet | tuple[AnchoredPattern, ...]) -> bool:
+def avoids(perm: Perm, pats: PatternSet | tuple[SearchForm, ...]) -> bool:
     """True iff ``perm`` avoids every pattern in ``pats``.
 
-    ``pats`` may instead be the items ``at_end`` compiles; the answer is
+    ``pats`` may instead be the forms ``at_end`` compiles; the answer is
     then exact only when the parent of ``perm`` avoids the patterns.
     """
     for pat in pats:
-        if isinstance(pat, GeneralizedPattern):
-            if has_occurrence(perm, pat):
-                return False
-        elif isinstance(pat, BarredPattern):
-            mode = pat.mode
-            for occ0 in _iter_occurrences(perm, pat._reduced):
-                if not _mode_ok(mode, _count_extensions0(perm, pat, occ0)):
-                    return False
-        elif _fails_at_end(perm, pat):
+        if _search(perm, pat if isinstance(pat, SearchForm) else pat._form):
             return False
     return True

@@ -1,6 +1,9 @@
 """Pattern DSL parsing and occurrence matching, against a naive matcher."""
 
+import gc
+from collections import Counter
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,29 @@ def naive_occurrences(perm, pat):
                for a in range(k) for b in range(a + 1, k)):
             out.append(tuple(i + 1 for i in pos))
     return out
+
+
+def naive_avoids(perm, pat):
+    """Reference avoidance: a barred pattern's extensions of a reduced
+    occurrence are the full occurrences that drop to it."""
+    if isinstance(pat, GeneralizedPattern):
+        return not naive_occurrences(perm, pat)
+    full, e = pat.full, pat.barred_index
+    # The reduced letters keep their relative order, so no relabeling.
+    reduced = SimpleNamespace(
+        k=full.k - 1, letters=full.letters[:e] + full.letters[e + 1:],
+        adjacency=full.adjacency[1:] if e == 0 else full.adjacency[:-1])
+    extensions = Counter(occ[:e] + occ[e + 1:]
+                         for occ in naive_occurrences(perm, full))
+    for occ in naive_occurrences(perm, reduced):
+        count = extensions[occ]
+        if pat.mode == "exists" and count == 0:
+            return False
+        if pat.mode == "odd" and count % 2 == 0:
+            return False
+        if pat.mode == "even" and count % 2 == 1:
+            return False
+    return True
 
 
 def test_parse_render_round_trip():
@@ -99,6 +125,9 @@ def test_occurrences_hand_examples():
     assert occurrences((1, 3, 2, 4), parse_pattern("12-3")) == [(1, 2, 4)]
     assert occurrences((3, 2, 1), parse_pattern("1-2-3")) == []
     assert has_occurrence((2, 4, 1, 3), parse_pattern("2-4-1-3"))
+    # Any distinct integers, not only 1..n: no bound is taken from n.
+    assert occurrences((5, 7, 6), parse_pattern("1-3-2")) == [(1, 2, 3)]
+    assert has_occurrence((-4, 9, 0), parse_pattern("1-3-2"))
 
 
 _SAMPLE_PATTERNS = ["2-1-3", "12-3", "1-23", "34-21", "2-3-41", "3-2-41",
@@ -219,8 +248,8 @@ def test_anchored_items_decide_every_single_pattern():
 
 
 @st.composite
-def _pattern_texts(draw):
-    k = draw(st.integers(1, 4))
+def _pattern_texts(draw, kmin=1):
+    k = draw(st.integers(kmin, 4))
     letters = draw(st.permutations(list(range(1, k + 1))))
     glued = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
     bar = draw(st.sampled_from([None, "first", "last"])) if k >= 2 else None
@@ -234,6 +263,40 @@ def _pattern_texts(draw):
 def test_anchored_items_decide_random_sets(texts):
     pats = parse_pattern_set(",".join(texts))
     assert _anchored_mismatches(pats, 6) == []
+
+
+_PERMS_TO_6 = [p for n in range(7) for p in permutations(range(1, n + 1))]
+
+
+def test_avoids_matches_naive_for_every_single_pattern():
+    for text in _single_patterns(3):
+        pat = parse_pattern(text)
+        for perm in _PERMS_TO_6:
+            assert avoids(perm, (pat,)) == naive_avoids(perm, pat), (text, perm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pattern_texts(kmin=4))
+def test_avoids_matches_naive_for_random_patterns(text):
+    pat = parse_pattern(text)
+    for perm in _PERMS_TO_6:
+        assert avoids(perm, (pat,)) == naive_avoids(perm, pat), perm
+
+
+def test_matching_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in REGISTRY.values():
+            for n in range(1, 6):
+                for perm in permutations(range(1, n + 1)):
+                    avoids(perm, spec.patterns)
+        for perm in [(2, 1, 3), (1, 3, 2, 4), (3, 1, 4, 2, 5)]:
+            occurrences(perm, parse_pattern("1-2"))
+            occurrences(perm, parse_pattern("21-3"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _reference_levels(pats, nmax):
