@@ -15,8 +15,11 @@ table and one pruned generator enumerates it.  The four maps:
 
 ``phi`` and ``subdiag`` are one run codec with different letters and step:
 up runs from the positions of the right-to-left maxima, down runs from the
-drops between their values.  Each map has an explicit inverse, exercised by
-exhaustive round-trip tests.
+drops between their values.  ``callan`` and its inverse are each one
+left-to-right scan with a stack, and ``udu_uuu`` is the ``callan`` image
+read backwards with U and D exchanged, then spelled H -> UD, U -> UUD,
+D -> D; its inverse parses that prefix code.  Each map has an explicit
+inverse, exercised by exhaustive round-trip tests.
 """
 
 from __future__ import annotations
@@ -147,139 +150,106 @@ def phi_inverse(path: str) -> Perm:
     return _decode(path, "U", "D", 1)
 
 
-def _match_indices(tokens: list[str]) -> dict[int, int]:
-    """D index -> matching U index (unmatched Ds absent)."""
-    stack: list[int] = []
-    match: dict[int, int] = {}
-    for i, t in enumerate(tokens):
-        if t == "U":
-            stack.append(i)
-        elif t == "D" and stack:
-            match[i] = stack.pop()
-    return match
-
-
 def callan(path: str) -> str:
     """UDU-free Dyck path of semilength n >= 1 to a Motzkin path of length n - 1.
 
     Append a down step, then: every down step flanked by down steps is
     deleted and its matching up step becomes a level step; every remaining
     UDD factor loses its up step and first down step; the trailing appended
-    step is dropped.  The UDD occurrences are pairwise disjoint, so one
-    simultaneous pass suffices.
+    step is dropped.
+
+    One scan does this.  In a UDU-free path a down step followed by an up
+    step follows a down step, so every down run but the last has length at
+    least 2 and is entered from a peak, and the matching down step of a
+    non-peak up step follows a down step.  Hence a peak's up step is the U
+    of a UDD factor and emits nothing; a down step emits ``D`` when an up
+    step follows it (the D that UDD leaves) and nothing otherwise (it
+    starts a run or is flanked); any other up step emits ``U`` when its
+    matching down step is followed by an up step and ``H`` when that down
+    step is flanked.  Its letter is set when the scan reaches that step.
     """
     if not path or not path_is(path, "udu_free"):
         raise ValueError(f"{path!r} is not a nonempty UDU-free Dyck path")
-    tokens = list(path) + ["D"]
-    match = _match_indices(tokens)
-    marked = {i for i in range(1, len(tokens) - 1)
-              if tokens[i - 1] == tokens[i] == tokens[i + 1] == "D"}
-    kept: list[str] = []
-    for i, t in enumerate(tokens):
-        if i in marked:
-            continue
-        if t == "U" and any(match.get(j) == i for j in marked):
-            kept.append("H")
-        else:
-            kept.append(t)
     out: list[str] = []
-    i = 0
-    while i < len(kept):
-        if kept[i : i + 3] == ["U", "D", "D"]:
-            out.append("D")
-            i += 3
+    opened: list[int] = []  # per open up step, its slot in out (-1: a peak)
+    for step, after in zip(path, path[1:] + "D"):
+        if step == "U" and after == "D":
+            opened.append(-1)
+        elif step == "U":
+            opened.append(len(out))
+            out.append("H")
         else:
-            out.append(kept[i])
-            i += 1
-    assert out and out[-1] == "D"
-    return "".join(out[:-1])
+            slot = opened.pop()
+            if after == "U":
+                out[slot] = "U"
+                out.append("D")
+    return "".join(out)
 
 
 def callan_inverse(path: str) -> str:
-    """Motzkin path of length n - 1 to a UDU-free Dyck path of semilength n."""
+    """Motzkin path of length n - 1 to a UDU-free Dyck path of semilength n.
+
+    Unrolls the first-return recursion  "" -> UD,  H m -> U m' D,
+    U a D b -> U a' D b'  into one scan.  Each H and U writes an up step.
+    Each level ends (at a D, or at the end of the path for the ground
+    level) with its final peak UD, then one down step for each H opened on
+    that level; a D then writes one more for its own U.
+    """
     if not path_is(path, "motzkin"):
         raise ValueError(f"{path!r} is not a Motzkin path")
-    def rec(m: str) -> str:
-        if not m:
-            return "UD"
-        if m[0] == "H":
-            return "U" + rec(m[1:]) + "D"
-        h = 0
-        for i, c in enumerate(m):
-            h += 1 if c == "U" else -1 if c == "D" else 0
-            if h == 0 and c == "D":
-                return "U" + rec(m[1:i]) + "D" + rec(m[i + 1:])
-        raise AssertionError("unbalanced Motzkin path")
-    return rec(path)
+    out: list[str] = []
+    levels = [0]  # per open U (and the ground), the H's opened since it
+    for step in path:
+        if step == "H":
+            levels[-1] += 1
+            out.append("U")
+        elif step == "U":
+            levels.append(0)
+            out.append("U")
+        else:
+            out.append("UD" + "D" * (levels.pop() + 1))
+    out.append("UD" + "D" * levels[0])
+    return "".join(out)
 
 
-def _heights_before(tokens: list[str]) -> list[int]:
-    out = []
-    h = 0
-    for t in tokens:
-        out.append(h)
-        h += 1 if t == "U" else -1
-    return out
+_FLIP = str.maketrans("UD", "DU")
+_SPELL = {"H": "UD", "U": "UUD", "D": "D"}
+_UNSPELL = {w: m for m, w in _SPELL.items()}
+
+
+def _flip(path: str) -> str:
+    """The path read backwards with U and D exchanged."""
+    return path[::-1].translate(_FLIP)
 
 
 def udu_uuu(path: str) -> str:
     """UDU-free Dyck path of semilength n + 1 to UUU-free of semilength n.
 
-    Down steps flanked by down steps, and the last step when it follows a
-    down step, are pulled back next to their matching up steps; the
-    rightmost UD factor is then deleted and the path is read backwards with
-    the step letters exchanged.
+    The paper's map pulls the down steps flanked by down steps, and the last
+    step when it follows a down step, back next to their matching up steps;
+    then it deletes the rightmost UD factor and reads the path backwards
+    with the step letters exchanged.  That is ``callan`` respelled: after
+    the move the path reads ``callan(path)`` with each H as UD (its up step
+    and the pulled-back down step), each U as U and each D as UDD (the peak
+    before the down step that ends a run), followed by the final peak UD,
+    which is the rightmost UD factor.  So the image is ``callan(path)``
+    flipped, then spelled with H -> UD, U -> UUD, D -> D.
     """
-    if not path or not path_is(path, "udu_free"):
-        raise ValueError(f"{path!r} is not a nonempty UDU-free Dyck path")
-    tokens = list(path)
-    n2 = len(tokens)
-    match = _match_indices(tokens)
-    marked = set()
-    for i in range(n2):
-        if tokens[i] != "D":
-            continue
-        inner = 0 < i < n2 - 1 and tokens[i - 1] == "D" and tokens[i + 1] == "D"
-        last = i == n2 - 1 and i > 0 and tokens[i - 1] == "D"
-        if inner or last:
-            marked.add(i)
-    keyed = [((match[i], 1) if i in marked else (i, 0), tokens[i])
-             for i in range(n2)]
-    keyed.sort(key=lambda kv: kv[0])
-    moved = [t for _, t in keyed]
-    cut = "".join(moved).rfind("UD")
-    assert cut >= 0
-    del moved[cut : cut + 2]
-    return "".join("U" if t == "D" else "D" for t in reversed(moved))
+    return "".join(_SPELL[c] for c in _flip(callan(path)))
 
 
 def udu_uuu_inverse(path: str) -> str:
     """UUU-free Dyck path of semilength n to UDU-free of semilength n + 1.
 
-    Reverse the path exchanging the step letters, append an up and a down
-    step, then push each down step that sits in a UDU factor of that initial
-    path rightwards, in left-to-right order, until it follows the first
-    later down step starting at its own height (or reaches the end if no
-    such step exists).
+    {UD, UUD, D} is a prefix code, and a UUU-free Dyck path is a word in it
+    in exactly one way: a D is a word, and an up step is followed by D or by
+    UD, never by UU.  Unspelling gives a Motzkin path; flipping it back and
+    applying ``callan_inverse`` inverts ``udu_uuu``.
     """
     if not path_is(path, "uuu_free"):
         raise ValueError(f"{path!r} is not a UUU-free Dyck path")
-    tokens = ["U" if c == "D" else "D" for c in reversed(path)] + ["U", "D"]
-    marked_ids = [i for i in range(1, len(tokens) - 1)
-                  if tokens[i - 1] == "U" and tokens[i] == "D"
-                  and tokens[i + 1] == "U"]
-    # Work on (id, step) pairs so marks survive the reshuffling.
-    work = [(i, t) for i, t in enumerate(tokens)]
-    for mid in marked_ids:
-        i = next(k for k, (j, _) in enumerate(work) if j == mid)
-        h = _heights_before([t for _, t in work])[i]
-        item = work.pop(i)
-        heights = _heights_before([t for _, t in work])
-        dest = next((k + 1 for k in range(i, len(work))
-                     if work[k][1] == "D" and heights[k] == h),
-                    len(work))
-        work.insert(dest, item)
-    return "".join(t for _, t in work)
+    words = re.findall("D|UD|UUD", path)
+    return callan_inverse(_flip("".join(_UNSPELL[w] for w in words)))
 
 
 def subdiag(perm: Perm) -> str:

@@ -38,7 +38,8 @@ from typing import Sequence
 
 from .enumerate import RefinedCount
 from .rules import REGISTRY as CLASSES, refined_by_rule
-from .series import Poly, TruncatedSeries, algebraic_root, divide_cancel
+from .series import (Poly, TruncatedSeries, algebraic_root, divide_cancel,
+                     horner)
 
 
 def _poly(*factors: dict[tuple[int, int, int], int]) -> TruncatedSeries:
@@ -301,9 +302,9 @@ def verify_identity(name: str, candidate: TruncatedSeries,
 
     Rational kinds are cross-multiplied, radical kinds compared after
     isolating the radical (the radicand is u,v-free, so its square root is a
-    t-series scalar), algebraic kinds substituted into their equation, sum
-    kinds compared with their expansion.  Returns (ok, first nonzero
-    residual).
+    t-series scalar), algebraic kinds substituted into their equation by
+    ``horner``, sum kinds compared with their expansion.  Returns (ok, first
+    nonzero residual).
     """
     spec = REGISTRY[name]
     _check_order(order)
@@ -313,35 +314,13 @@ def verify_identity(name: str, candidate: TruncatedSeries,
     if spec.kind == "sum":
         return _first_residual(cand - closed_form(name, order))
     if spec.kind == "algebraic":
-        residual = TruncatedSeries.zero(order)
-        ypow = TruncatedSeries([1], order)
-        for i, c in enumerate(spec.parts["eq"]):
-            residual = residual + TruncatedSeries(c.coeffs, order) * ypow
-            if i + 1 < len(spec.parts["eq"]):
-                ypow = ypow * cand
-        return _first_residual(residual)
+        eq = [TruncatedSeries(c.coeffs, order) for c in spec.parts["eq"]]
+        return _first_residual(horner(eq, cand))
     parts = _lifted(spec, order)
     residual = parts["den"] * cand - parts["num"]
     if spec.kind == "radical":
         residual = residual - parts["coef"] * parts["radicand"].sqrt()
     return _first_residual(residual)
-
-
-def verify_identity_squared(name: str, candidate: TruncatedSeries,
-                            order: int) -> tuple[bool, tuple[int, Poly] | None]:
-    """Radical check by squaring the isolated radical term.
-
-    Slower than ``verify_identity`` but avoids expanding the square root;
-    the two must agree wherever both run.
-    """
-    spec = REGISTRY[name]
-    if spec.kind != "radical":
-        raise ValueError(f"{name} is not a radical entry")
-    _check_order(order)
-    cand = candidate.truncate(order)
-    parts = _lifted(spec, order)
-    iso = parts["den"] * cand - parts["num"]
-    return _first_residual(iso * iso - parts["coef"] * parts["coef"] * parts["radicand"])
 
 
 def _binom(n: int, k: int) -> int:

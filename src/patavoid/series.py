@@ -12,7 +12,8 @@ operation combining two series works to the smaller of their orders, and
 an order is never negative.  Algebraic roots come from Newton iteration,
 which doubles the correct precision each step and stops as soon as that
 precision covers the order; the equation and its derivative are evaluated
-by Horner's rule.
+by Horner's rule (``horner``, which ``closed_forms.verify_identity`` uses
+too).
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ def divide_cancel(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries
     return num / den
 
 
-def _horner(coeffs: Sequence[TruncatedSeries], y: TruncatedSeries) -> TruncatedSeries:
+def horner(coeffs: Sequence[TruncatedSeries], y: TruncatedSeries) -> TruncatedSeries:
     """sum_i coeffs[i] y^i, to the order of y."""
     acc = TruncatedSeries.zero(y.order)
     for c in reversed(coeffs):
@@ -336,10 +337,10 @@ def algebraic_root(eq_coeffs: Sequence[TruncatedSeries], order: int) -> Truncate
     prec = 1  # y is Y mod t^prec; one step makes it Y mod t^(2 prec)
     while True:
         y = TruncatedSeries(y.coeffs, min(order, 2 * prec))
-        y = y - _horner(coeffs, y) * _horner(derivs, y).inverse()
+        y = y - horner(coeffs, y) * horner(derivs, y).inverse()
         if 2 * prec > order:
             break
         prec *= 2
-    if not _horner(coeffs, y).is_zero():
+    if not horner(coeffs, y).is_zero():
         raise ArithmeticError("Newton iteration failed to converge")
     return y

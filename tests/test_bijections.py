@@ -128,6 +128,92 @@ def test_callan_bijective(n):
         assert B.callan(B.callan_inverse(m)) == m
 
 
+def _paper_match(tokens):
+    """D index -> matching U index (unmatched Ds absent)."""
+    stack = []
+    match = {}
+    for i, t in enumerate(tokens):
+        if t == "U":
+            stack.append(i)
+        elif t == "D" and stack:
+            match[i] = stack.pop()
+    return match
+
+
+def paper_callan(path):
+    """The paper's construction, step by step: append a down step, delete
+    the down steps flanked by down steps and make their matching up steps
+    level, replace each UDD by D, drop the appended step."""
+    tokens = list(path) + ["D"]
+    match = _paper_match(tokens)
+    marked = {i for i in range(1, len(tokens) - 1)
+              if tokens[i - 1] == tokens[i] == tokens[i + 1] == "D"}
+    kept = []
+    for i, t in enumerate(tokens):
+        if i in marked:
+            continue
+        if t == "U" and any(match.get(j) == i for j in marked):
+            kept.append("H")
+        else:
+            kept.append(t)
+    out = []
+    i = 0
+    while i < len(kept):
+        if kept[i : i + 3] == ["U", "D", "D"]:
+            out.append("D")
+            i += 3
+        else:
+            out.append(kept[i])
+            i += 1
+    assert out and out[-1] == "D"
+    return "".join(out[:-1])
+
+
+def paper_udu_uuu(path):
+    """The paper's construction: pull the down steps flanked by down steps,
+    and the last step when it follows a down step, back next to their
+    matching up steps, delete the rightmost UD, read backwards with the
+    step letters exchanged."""
+    tokens = list(path)
+    n2 = len(tokens)
+    match = _paper_match(tokens)
+    marked = set()
+    for i in range(n2):
+        if tokens[i] != "D":
+            continue
+        inner = 0 < i < n2 - 1 and tokens[i - 1] == "D" and tokens[i + 1] == "D"
+        last = i == n2 - 1 and i > 0 and tokens[i - 1] == "D"
+        if inner or last:
+            marked.add(i)
+    keyed = [((match[i], 1) if i in marked else (i, 0), tokens[i])
+             for i in range(n2)]
+    keyed.sort(key=lambda kv: kv[0])
+    moved = [t for _, t in keyed]
+    cut = "".join(moved).rfind("UD")
+    assert cut >= 0
+    del moved[cut : cut + 2]
+    return "".join("U" if t == "D" else "D" for t in reversed(moved))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_maps_follow_the_paper_construction(n):
+    # round trips and image sets hold for any consistent pair of bijections;
+    # this pins the scans to the paper's step-by-step construction
+    for d in B.dyck_paths(n):
+        if "UDU" not in d:
+            assert B.callan(d) == paper_callan(d), d
+            assert B.udu_uuu(d) == paper_udu_uuu(d), d
+
+
+def test_long_paths_take_no_recursion():
+    level = "H" * 5000
+    dyck = B.callan_inverse(level)
+    assert len(dyck) == 10_002
+    assert B.callan(dyck) == level
+    flat = "UD" * 5000
+    assert B.udu_uuu(B.udu_uuu_inverse(flat)) == flat
+
+
 def test_udu_uuu_examples():
     assert B.udu_uuu("UUUUDDUUDDDDUUDD") == "UDUUDUDUUDDUDD"
     assert B.udu_uuu("UD") == ""

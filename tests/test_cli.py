@@ -185,6 +185,14 @@ def test_biject(capsys):
     assert (code, out) == (0, "\n")
 
 
+def test_biject_long_path(capsys):
+    # a long level run once exhausted the recursion of callan_inverse
+    code, out, err = run(capsys, "biject", "--map", "callan", "--inverse",
+                         "--input", "H" * 5000)
+    assert (code, err) == (0, "")
+    assert out.strip() == "U" * 5001 + "D" * 5001
+
+
 def test_report_csv(capsys):
     code, out, _ = run(capsys, "report", "--max-n", "5", "--format", "csv")
     assert code == 0

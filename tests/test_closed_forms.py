@@ -8,8 +8,7 @@ import pytest
 
 from patavoid.closed_forms import (GF_FOR_CLASS, REGISTRY as GFS, closed_form,
                                    formula_value, gf_counts, rule_series,
-                                   series_from_refined, verify_identity,
-                                   verify_identity_squared)
+                                   series_from_refined, verify_identity)
 from patavoid.rules import REGISTRY as CLASSES, count_by_rule, refined_by_rule
 from patavoid.series import Poly, TruncatedSeries
 
@@ -102,9 +101,6 @@ def test_negative_orders(name):
             _within(5, closed_form, name, order)
         with pytest.raises(ValueError):
             _within(5, verify_identity, name, cand, order)
-        if GFS[name].kind == "radical":
-            with pytest.raises(ValueError):
-                _within(5, verify_identity_squared, name, cand, order)
     for nmax in (0, -1, -2):
         assert _within(5, gf_counts, cid, nmax) == []
 
@@ -128,13 +124,25 @@ def test_identity_holds(cid):
     assert ok and residual is None, (name, residual)
 
 
+def squared_radical_residual(name, candidate, order):
+    """First nonzero index of (den y - num)^2 - coef^2 radicand, the radical
+    identity with its isolated radical term squared: an oracle that never
+    expands a square root, as ``verify_identity`` does."""
+    parts = {key: TruncatedSeries(p.coeffs, order)
+             for key, p in GFS[name].parts.items()}
+    iso = parts["den"] * candidate.truncate(order) - parts["num"]
+    return (iso * iso - parts["coef"] * parts["coef"] * parts["radicand"]).first_nonzero()
+
+
 @pytest.mark.parametrize("name", ["D", "K1", "M", "F"])
 def test_squared_radical_check_agrees(name):
+    assert GFS[name].kind == "radical"
     cand = rule_series(GFS[name].class_id, 10)
-    ok, residual = verify_identity_squared(name, cand, 10)
-    assert ok and residual is None
-    with pytest.raises(ValueError):
-        verify_identity_squared("N", cand, 10)
+    assert squared_radical_residual(name, cand, 10) is None
+    for j in (2, 5, 8):
+        bumped = cand + TruncatedSeries.from_terms(10, {(j, 0, 0): 1})
+        ok, (first, _) = verify_identity(name, bumped, 10)
+        assert not ok and squared_radical_residual(name, bumped, 10) == first
 
 
 @pytest.mark.parametrize("name", sorted(GFS))
