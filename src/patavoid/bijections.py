@@ -123,17 +123,19 @@ def _decode(path: str, up: str, down: str, step: int) -> Perm:
         val += step * len(downs)
         out[pos - 1] = val
         pos -= len(ups)
-    used = set(out)
+    # Right to left the maxima rise, so the unused values below the bound
+    # are a stack: a new maximum pushes the values it uncovers above the
+    # last one, and the largest unused value is on top.
+    free: list[int] = []
     bound = 0
     for i in range(n - 1, -1, -1):
         if out[i]:
+            free.extend(range(bound + 1, out[i]))
             bound = out[i]
-            continue
-        pick = max((v for v in range(1, bound) if v not in used), default=0)
-        if pick == 0:
+        elif free:
+            out[i] = free.pop()
+        else:
             raise ValueError("path is not in the image of the map")
-        out[i] = pick
-        used.add(pick)
     return tuple(out)
 
 

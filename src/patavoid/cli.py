@@ -17,13 +17,11 @@ import sys
 from . import bijections
 from .closed_forms import GF_FOR_CLASS, REGISTRY as GF_REGISTRY, closed_form, \
     gf_counts, rule_series, verify_identity
-from .enumerate import BRUTE_GUARD, closure_check, count_brute, count_tree, \
-    may_be_unclosed
+from .enumerate import BRUTE_GUARD, CLOSURE_N, closure_check, count_brute, \
+    count_tree, may_be_unclosed
 from .patterns import parse_pattern_set
 from .perms import format_perm, parse_perm
 from .rules import CLASS_IDS, REGISTRY, count_by_rule, verify_rule
-
-CLOSURE_N = 6  # largest n to which count --avoid checks closure
 
 
 def _patterns_for(args):

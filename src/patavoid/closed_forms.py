@@ -203,10 +203,8 @@ GF_FOR_CLASS = {spec.class_id: spec.name for spec in REGISTRY.values()}
 
 
 def series_from_refined(refined: Sequence[RefinedCount],
-                        order: int | None = None) -> TruncatedSeries:
+                        order: int) -> TruncatedSeries:
     """Assemble per-length refined polynomials into a series in t."""
-    if order is None:
-        order = len(refined)
     coeffs = [Poly()] * (order + 1)
     for rc in refined:
         if rc.n <= order:

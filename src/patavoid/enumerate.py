@@ -17,6 +17,7 @@ from .perms import Perm, append_child, reduce_to_perm, statistic
 from .series import Poly
 
 BRUTE_GUARD = 10
+CLOSURE_N = 6  # largest n to which closure_check looks by default
 
 
 class ClosureError(ValueError):
@@ -67,7 +68,7 @@ def may_be_unclosed(pats: PatternSet) -> bool:
                for p in pats)
 
 
-def closure_check(pats: PatternSet, nmax: int = 6) -> None:
+def closure_check(pats: PatternSet, nmax: int = CLOSURE_N) -> None:
     """Verify closure under last-entry deletion, exhaustively up to nmax.
 
     Raises ClosureError with a counterexample if some avoider's parent

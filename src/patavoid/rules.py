@@ -1,8 +1,9 @@
 """The registry of succession rules for the twelve studied classes.
 
 Each class couples a pattern set with labels drawn from the statistics of
-``perms.statistic`` (plus, for C9-C11, the current length) and a rule: the
-label of a length-n node determines the multiset of its children's labels.
+``perms.statistic`` and a rule: the label of a length-n node, with n,
+determines the multiset of its children's labels.  The paper's third label
+for C9-C11 is the length, which the rule takes as its argument n.
 A rule returns them as ``(fixed, spans)``: a tuple of labels, and a tuple
 of spans ``(template, lo, hi, step)``, each standing for the labels
 ``template`` with j put in place of the placeholder ``J``, for lo <= j <= hi
@@ -47,13 +48,12 @@ Successors = tuple[tuple[Label, ...], tuple[Span, ...]]  # (fixed, spans)
 class ClassSpec:
     id: str
     patterns: PatternSet
-    label_stats: tuple[str, ...]  # statistic names; "n" = current length
+    label_stats: tuple[str, ...]  # the perms.statistic name of each component
     root_label: Label
     rule: Callable[[Label, int], Successors]
 
     def label_of(self, perm: Perm) -> Label:
-        return tuple(len(perm) if w == "n" else statistic(perm, w)
-                     for w in self.label_stats)
+        return tuple(statistic(perm, w) for w in self.label_stats)
 
     def children(self, label: Label, n: int) -> list[Label]:
         """The child labels of a length-n node: the spans' labels, then the fixed ones."""
@@ -135,31 +135,31 @@ def _c8(label: Label, n: int) -> Successors:
 
 
 def _c9(label: Label, n: int) -> Successors:
-    r, _ = label
+    (r,) = label
     if r == 1:
-        return ((1, n + 1), (n + 1, n + 1)), ()
-    return (), (((J, n + 1), 1, r, 1),)
+        return ((1,), (n + 1,)), ()
+    return (), (((J,), 1, r, 1),)
 
 
 def _c10(label: Label, n: int) -> Successors:
-    s, r, _ = label
+    s, r = label
     if s < r != 1:
-        return (), (((s + 1, J, n + 1), 1, s, 1), ((s, J, n + 1), s + 1, r, 1))
+        return (), (((s + 1, J), 1, s, 1), ((s, J), s + 1, r, 1))
     if (s, r) == (0, 1):
-        return ((0, 1, n + 1), (1, n + 1, n + 1)), ()
+        return ((0, 1), (1, n + 1)), ()
     if s > r == 1:
-        return ((s, n + 1, n + 1),), ()
+        return ((s, n + 1),), ()
     return (), ()
 
 
 def _c11(label: Label, n: int) -> Successors:
-    s, r, _ = label
+    s, r = label
     if s < r != 1:
-        return (), (((s + 1, J, n + 1), 1, s, 1), ((s, J, n + 1), s + 1, r, 1))
+        return (), (((s + 1, J), 1, s, 1), ((s, J), s + 1, r, 1))
     if (s, r) == (0, 1):
-        return ((0, 1, n + 1),), (((1, J, n + 1), 2, n + 1, 1),)
+        return ((0, 1),), (((1, J), 2, n + 1, 1),)
     if s > r == 1:
-        return (), (((s + 1, J, n + 1), 2, s, 1), ((s, J, n + 1), s + 1, n + 1, 1))
+        return (), (((s + 1, J), 2, s, 1), ((s, J), s + 1, n + 1, 1))
     return (), ()
 
 
@@ -178,9 +178,9 @@ REGISTRY: dict[str, ClassSpec] = {s.id: s for s in [
     _spec("C6", "2-1-3,34-21", ("s", "r"), (0, 1), _c6),
     _spec("C7", "1-2-34,2-1-3", ("m", "r"), (2, 1), _c7),
     _spec("C8", "12-34,2-1-3", ("l", "r"), (2, 1), _c8),
-    _spec("C9", "1-23,3-12", ("r", "n"), (1, 1), _c9),
-    _spec("C10", "1-23,3-12,34-21", ("s", "r", "n"), (0, 1, 1), _c10),
-    _spec("C11", "1-23,34-21", ("s", "r", "n"), (0, 1, 1), _c11),
+    _spec("C9", "1-23,3-12", ("r",), (1,), _c9),
+    _spec("C10", "1-23,3-12,34-21", ("s", "r"), (0, 1), _c10),
+    _spec("C11", "1-23,34-21", ("s", "r"), (0, 1), _c11),
 ]}
 
 CLASS_IDS = tuple(REGISTRY)
@@ -238,23 +238,15 @@ def count_by_rule(spec: ClassSpec, nmax: int) -> list[int]:
     return [sum(level.values()) for level in _dp_levels(spec, nmax)]
 
 
-def _label_monomial(spec: ClassSpec, label: Label) -> tuple[int, int]:
-    exps = tuple(x for x, w in zip(label, spec.label_stats) if w != "n")
-    if len(exps) == 1:
-        return (exps[0], 0)
-    return exps
-
-
 def refined_by_rule(spec: ClassSpec, nmax: int) -> list[RefinedCount]:
-    """Per-level polynomials u^label1 (v^label2), the length component implicit."""
-    out = []
-    for n, level in enumerate(_dp_levels(spec, nmax), start=1):
-        terms: dict[tuple[int, int], int] = {}
-        for label, mult in level.items():
-            key = _label_monomial(spec, label)
-            terms[key] = terms.get(key, 0) + mult
-        out.append(RefinedCount(n, Poly(terms)))
-    return out
+    """Per-level polynomials in which a label (a,) or (a, b) is u^a v^b.
+
+    A label is exactly its monomial's exponents, so each DP level is the
+    polynomial's term map once a 0 is appended to one-component labels.
+    """
+    pad = (0,) * (2 - len(spec.root_label))
+    return [RefinedCount(n, Poly({label + pad: mult for label, mult in level.items()}))
+            for n, level in enumerate(_dp_levels(spec, nmax), start=1)]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Lattice-path bijections: worked examples, round trips, image sets."""
 
+import time
 from itertools import permutations, product
 
 import pytest
@@ -212,6 +213,13 @@ def test_long_paths_take_no_recursion():
     assert B.callan(dyck) == level
     flat = "UD" * 5000
     assert B.udu_uuu(B.udu_uuu_inverse(flat)) == flat
+
+
+def test_long_dyck_path_decodes_in_linear_time():
+    start = time.perf_counter()
+    assert B.phi_inverse("U" * 10000 + "D" * 10000) == tuple(range(1, 10001))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1, f"phi_inverse of U^10000 D^10000 took {elapsed:.2f}s"
 
 
 def test_udu_uuu_examples():

@@ -126,6 +126,15 @@ def test_verify(capsys):
     assert "M identity holds to order 10" in out
 
 
+@pytest.mark.parametrize("cid,labels", [("C9", 8), ("C10", 26), ("C11", 32)])
+def test_verify_counts_labels_without_the_length(capsys, cid, labels):
+    # the length is the rule's argument, not a label component, so a label
+    # met at several lengths counts once
+    code, out, _ = run(capsys, "verify", "--class", cid, "--max-n", "8")
+    assert code == 0
+    assert f"{cid}: rule matches tree up to n=8 ({labels} distinct labels)" in out
+
+
 def test_verify_all_classes(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "5", "--order", "8")
     assert code == 0

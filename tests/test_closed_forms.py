@@ -190,7 +190,7 @@ def test_even_formula_is_integral():
 
 def test_series_from_refined():
     refined = refined_by_rule(CLASSES["C5"], 4)
-    s = series_from_refined(refined)
+    s = series_from_refined(refined, 4)
     assert s.order == 4
     assert s.coefficient(0).is_zero()
     assert s.coefficient(1) == Poly({(0, 1): 1})

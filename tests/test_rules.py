@@ -27,7 +27,7 @@ def test_rule_children_examples():
     assert REGISTRY["C2e"].children((3,), 3) == [(1,), (3,), (4,)]
     assert REGISTRY["C3"].children((1,), 1) == [(1,), (2,)]
     assert REGISTRY["C5"].children((0, 1), 1) == [(1, 1), (0, 2)]
-    assert REGISTRY["C9"].children((1, 1), 1) == [(1, 2), (2, 2)]
+    assert REGISTRY["C9"].children((1,), 1) == [(1,), (2,)]
 
 
 def test_counts_match_known_sequences():
@@ -71,8 +71,7 @@ def test_span_sweep_matches_plain_expansion(cid):
     for n in range(1, 41):
         terms = {}
         for label, mult in level.items():
-            exps = tuple(x for x, w in zip(label, spec.label_stats) if w != "n")
-            key = exps if len(exps) == 2 else (exps[0], 0)
+            key = label if len(label) == 2 else (label[0], 0)
             terms[key] = terms.get(key, 0) + mult
         expected.append((n, Poly(terms)))
         nxt = {}
@@ -104,8 +103,7 @@ def test_rule_replays_tree(cid):
 @pytest.mark.parametrize("cid", CLASS_IDS)
 def test_refined_rule_matches_tree_statistics(cid):
     spec = REGISTRY[cid]
-    stats = tuple(w for w in spec.label_stats if w != "n")
-    direct = refined_series(spec.patterns, stats, 7)
+    direct = refined_series(spec.patterns, spec.label_stats, 7)
     viarule = refined_by_rule(spec, 7)
     for d, r in zip(direct, viarule):
         assert d.n == r.n and d.poly == r.poly
