@@ -6,8 +6,7 @@ lattice-path bijections, with a command-line front end.
 """
 
 from .patterns import (BarredPattern, GeneralizedPattern, PatternSyntaxError,
-                       avoids, count_extensions, has_occurrence, occurrences,
-                       parse_pattern, parse_pattern_set)
+                       avoids, parse_pattern, parse_pattern_set)
 from .perms import (append_child, format_perm, parse_perm, reduce_to_perm,
                     right_to_left_maxima, statistic)
 from .enumerate import (count_brute, count_tree, closure_check, refined_series,
@@ -19,8 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BarredPattern", "GeneralizedPattern", "PatternSyntaxError",
-    "avoids", "count_extensions", "has_occurrence", "occurrences",
-    "parse_pattern", "parse_pattern_set",
+    "avoids", "parse_pattern", "parse_pattern_set",
     "append_child", "format_perm", "parse_perm", "reduce_to_perm",
     "right_to_left_maxima", "statistic",
     "count_brute", "count_tree", "closure_check", "refined_series",

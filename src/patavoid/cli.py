@@ -24,35 +24,44 @@ from .perms import format_perm, parse_perm
 from .rules import CLASS_IDS, REGISTRY, count_by_rule, verify_rule
 
 
-def _patterns_for(args):
-    if getattr(args, "klass", None):
-        return REGISTRY[args.klass].patterns
-    return parse_pattern_set(args.avoid)
+# The counting routes in report column order: (class id or None, pattern
+# set, max_n) -> counts for n = 1..max_n, None past the brute-force guard.
+ROUTES = {
+    "brute": lambda cid, pats, max_n: [
+        count_brute(pats, n) if n <= BRUTE_GUARD else None
+        for n in range(1, max_n + 1)],
+    "tree": lambda cid, pats, max_n: count_tree(pats, max_n),
+    "rule": lambda cid, pats, max_n: count_by_rule(REGISTRY[cid], max_n),
+    "gf": lambda cid, pats, max_n: gf_counts(cid, max_n),
+}
+
+# The lattice-path maps as (forward, inverse), each from text to text.
+MAPS = {
+    "phi": (lambda s: bijections.phi(parse_perm(s)),
+            lambda s: format_perm(bijections.phi_inverse(s))),
+    "callan": (bijections.callan, bijections.callan_inverse),
+    "udu_uuu": (bijections.udu_uuu, bijections.udu_uuu_inverse),
+    "subdiag": (lambda s: bijections.subdiag(parse_perm(s)),
+                lambda s: format_perm(bijections.subdiag_inverse(s))),
+}
 
 
 def _cmd_count(args) -> int:
     if args.method in ("rule", "gf") and not args.klass:
         raise ValueError(f"--method {args.method} requires --class")
-    if args.method == "rule":
-        counts = count_by_rule(REGISTRY[args.klass], args.max_n)
-    elif args.method == "gf":
-        counts = gf_counts(args.klass, args.max_n)
-    elif args.method == "brute":
-        if args.max_n > BRUTE_GUARD:
-            raise ValueError(f"--max-n {args.max_n} is above the brute-force "
-                             f"guard {BRUTE_GUARD}")
-        pats = _patterns_for(args)
-        counts = [count_brute(pats, n) for n in range(1, args.max_n + 1)]
-    else:
-        pats = _patterns_for(args)
-        if args.avoid is not None:
-            # Pruning the tree undercounts a set that is not closed under
-            # last-entry deletion; the check is exhaustive up to CLOSURE_N.
-            closure_check(pats, min(args.max_n, CLOSURE_N))
-            if args.max_n > CLOSURE_N and may_be_unclosed(pats):
-                print(f"note: closure under last-entry deletion was checked "
-                      f"exhaustively only to n = {CLOSURE_N}", file=sys.stderr)
-        counts = count_tree(pats, args.max_n)
+    if args.method == "brute" and args.max_n > BRUTE_GUARD:
+        raise ValueError(f"--max-n {args.max_n} is above the brute-force "
+                         f"guard {BRUTE_GUARD}")
+    pats = (REGISTRY[args.klass].patterns if args.klass
+            else parse_pattern_set(args.avoid))
+    if args.avoid is not None and args.method == "tree":
+        # Pruning the tree undercounts a set that is not closed under
+        # last-entry deletion; the check is exhaustive up to CLOSURE_N.
+        closure_check(pats, min(args.max_n, CLOSURE_N))
+        if args.max_n > CLOSURE_N and may_be_unclosed(pats):
+            print(f"note: closure under last-entry deletion was checked "
+                  f"exhaustively only to n = {CLOSURE_N}", file=sys.stderr)
+    counts = ROUTES[args.method](args.klass, pats, args.max_n)
     for n, c in enumerate(counts, start=1):
         print(f"{n} {c}")
     return 0
@@ -85,53 +94,37 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_biject(args) -> int:
-    maps = {
-        "phi": (lambda s: bijections.phi(parse_perm(s)),
-                lambda s: format_perm(bijections.phi_inverse(s))),
-        "callan": (bijections.callan, bijections.callan_inverse),
-        "udu_uuu": (bijections.udu_uuu, bijections.udu_uuu_inverse),
-        "subdiag": (lambda s: bijections.subdiag(parse_perm(s)),
-                    lambda s: format_perm(bijections.subdiag_inverse(s))),
-    }
-    forward, inverse = maps[args.map]
-    print(inverse(args.input) if args.inverse else forward(args.input))
+    print(MAPS[args.map][args.inverse](args.input))
     return 0
 
 
 def _cmd_report(args) -> int:
+    routes = [r for r in ROUTES if not (args.no_brute and r == "brute")]
     rows = []
     all_agree = True
     for cid in CLASS_IDS:
-        spec = REGISTRY[cid]
-        tree = count_tree(spec.patterns, args.max_n)
-        rule = count_by_rule(spec, args.max_n)
-        gf = gf_counts(cid, args.max_n)
+        pats = REGISTRY[cid].patterns
+        counts = {r: ROUTES[r](cid, pats, args.max_n) for r in routes}
         for n in range(1, args.max_n + 1):
-            brute = None
-            if not args.no_brute and n <= BRUTE_GUARD:
-                brute = count_brute(spec.patterns, n)
-            vals = [v for v in (brute, tree[n - 1], rule[n - 1], gf[n - 1])
-                    if v is not None]
-            agree = len(set(vals)) == 1
+            row = {r: counts[r][n - 1] if r in counts else None for r in ROUTES}
+            agree = len({v for v in row.values() if v is not None}) == 1
             all_agree = all_agree and agree
-            rows.append((cid, n, brute, tree[n - 1], rule[n - 1], gf[n - 1], agree))
+            rows.append((cid, n, row, agree))
     if args.format == "json":
         print(json.dumps([
             {"class": cid, "n": n,
-             "counts": {"brute": None if b is None else str(b),
-                        "tree": str(t), "rule": str(r), "gf": str(g)},
+             "counts": {r: None if v is None else str(v) for r, v in row.items()},
              "agree": agree}
-            for cid, n, b, t, r, g, agree in rows], indent=2))
+            for cid, n, row, agree in rows], indent=2))
     elif args.format == "csv":
-        print("class,n,brute,tree,rule,gf,agree")
-        for cid, n, b, t, r, g, agree in rows:
-            btxt = "" if b is None else str(b)
-            print(f"{cid},{n},{btxt},{t},{r},{g},{str(agree).lower()}")
+        print(",".join(["class", "n", *ROUTES, "agree"]))
+        for cid, n, row, agree in rows:
+            cells = ("" if v is None else str(v) for v in row.values())
+            print(",".join([cid, str(n), *cells, str(agree).lower()]))
     else:
-        for cid, n, b, t, r, g, agree in rows:
-            btxt = "-" if b is None else str(b)
-            mark = "ok" if agree else "MISMATCH"
-            print(f"{cid} n={n} brute={btxt} tree={t} rule={r} gf={g} {mark}")
+        for cid, n, row, agree in rows:
+            cells = (f"{r}={'-' if v is None else v}" for r, v in row.items())
+            print(" ".join([cid, f"n={n}", *cells, "ok" if agree else "MISMATCH"]))
     return 0 if all_agree else 1
 
 
@@ -146,8 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--class", dest="klass", choices=CLASS_IDS)
     group.add_argument("--avoid", help="comma-separated pattern set")
     p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--method", choices=("brute", "tree", "rule", "gf"),
-                   default="tree")
+    p.add_argument("--method", choices=tuple(ROUTES), default="tree")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify", help="succession rules and series identities")
@@ -164,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("biject", help="apply one of the lattice-path maps")
-    p.add_argument("--map", required=True,
-                   choices=("phi", "callan", "udu_uuu", "subdiag"))
+    p.add_argument("--map", required=True, choices=tuple(MAPS))
     p.add_argument("--input", required=True)
     p.add_argument("--inverse", action="store_true")
     p.set_defaults(func=_cmd_biject)

@@ -228,13 +228,20 @@ def gf_counts(cid: str, nmax: int) -> list[int]:
     """Counts of class ``cid`` for lengths 1..nmax from its closed form.
 
     The closed form is expanded with u = v = 1 substituted, which is much
-    cheaper than expanding symbolically and summing the coefficients.
+    cheaper than expanding symbolically and summing the coefficients.  A
+    non-integral coefficient (a wrong closed form) raises ``ValueError``.
     """
     name = GF_FOR_CLASS[cid]
     variables = REGISTRY[name].variables
     series = closed_form(name, max(nmax, 0), at_u=1 if "u" in variables else None,
                          at_v=1 if "v" in variables else None)
-    return [int(series.coefficient(n).constant_value()) for n in range(1, nmax + 1)]
+    counts = []
+    for n in range(1, nmax + 1):
+        c = series.coefficient(n).constant_value()
+        if c.denominator != 1:
+            raise ValueError(f"{name} has the non-integral coefficient {c} at n = {n}")
+        counts.append(c.numerator)
+    return counts
 
 
 def _check_order(order: int) -> None:
@@ -339,10 +346,11 @@ def formula_value(name: str, n: int) -> int:
     if n < _FORMULA_START[name]:
         raise ValueError(f"{name} is defined for n >= {_FORMULA_START[name]}, got {n}")
     if name == "motzkin":
-        m = [1, 1]
+        # (i + 2) M_i = (2i + 1) M_(i-1) + 3(i - 1) M_(i-2)
+        a, b = 1, 1
         for i in range(2, n + 1):
-            m.append(m[i - 1] + sum(m[k] * m[i - 2 - k] for k in range(i - 1)))
-        return m[n]
+            a, b = b, ((2 * i + 1) * b + 3 * (i - 1) * a) // (i + 2)
+        return b
     if name == "cat3":
         if n % 2 == 0:
             k = n // 2
@@ -350,7 +358,8 @@ def formula_value(name: str, n: int) -> int:
         else:
             k = (n - 1) // 2
             val = Fraction(_binom(3 * k + 1, k + 1), 2 * k + 1)
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise ArithmeticError(f"cat3({n}) = {val} is not an integer")
         return val.numerator
     if name == "even_formula":
         total = Fraction(0)
@@ -358,7 +367,8 @@ def formula_value(name: str, n: int) -> int:
             total += 2 * _binom(n, 2 * k) * _binom(n - k, k - 1)
             total += Fraction(n, n - k) * _binom(n, 2 * k + 1) * _binom(n - k, k)
         val = total / n
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise ArithmeticError(f"even_formula({n}) = {val} is not an integer")
         return val.numerator
     if name == "pow2":
         return 2 ** (n - 1)

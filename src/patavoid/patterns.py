@@ -22,9 +22,9 @@ each letter with the already-placed letters just below and just above it
 in value, and for a barred pattern a test on the extension count of each
 reduced occurrence.  There are two placement orders.  The full form, which
 every pattern builds at construction, places the blocks left to right;
-``avoids(perm, pats)``, ``occurrences`` and ``has_occurrence`` use it.  The
-anchored form, which ``at_end`` builds, pins the last block on the last
-entries first and then places the other blocks left to right.
+``avoids(perm, pats)`` uses it.  The anchored form, which ``at_end``
+builds, pins the last block on the last entries first and then places the
+other blocks left to right.
 
 A generating tree grows a permutation by appending a last entry, so each
 child's parent (the child with its last entry deleted and the rest
@@ -289,33 +289,23 @@ class SearchForm:
                         barred.mode, barred.barred_index == 0)
 
 
-def _extensions(perm: Perm, bar: tuple, vals: list, first: int, end: int) -> int:
-    """Extension count of a reduced occurrence spanning positions
-    first..end - 1 with letter values ``vals``: the entries in the barred
-    slot whose values lie strictly between the bounds."""
-    lo, hi, _, bar_first = bar
+def _counts(perm: Perm, bar: tuple, vals: list, first: int, end: int) -> bool:
+    """The bar test: a reduced occurrence with letter values ``vals``,
+    spanning positions first..end - 1, counts unless its extension count
+    (the entries in the barred slot whose values lie strictly between the
+    bounds) meets the mode.  ``end`` is exact only for a form that is not
+    anchored, which is why an anchored form carries a bar only when it is
+    first."""
+    lo, hi, mode, bar_first = bar
     lo, hi = vals[lo], vals[hi]
-    return sum(1 for x in (perm[:first] if bar_first else perm[end:]) if lo < x < hi)
-
-
-def _counts(perm: Perm, form: SearchForm, vals: list, first: int, end: int) -> bool:
-    """The default leaf: an occurrence counts unless it passes the bar test."""
-    bar = form.bar
-    if bar is None:
-        return True
-    count = _extensions(perm, bar, vals, first, end)
-    if bar[2] == EXISTS:
+    count = sum(1 for x in (perm[:first] if bar_first else perm[end:]) if lo < x < hi)
+    if mode == EXISTS:
         return count == 0
-    return count % 2 == (1 if bar[2] == EVEN else 0)
+    return count % 2 == (1 if mode == EVEN else 0)
 
 
-def _search(perm: Perm, form: SearchForm, leaf=_counts) -> bool:
-    """True iff some occurrence of ``form`` in ``perm`` satisfies ``leaf``.
-
-    ``leaf(perm, form, vals, first, end)`` sees each occurrence in turn:
-    ``vals`` holds its letter values, and it spans positions first..end - 1
-    (end is only exact for a form that is not anchored).
-    """
+def _search(perm: Perm, form: SearchForm) -> bool:
+    """True iff ``perm`` has an occurrence of ``form`` that counts."""
     n, k = len(perm), form.k
     if n < k:
         return False
@@ -327,16 +317,16 @@ def _search(perm: Perm, form: SearchForm, leaf=_counts) -> bool:
             return False
         vals[j] = v
         p += 1
-    return _place(perm, form, vals, 0, 0, first, leaf)
+    return _place(perm, form, vals, 0, 0, first)
 
 
 def _place(perm: Perm, form: SearchForm, vals: list, b: int, minpos: int,
-           first: int, leaf) -> bool:
+           first: int) -> bool:
     """Place blocks b, b + 1, ... of ``form`` from ``minpos`` on; ``first``
     is the position of the occurrence's first entry once block 0 is placed."""
     blocks = form.blocks
     if b == len(blocks):
-        return leaf(perm, form, vals, first, minpos)
+        return form.bar is None or _counts(perm, form.bar, vals, first, minpos)
     letters = blocks[b]
     for p in range(minpos, len(perm) - form.need[b] + 1):
         q = p
@@ -347,37 +337,9 @@ def _place(perm: Perm, form: SearchForm, vals: list, b: int, minpos: int,
             vals[j] = v
             q += 1
         else:
-            if _place(perm, form, vals, b + 1, q, first if b else p, leaf):
+            if _place(perm, form, vals, b + 1, q, first if b else p):
                 return True
     return False
-
-
-def occurrences(perm: Perm, pat: GeneralizedPattern) -> list[tuple[int, ...]]:
-    """All occurrences as 1-based index tuples, in lexicographic order."""
-    where = {v: i for i, v in enumerate(perm, 1)}
-    out = []
-
-    def record(perm, form, vals, first, end):
-        out.append(tuple(where[v] for v in vals[:form.k]))
-        return False
-
-    _search(perm, pat._form, record)
-    return out
-
-
-def has_occurrence(perm: Perm, pat: GeneralizedPattern) -> bool:
-    return _search(perm, pat._form)
-
-
-def count_extensions(perm: Perm, pat: BarredPattern, occ: tuple[int, ...]) -> int:
-    """How many positions can fill the barred slot of a reduced occurrence.
-
-    ``occ`` is a 1-based occurrence of ``pat.reduced()`` in ``perm``.
-    """
-    if tuple(occ) not in occurrences(perm, pat._reduced):
-        raise ValueError(f"{occ} is not an occurrence of {pat._reduced.render()}")
-    vals = [perm[i - 1] for i in occ] + [-_INF, _INF]
-    return _extensions(perm, pat._form.bar, vals, occ[0] - 1, occ[-1])
 
 
 def at_end(pats: PatternSet) -> tuple[SearchForm, ...]:

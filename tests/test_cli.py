@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import patavoid
-from patavoid import enumerate as enumeration
+from patavoid import closed_forms, enumerate as enumeration
 from patavoid.cli import main
-from patavoid.closed_forms import REGISTRY as GFS
+from patavoid.closed_forms import REGISTRY as GFS, gf_counts
 from patavoid.patterns import avoids, parse_pattern_set
 from patavoid.rules import CLASS_IDS
+from patavoid.series import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -71,6 +73,17 @@ def test_count_usage_errors(capsys):
             main(argv)
         _, err = capsys.readouterr()
         assert exc.value.code == 2 and message in err, argv
+
+
+def test_gf_refuses_a_non_integral_coefficient(capsys, monkeypatch):
+    # A wrong closed form must not print a truncated count with status 0.
+    monkeypatch.setattr(closed_forms, "closed_form", lambda name, order, **_:
+                        TruncatedSeries([0, 1, 1, Fraction(1, 2)], order))
+    with pytest.raises(ValueError, match="non-integral coefficient 1/2 at n = 3"):
+        gf_counts("C1", 4)
+    code, out, err = run(capsys, "count", "--class", "C1", "--method", "gf")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "D has the non-integral" in err
 
 
 def test_count_refuses_sets_not_closed(capsys):

@@ -173,6 +173,13 @@ def test_formula_values():
         formula_value("nope", 3)
 
 
+def test_motzkin_matches_the_convolution():
+    m = [1, 1]
+    for i in range(2, 301):
+        m.append(m[i - 1] + sum(m[k] * m[i - 2 - k] for k in range(i - 1)))
+    assert [formula_value("motzkin", n) for n in range(301)] == m
+
+
 @pytest.mark.parametrize("name,first", [
     ("motzkin", 0), ("cat3", 1), ("even_formula", 1), ("pow2", 1),
     ("west", 1), ("fib_odd", 1), ("b_rec", 1)])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from patavoid.enumerate import iter_tree_levels
 from patavoid.patterns import (BarredPattern, GeneralizedPattern,
                                PatternSyntaxError, at_end, avoids,
-                               count_extensions, has_occurrence, occurrences,
                                parse_pattern, parse_pattern_set)
 from patavoid.perms import append_child
 from patavoid.rules import CLASS_IDS, REGISTRY
@@ -120,46 +119,16 @@ def test_parse_pattern_set():
     assert pats[0].render() == "2-1-3" and pats[1].render() == "[2]-31"
 
 
-def test_occurrences_hand_examples():
-    assert occurrences((2, 1, 3), parse_pattern("2-1-3")) == [(1, 2, 3)]
-    assert occurrences((1, 3, 2, 4), parse_pattern("12-3")) == [(1, 2, 4)]
-    assert occurrences((3, 2, 1), parse_pattern("1-2-3")) == []
-    assert has_occurrence((2, 4, 1, 3), parse_pattern("2-4-1-3"))
+def test_avoids_hand_examples():
+    assert not avoids((2, 1, 3), parse_pattern_set("2-1-3"))
+    assert not avoids((1, 3, 2, 4), parse_pattern_set("12-3"))
+    assert avoids((2, 3, 1), parse_pattern_set("12-3"))  # no larger entry after 23
+    assert avoids((3, 2, 1), parse_pattern_set("1-2-3"))
+    assert not avoids((2, 4, 1, 3), parse_pattern_set("2-4-1-3"))
     # Any distinct integers, not only 1..n: no bound is taken from n.
-    assert occurrences((5, 7, 6), parse_pattern("1-3-2")) == [(1, 2, 3)]
-    assert has_occurrence((-4, 9, 0), parse_pattern("1-3-2"))
-
-
-_SAMPLE_PATTERNS = ["2-1-3", "12-3", "1-23", "34-21", "2-3-41", "3-2-41",
-                    "1-2-34", "3-12", "321", "12", "2-1"]
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 7).flatmap(
-           lambda n: st.permutations(list(range(1, n + 1)))),
-       st.sampled_from(_SAMPLE_PATTERNS))
-def test_occurrences_match_naive(perm, text):
-    perm = tuple(perm)
-    pat = parse_pattern(text)
-    assert occurrences(perm, pat) == naive_occurrences(perm, pat)
-
-
-def test_occurrences_lexicographic():
-    pat = parse_pattern("1-2")
-    occs = occurrences((1, 2, 3, 4), pat)
-    assert occs == sorted(occs)
-
-
-def test_count_extensions():
-    pat = parse_pattern("[2]-31")
-    # 231: the adjacent descent (3,1) at positions (2,3) has the single
-    # extension 2 at position 1.
-    assert count_extensions((2, 3, 1), pat, (2, 3)) == 1
-    assert count_extensions((3, 1, 2), pat, (1, 2)) == 0
-    with pytest.raises(ValueError):
-        count_extensions((2, 3, 1), pat, (1, 2))  # (2,3) rises, not a descent
-    with pytest.raises(ValueError):
-        count_extensions((2, 3, 1), pat, (1, 3))  # not adjacent
+    assert not avoids((5, 7, 6), parse_pattern_set("1-3-2"))
+    assert not avoids((-4, 9, 0), parse_pattern_set("1-3-2"))
+    assert avoids((-4, 0, 9), parse_pattern_set("1-3-2"))
 
 
 def test_empty_extension_count_is_even():
@@ -168,24 +137,6 @@ def test_empty_extension_count_is_even():
     pat = parse_pattern("[2e]-31")
     assert avoids((3, 1, 2), pats=(pat,))
     assert not avoids((2, 3, 1), pats=(pat,))  # one extension, odd
-
-
-@pytest.mark.parametrize("mode,text", [
-    ("exists", "[2]-31"), ("odd", "[2o]-31"), ("even", "[2e]-31")])
-def test_barred_avoidance_equals_quantifier(mode, text):
-    pat = parse_pattern(text)
-    red = pat.reduced()
-    for n in range(1, 7):
-        for perm in permutations(range(1, n + 1)):
-            counts = [count_extensions(perm, pat, occ)
-                      for occ in occurrences(perm, red)]
-            if mode == "exists":
-                expected = all(c >= 1 for c in counts)
-            elif mode == "odd":
-                expected = all(c % 2 == 1 for c in counts)
-            else:
-                expected = all(c % 2 == 0 for c in counts)
-            assert avoids(perm, (pat,)) == expected
 
 
 def test_dashed_and_adjacent_form_agree():
@@ -291,9 +242,6 @@ def test_matching_leaves_no_cyclic_garbage():
             for n in range(1, 6):
                 for perm in permutations(range(1, n + 1)):
                     avoids(perm, spec.patterns)
-        for perm in [(2, 1, 3), (1, 3, 2, 4), (3, 1, 4, 2, 5)]:
-            occurrences(perm, parse_pattern("1-2"))
-            occurrences(perm, parse_pattern("21-3"))
         assert gc.collect() == 0
     finally:
         gc.enable()
