@@ -9,9 +9,9 @@ from .patterns import (BarredPattern, GeneralizedPattern, PatternSyntaxError,
                        avoids, parse_pattern, parse_pattern_set)
 from .perms import (append_child, format_perm, parse_perm, reduce_to_perm,
                     right_to_left_maxima, statistic)
-from .enumerate import (count_brute, count_tree, closure_check, refined_series,
-                        RefinedCount)
-from .rules import CLASS_IDS, REGISTRY, count_by_rule, refined_by_rule, verify_rule
+from .enumerate import count_brute, count_tree, closure_check
+from .rules import (CLASS_IDS, REGISTRY, RefinedCount, count_by_rule,
+                    refined_by_rule, verify_rule)
 from .closed_forms import closed_form, formula_value, verify_identity
 
 __version__ = "0.1.0"
@@ -21,9 +21,8 @@ __all__ = [
     "avoids", "parse_pattern", "parse_pattern_set",
     "append_child", "format_perm", "parse_perm", "reduce_to_perm",
     "right_to_left_maxima", "statistic",
-    "count_brute", "count_tree", "closure_check", "refined_series",
-    "RefinedCount",
-    "CLASS_IDS", "REGISTRY", "count_by_rule", "refined_by_rule", "verify_rule",
+    "count_brute", "count_tree", "closure_check", "CLASS_IDS", "REGISTRY",
+    "RefinedCount", "count_by_rule", "refined_by_rule", "verify_rule",
     "closed_form", "formula_value", "verify_identity",
     "__version__",
 ]

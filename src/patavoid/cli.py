@@ -5,13 +5,14 @@ Subcommands: count (one class or ad-hoc pattern set, four methods), verify
 truncated series), biject (apply one of the lattice-path maps), report
 (cross-method comparison table).  Exit status 0 means every requested check
 agreed, 1 means a mismatch, 2 means a usage error or an input the requested
-route cannot count soundly.
+route cannot count soundly, 141 (128 + SIGPIPE) that the reader closed stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bijections
@@ -176,10 +177,16 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, dest, low) < low:
             parser.error(f"--{dest.replace('_', '-')} must be at least {low}")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone; a null stdout keeps the flush at exit from failing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

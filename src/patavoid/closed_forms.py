@@ -11,13 +11,15 @@ Each entry is order-free data of one of four kinds:
                     num_k / (own_k * new_1 * ... * new_k); the entry yields
                     the term factors (num_k, own_k, new_k) in order of k.
 
-Every polynomial is an exact series whose order is its t-degree, built once
-at import as a product of factors.  ``closed_form`` is the only code that
-knows about orders.  It substitutes u = v = 1 as asked, lifts each part to
-the requested order plus the t-power k the denominator cancels, and divides
-once.  A sum takes the terms whose numerator reaches the order and nests
-them from the top down, acc = (acc + num_k / own_k) / new_k, so each
-division is by a polynomial of two or three terms.
+Every polynomial is an exact series whose order is its t-degree, built as a
+product of factors at import, except a sum's term factors, which its
+generator builds on each ``closed_form`` call.  ``closed_form`` is the only
+code that knows about orders.  It substitutes u = v = 1 as asked, lifts
+each part to the requested order plus the t-power k the denominator
+cancels, and divides once.  A sum takes the terms whose numerator reaches
+the order and nests them from the top down,
+acc = (acc + num_k / own_k) / new_k, so each division is by a polynomial of
+two or three terms.
 
 Entries whose denominator has a non-invertible constant term at symbolic
 u, v (K1, M, F) cannot be divided out in the polynomial coefficient ring;
@@ -36,8 +38,7 @@ from itertools import count, takewhile
 from operator import mul
 from typing import Sequence
 
-from .enumerate import RefinedCount
-from .rules import REGISTRY as CLASSES, refined_by_rule
+from .rules import REGISTRY as CLASSES, RefinedCount, refined_by_rule
 from .series import (Poly, TruncatedSeries, algebraic_root, divide_cancel,
                      horner)
 
@@ -362,14 +363,14 @@ def formula_value(name: str, n: int) -> int:
             raise ArithmeticError(f"cat3({n}) = {val} is not an integer")
         return val.numerator
     if name == "even_formula":
-        total = Fraction(0)
-        for k in range(n // 2 + 1):
-            total += 2 * _binom(n, 2 * k) * _binom(n - k, k - 1)
-            total += Fraction(n, n - k) * _binom(n, 2 * k + 1) * _binom(n - k, k)
-        val = total / n
-        if val.denominator != 1:
-            raise ArithmeticError(f"even_formula({n}) = {val} is not an integer")
-        return val.numerator
+        # n/(n-k) C(n-k, k) = C(n-k, k) + C(n-k-1, k-1), so every term is an integer
+        total = sum(2 * _binom(n, 2 * k) * _binom(n - k, k - 1)
+                    + _binom(n, 2 * k + 1) * (_binom(n - k, k) + _binom(n - k - 1, k - 1))
+                    for k in range(n // 2 + 1))
+        val, rem = divmod(total, n)
+        if rem:
+            raise ArithmeticError(f"even_formula({n}) = {total}/{n} is not an integer")
+        return val
     if name == "pow2":
         return 2 ** (n - 1)
     if name == "west":

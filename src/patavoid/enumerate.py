@@ -1,20 +1,17 @@
 """Ground-truth counting of pattern-avoiding permutations.
 
-Three routes: brute force over S_n, pruned rightward-tree expansion, and
-refined counting where each permutation contributes a monomial u^a v^b in
-its label statistics.  The brute force is the oracle; everything faster is
-checked against it.
+Two routes: brute force over S_n and pruned rightward-tree expansion, with
+the exhaustive check that the pruning is sound.  The brute force is the
+oracle; everything faster is checked against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations as _all_perms
 from typing import Iterator
 
 from .patterns import BarredPattern, PatternSet, at_end, avoids
-from .perms import Perm, append_child, reduce_to_perm, statistic
-from .series import Poly
+from .perms import Perm, append_child, reduce_to_perm
 
 BRUTE_GUARD = 10
 CLOSURE_N = 6  # largest n to which closure_check looks by default
@@ -97,31 +94,3 @@ def count_tree(pats: PatternSet, nmax: int) -> list[int]:
     closed under last-entry deletion.
     """
     return [len(level) for level in iter_tree_levels(pats, nmax)]
-
-
-@dataclass(frozen=True)
-class RefinedCount:
-    """Coefficient of u^a v^b = number of length-n avoiders with statistics (a, b)."""
-
-    n: int
-    poly: Poly
-
-
-def refined_series(pats: PatternSet, stats: tuple[str, ...],
-                   nmax: int) -> list[RefinedCount]:
-    """Per-length polynomials in u (and v) marking the given statistics.
-
-    ``stats`` is one or two of r, l, h, s, m.
-    """
-    if not 1 <= len(stats) <= 2:
-        raise ValueError("stats must name one or two statistics")
-    out = []
-    for n, level in enumerate(iter_tree_levels(pats, nmax), start=1):
-        terms: dict[tuple[int, int], int] = {}
-        for perm in level:
-            a = statistic(perm, stats[0])
-            b = statistic(perm, stats[1]) if len(stats) == 2 else 0
-            key = (a, b)
-            terms[key] = terms.get(key, 0) + 1
-        out.append(RefinedCount(n, Poly(terms)))
-    return out

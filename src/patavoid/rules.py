@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator
 
-from .enumerate import RefinedCount, iter_tree_levels
+from .enumerate import iter_tree_levels
 from .patterns import PatternSet, parse_pattern_set
 from .patterns import avoids  # unused; bench/tracing.py rebinds and checks rules.avoids
 from .perms import Perm, reduce_to_perm, statistic
@@ -236,6 +236,14 @@ def _dp_levels(spec: ClassSpec, nmax: int) -> Iterator[dict[Label, int]]:
 def count_by_rule(spec: ClassSpec, nmax: int) -> list[int]:
     """Level totals 1..nmax from the label dynamic program."""
     return [sum(level.values()) for level in _dp_levels(spec, nmax)]
+
+
+@dataclass(frozen=True)
+class RefinedCount:
+    """Coefficient of u^a v^b = number of length-n avoiders with labels (a, b)."""
+
+    n: int
+    poly: Poly
 
 
 def refined_by_rule(spec: ClassSpec, nmax: int) -> list[RefinedCount]:

@@ -207,9 +207,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             [self.coeffs[i] - other.coeffs[i] for i in range(order + 1)], order)
 
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries([-c for c in self.coeffs], self.order)
-
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         order = min(self.order, other.order)
         out = [_ZERO] * (order + 1)
@@ -225,14 +222,6 @@ class TruncatedSeries:
     def scale(self, p: Poly | Scalar) -> TruncatedSeries:
         p = _as_poly(p)
         return TruncatedSeries([c * p for c in self.coeffs], self.order)
-
-    def shift(self, k: int) -> TruncatedSeries:
-        """Multiply by t^k (k >= 0) or divide by t^k (k < 0, exact)."""
-        if k >= 0:
-            return TruncatedSeries([_ZERO] * k + self.coeffs, self.order + k)
-        if any(not c.is_zero() for c in self.coeffs[:-k]):
-            raise ValueError(f"series not divisible by t^{-k}")
-        return TruncatedSeries(self.coeffs[-k:], self.order + k)
 
     def inverse(self) -> TruncatedSeries:
         """Reciprocal; requires an invertible rational constant term."""
@@ -305,8 +294,10 @@ def divide_cancel(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries
     if k is None:
         raise ZeroDivisionError("division by the zero series")
     if k:
-        num = num.shift(-k)
-        den = den.shift(-k)
+        if any(not c.is_zero() for c in num.coeffs[:k]):
+            raise ValueError(f"series not divisible by t^{k}")
+        num = TruncatedSeries(num.coeffs[k:], num.order - k)
+        den = TruncatedSeries(den.coeffs[k:], den.order - k)
     return num / den
 
 

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -240,6 +243,24 @@ def test_report_text(capsys):
     code, out, _ = run(capsys, "report", "--max-n", "3")
     assert code == 0
     assert "C1 n=3 brute=2 tree=2 rule=2 gf=2 ok" in out.splitlines()
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # A subprocess, since the fix points the process's own stdout at the
+    # null device.  The counts fill far more than a pipe buffer, so the
+    # writer is still printing when the reader goes.
+    src = str(Path(patavoid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "patavoid.cli", "count", "--class", "C1",
+         "--method", "rule", "--max-n", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"1 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_version_matches_pyproject():

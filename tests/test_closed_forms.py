@@ -1,5 +1,6 @@
 """Generating-function registry: expansion, identities, count formulas."""
 
+import math
 import signal
 import time
 from fractions import Fraction
@@ -189,10 +190,18 @@ def test_formula_domain(name, first):
         formula_value(name, first - 1)
 
 
-def test_even_formula_is_integral():
-    # the inner expression is a Fraction; integrality is part of the contract
-    for n in range(1, 40):
-        assert isinstance(formula_value("even_formula", n), int)
+def test_even_formula_matches_the_fraction_form():
+    # the published form, with its n/(n-k) factor as a Fraction
+    def fraction_form(n):
+        total = Fraction(0)
+        for k in range(n // 2 + 1):
+            total += 2 * math.comb(n, 2 * k) * (math.comb(n - k, k - 1) if k else 0)
+            total += Fraction(n, n - k) * math.comb(n, 2 * k + 1) * math.comb(n - k, k)
+        return total / n
+
+    for n in range(1, 301):
+        value = formula_value("even_formula", n)
+        assert type(value) is int and value == fraction_form(n), n
 
 
 def test_series_from_refined():

@@ -1,4 +1,4 @@
-"""Brute-force and tree counting, closure checking, refined series."""
+"""Brute-force and tree counting, closure checking."""
 
 from itertools import permutations, product
 
@@ -6,12 +6,10 @@ import pytest
 
 from patavoid import enumerate as enumeration
 from patavoid.enumerate import (BRUTE_GUARD, ClosureError, closure_check,
-                                count_brute, count_tree, iter_tree_levels,
-                                refined_series)
+                                count_brute, count_tree, iter_tree_levels)
 from patavoid.patterns import avoids, parse_pattern_set
 from patavoid.perms import reduce_to_perm
 from patavoid.rules import REGISTRY
-from patavoid.series import Poly
 
 
 def test_brute_guard():
@@ -87,25 +85,3 @@ def test_closure_check_skips_sets_that_cannot_fail(monkeypatch):
     with pytest.raises(ClosureError):
         closure_check(parse_pattern_set("2-1-3,13-[2]"), 6)
     assert calls
-
-
-def test_refined_series_totals():
-    spec = REGISTRY["C4"]
-    refined = refined_series(spec.patterns, ("l", "r"), 6)
-    assert [rc.poly.subs_one(u=True, v=True).constant_value() for rc in refined] \
-        == count_tree(spec.patterns, 6)
-    assert refined[0].poly == Poly({(2, 1): 1})  # the single point has l=2, r=1
-
-
-def test_refined_series_single_statistic():
-    refined = refined_series(parse_pattern_set("2-1-3,[2]-31"), ("r",), 4)
-    # length 3 avoiders 213, 312, 321, 231? no: count is 2 at n=3
-    assert refined[2].poly.subs_one(u=True, v=True).constant_value() == 2
-
-
-def test_refined_series_validation():
-    pats = parse_pattern_set("2-1-3")
-    with pytest.raises(ValueError):
-        refined_series(pats, (), 3)
-    with pytest.raises(ValueError):
-        refined_series(pats, ("r", "l", "h"), 3)

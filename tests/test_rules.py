@@ -7,7 +7,7 @@ import pytest
 
 from patavoid import enumerate as enumeration, rules
 from patavoid.closed_forms import formula_value, gf_counts
-from patavoid.enumerate import count_tree, refined_series
+from patavoid.enumerate import count_tree, iter_tree_levels
 from patavoid.patterns import avoids
 from patavoid.rules import (CLASS_IDS, REGISTRY, count_by_rule,
                             refined_by_rule, verify_rule)
@@ -102,11 +102,18 @@ def test_rule_replays_tree(cid):
 
 @pytest.mark.parametrize("cid", CLASS_IDS)
 def test_refined_rule_matches_tree_statistics(cid):
+    # Tally the labels of the tree's permutations, a one-component label
+    # (a,) read as u^a v^0, and compare with the label DP level by level.
     spec = REGISTRY[cid]
-    direct = refined_series(spec.patterns, spec.label_stats, 7)
-    viarule = refined_by_rule(spec, 7)
-    for d, r in zip(direct, viarule):
-        assert d.n == r.n and d.poly == r.poly
+    direct = []
+    for n, level in enumerate(iter_tree_levels(spec.patterns, 7), start=1):
+        terms = {}
+        for perm in level:
+            label = spec.label_of(perm)
+            key = label if len(label) == 2 else (label[0], 0)
+            terms[key] = terms.get(key, 0) + 1
+        direct.append((n, Poly(terms)))
+    assert [(rc.n, rc.poly) for rc in refined_by_rule(spec, 7)] == direct
 
 
 def test_derived_even_rule_against_brute():
@@ -129,7 +136,6 @@ def test_no_levels_below_one(nmax):
     # levels 1..nmax are none when nmax < 1, on every route that reads them
     spec = REGISTRY["C1"]
     assert count_tree(spec.patterns, nmax) == []
-    assert refined_series(spec.patterns, ("r",), nmax) == []
     assert count_by_rule(spec, nmax) == []
     assert refined_by_rule(spec, nmax) == []
     report = verify_rule(spec, nmax)

@@ -73,18 +73,10 @@ def test_divide_cancel_common_power():
     assert q.order == 6
     assert q.coefficient(0).constant_value() == Fraction(1, 2)
     assert q.coefficient(1).constant_value() == Fraction(1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^series not divisible by t\^2$"):
         divide_cancel(S({(1, 0, 0): 1}, 8), den)  # numerator too shallow
     with pytest.raises(ZeroDivisionError):
         divide_cancel(num, TruncatedSeries.zero(8))
-
-
-def test_shift():
-    s = S({(1, 0, 0): 3}, 4)
-    assert s.shift(2).coefficient(3).constant_value() == 3
-    assert s.shift(-1).coefficient(0).constant_value() == 3
-    with pytest.raises(ValueError):
-        S({(0, 0, 0): 1}, 4).shift(-1)
 
 
 def test_algebraic_root_catalan():
@@ -195,7 +187,10 @@ def test_bivariate_division_round_trip(a, b):
 @settings(max_examples=40, deadline=None)
 @given(bivariate_series(), bivariate_series(units), st.integers(0, 3))
 def test_bivariate_divide_cancel_round_trip(a, b, k):
-    q = divide_cancel((a * b).shift(k), b.shift(k))
+    def times_t_to_k(s):
+        return TruncatedSeries([0] * k + s.coeffs, s.order + k)
+
+    q = divide_cancel(times_t_to_k(a * b), times_t_to_k(b))
     assert q.order == 5 and q == a
 
 
