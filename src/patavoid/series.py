@@ -7,8 +7,12 @@ nonzero u,v-free rational; it solves c_n = (b_n - sum_k d_k c_(n-k)) / d_0
 term by term, summing over the denominator's nonzero coefficients only, and
 the reciprocal is one division.  Square roots require a u,v-free radicand
 with constant term 1 and halve exactly.  Quotients and halves that are
-integers are held as ``int``, so integer series stay integer.  Any
-operation combining two series works to the smaller of their orders, and
+integers are held as ``int``, so integer series stay integer.  When every
+coefficient of both operands up to the working order is u,v-free, multiply
+and divide run the same recurrences on plain ``int``/``Fraction`` lists and
+skip ``Poly`` arithmetic; the data picks this dense path, and its results are
+still ``Poly``-wrapped series.  Anything symbolic takes the ``Poly`` path.
+Any operation combining two series works to the smaller of their orders, and
 an order is never negative.  Algebraic roots come from Newton iteration,
 which doubles the correct precision each step and stops as soon as that
 precision covers the order; the equation and its derivative are evaluated
@@ -39,6 +43,17 @@ def _term(c: Scalar | Poly, powers: Sequence[tuple[str, int]]) -> str:
     if c == 1:
         return mono
     return f"-{mono}" if c == -1 else f"{c}{mono}"
+
+
+def _scalars(coeffs: Sequence[Poly]) -> list[Scalar] | None:
+    """The coefficients as plain numbers, or None if one involves u or v."""
+    out: list[Scalar] = []
+    for c in coeffs:
+        terms = c.terms
+        if len(terms) > 1 or (terms and (0, 0) not in terms):
+            return None
+        out.append(terms.get((0, 0), 0))
+    return out
 
 
 def _signed_sum(terms: Sequence[str]) -> str:
@@ -145,7 +160,7 @@ _ZERO = Poly()
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
-    return Poly.const(x)
+    return Poly.const(x) if x else _ZERO
 
 
 class TruncatedSeries:
@@ -209,6 +224,18 @@ class TruncatedSeries:
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         order = min(self.order, other.order)
+        xs = _scalars(self.coeffs[: order + 1])
+        ys = None if xs is None else _scalars(other.coeffs[: order + 1])
+        if ys is not None:
+            nonzero = [(j, y) for j, y in enumerate(ys) if y]
+            dense: list[Scalar] = [0] * (order + 1)
+            for i, x in enumerate(xs):
+                if x:
+                    for j, y in nonzero:
+                        if i + j > order:
+                            break
+                        dense[i + j] += x * y
+            return TruncatedSeries(dense, order)
         out = [_ZERO] * (order + 1)
         for i, a in enumerate(self.coeffs[: order + 1]):
             if a.is_zero():
@@ -230,9 +257,10 @@ class TruncatedSeries:
     def __truediv__(self, other: TruncatedSeries) -> TruncatedSeries:
         """Quotient by c_n = (b_n - sum_{k>=1} d_k c_(n-k)) / d_0.
 
-        The sum runs over the denominator's nonzero coefficients only.  The
-        denominator's constant term must be a nonzero rational; integral
-        quotient coefficients are held as ``int``.
+        The sum runs over the denominator's nonzero coefficients only, on
+        plain numbers when both series are u,v-free.  The denominator's
+        constant term must be a nonzero rational; integral quotient
+        coefficients are held as ``int``.
         """
         order = min(self.order, other.order)
         d0 = other.coeffs[0]
@@ -240,6 +268,21 @@ class TruncatedSeries:
             raise ValueError(
                 f"series not invertible: constant term {d0} is not a nonzero rational")
         inv0 = _exact(1 / Fraction(d0.constant_value()))
+        bs = _scalars(self.coeffs[: order + 1])
+        ds = None if bs is None else _scalars(other.coeffs[: order + 1])
+        if ds is not None:
+            negated_ds = [(k, -d) for k, d in enumerate(ds[1:], 1) if d]
+            dense: list[Scalar] = []
+            for n in range(order + 1):
+                acc = bs[n]
+                for k, d in negated_ds:
+                    if k > n:
+                        break
+                    c = dense[n - k]
+                    if c:
+                        acc += d * c
+                dense.append(acc if inv0 == 1 else _exact(acc * inv0))
+            return TruncatedSeries(dense, order)
         negated = [(k, -d) for k, d in enumerate(other.coeffs[1: order + 1], 1)
                    if not d.is_zero()]
         out: list[Poly] = []
@@ -256,16 +299,16 @@ class TruncatedSeries:
 
     def sqrt(self) -> TruncatedSeries:
         """Square root with constant term 1; radicand must be u,v-free."""
-        if any(not c.is_constant() for c in self.coeffs):
+        s = _scalars(self.coeffs)
+        if s is None:
             raise ValueError("sqrt requires a u,v-free radicand")
-        if self.coeffs[0].constant_value() != 1:
+        if s[0] != 1:
             raise ValueError("sqrt requires constant term 1")
         r: list[Scalar] = [1]
-        s = [c.constant_value() for c in self.coeffs]
         for n in range(1, self.order + 1):
             half = Fraction(s[n] - sum(r[i] * r[n - i] for i in range(1, n)), 2)
             r.append(_exact(half))
-        return TruncatedSeries([Poly.const(x) for x in r], self.order)
+        return TruncatedSeries(r, self.order)
 
     def subs_one(self, u: bool = False, v: bool = False) -> TruncatedSeries:
         return TruncatedSeries([c.subs_one(u, v) for c in self.coeffs], self.order)

@@ -1,13 +1,15 @@
 """Exact truncated series arithmetic: inversion, roots, radicals."""
 
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from patavoid.closed_forms import REGISTRY as GFS, closed_form
+from patavoid.closed_forms import REGISTRY as GFS, closed_form, formula_value, gf_counts
 from patavoid.series import Poly, TruncatedSeries, algebraic_root, divide_cancel
 
 
@@ -131,6 +133,18 @@ def test_str_formatting():
     assert str(TruncatedSeries.zero(2)) == "0"
 
 
+@contextmanager
+def poly_products():
+    """Record each ``Poly`` product made inside the block."""
+    calls = []
+    mul = Poly.__mul__
+    Poly.__mul__ = lambda p, q: calls.append(1) or mul(p, q)
+    try:
+        yield calls
+    finally:
+        Poly.__mul__ = mul
+
+
 small_series = st.lists(
     st.integers(-3, 3), min_size=7, max_size=7).map(
         lambda cs: TruncatedSeries([Poly.const(c) for c in cs], 6))
@@ -169,12 +183,25 @@ units = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2)])
 
 
 @st.composite
-def bivariate_series(draw, constant=None):
-    """Order-5 series over Q[u, v]; ``constant`` draws the t^0 coefficient."""
+def bivariate_series(draw, constant=None, symbolic=False):
+    """Order-5 series over Q[u, v]; ``constant`` draws the t^0 coefficient,
+    and ``symbolic`` adds u^3, v^3 or u^3v^3 at t^1 so the series is not
+    u,v-free."""
     coeffs = [draw(small_polys) for _ in range(6)]
     if constant is not None:
         coeffs[0] = Poly.const(draw(constant))
+    if symbolic:
+        coeffs[1] = coeffs[1] + Poly({draw(st.sampled_from([(3, 0), (0, 3), (3, 3)])): 1})
     return TruncatedSeries(coeffs, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bivariate_series(symbolic=True), bivariate_series(units, symbolic=True))
+def test_symbolic_product_division_round_trip(a, b):
+    # the generic Poly recurrences, which u,v-free series do not reach
+    with poly_products() as calls:
+        assert (a * b) / b == a
+    assert calls
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,7 +243,20 @@ def test_sqrt_stays_integer():
 
 
 def test_newton_root_stays_integer():
-    assert _all_int(closed_form("J", 50))
+    assert _all_int(closed_form("J", 200))
+    assert _all_int(closed_form("Q", 200))
+
+
+def test_deep_newton_counts_within_a_time_gate():
+    # Newton for J and Q must run on plain numbers: on Poly coefficients
+    # these two expansions take about 3 s
+    start = time.perf_counter()
+    deep = {cid: gf_counts(cid, 400) for cid in ("C2", "C2e")}
+    elapsed = time.perf_counter() - start
+    assert deep["C2"] == [formula_value("cat3", n) for n in range(1, 401)]
+    assert deep["C2e"] == [formula_value("even_formula", n) for n in range(1, 401)]
+    assert all(type(c) is int for counts in deep.values() for c in counts)
+    assert elapsed < 1, elapsed
 
 
 @pytest.mark.parametrize("name", ["D", "K1", "M", "F"])
@@ -225,3 +265,47 @@ def test_integral_quotient_stays_integer(name):
     # quotient is scaled by a fractional reciprocal; the counts are integers
     at_one = {f"at_{var}": 1 for var in GFS[name].variables}
     assert _all_int(closed_form(name, 20, **at_one))
+
+
+scalars = st.one_of(st.just(0), st.integers(-5, 5),
+                    st.fractions(-3, 3, max_denominator=4))
+U = Poly({(1, 0): 1})
+
+
+def scalar_series(constant=scalars):
+    """Order-7 u,v-free coefficient lists with zero gaps; ``constant``
+    draws the t^0 coefficient."""
+    return st.tuples(constant, st.lists(scalars, min_size=7, max_size=7)).map(
+        lambda cs: [cs[0], *cs[1]])
+
+
+def convolve(a, b):
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+def quotient(b, d):
+    """The c with convolve(c, d) == b, solved term by term."""
+    c = []
+    for n in range(len(b)):
+        c.append((b[n] - sum(d[k] * c[n - k] for k in range(1, n + 1))) / Fraction(d[0]))
+    return c
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalar_series(), scalar_series(scalars.filter(bool)))
+def test_dense_path_matches_the_oracles(a, d):
+    num, den = TruncatedSeries(a), TruncatedSeries(d)
+    with poly_products() as calls:
+        product, ratio = num * den, num / den
+    assert not calls  # u,v-free operands take the dense path
+    assert [c.constant_value() for c in product.coeffs] == convolve(a, d)
+    assert [c.constant_value() for c in ratio.coeffs] == quotient(a, d)
+
+    # one symbolic operand sends the same data down the Poly path
+    assume(any(a))
+    num_u, product_u, ratio_u = num.scale(U), product.scale(U), ratio.scale(U)
+    with poly_products() as calls:
+        assert num_u * den == product_u
+        assert den * num_u == product_u
+    assert calls
+    assert num_u / den == ratio_u
