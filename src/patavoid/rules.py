@@ -3,23 +3,40 @@
 Each class couples a pattern set with labels drawn from the statistics of
 ``perms.statistic`` and a rule: the label of a length-n node, with n,
 determines the multiset of its children's labels.  The paper's third label
-for C9-C11 is the length, which the rule takes as its argument n.
-A rule returns them as ``(fixed, spans)``: a tuple of labels, and a tuple
-of spans ``(template, lo, hi, step)``, each standing for the labels
-``template`` with j put in place of the placeholder ``J``, for lo <= j <= hi
-in steps of ``step``.  Guards such as ``l > r`` stay ordinary code.
-``ClassSpec.children`` lists the labels one by one; ``count_by_rule`` runs a
-dynamic program over label multiplicities that adds each span as one
-difference-list update, so a parent with O(n) children costs O(1) there.
-``verify_rule`` compares ``children`` with the tree ``iter_tree_levels``
-grows.
+for C9-C11 is the length, which the rule reads as n.
+
+A rule is a table of cases, written with ``case``, ``span`` and ``point``
+over the affine forms ``A``, ``B`` and ``N``.  A label is (a, b), or (b,)
+for a one-component class, and n is the node's length.  A case's guard is
+an interval of a with bounds affine in n, an interval of b with bounds
+affine in a and n, and optionally the parity of b.  Its body is a list of
+spans, each standing for the child labels (row, j), or (j, j + diag) on a
+diagonal, or (j,) for a one-component class, for lo <= j <= hi in steps of
+``step``.  The row is affine in a and n, and lo and hi are affine in a, b
+and n with a b-coefficient of 0 or 1; a fixed child is a one-point span.
+The builder raises ``ValueError`` on any other shape.  A node's children
+are the bodies of the cases it meets, and the cases of a table are
+disjoint on the labels that occur.  This is the form of Banderier,
+Bousquet-Mélou, Denise, Flajolet, Gardy and Gouyou-Beauchamps
+("Generating functions for generating trees", 2002).
+
+``ClassSpec.children`` lists one node's children, and ``verify_rule``
+compares them with the tree ``iter_tree_levels`` grows.  ``count_by_rule``
+and ``refined_by_rule`` read one dynamic program, which holds a level as
+rows {a: [multiplicity of (a, b) for b = 0, 1, ...]}, the single row 0 for
+a one-component class.  It moves the cells of a row that a case guards
+together: a span adds to its target's difference list the cells' sum at one
+index or the cells as a shifted slice, and a fixed child that reads b is
+the cells shifted.  So C6's chain (s, r) -> (s + 1, r + 1) moves each row
+in one slice operation, and no rule is evaluated label by label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterator
+from operator import add, sub
+from typing import Iterator, NamedTuple, Union
 
 from .enumerate import iter_tree_levels
 from .patterns import PatternSet, parse_pattern_set
@@ -30,18 +47,156 @@ from .series import Poly
 Label = tuple[int, ...]
 
 
-class _Placeholder:
-    __slots__ = ()
+class Affine(NamedTuple):
+    """The form c + a·A + b·B + n·N in a label (a, b) or (b,) and the length n.
 
-    def __repr__(self) -> str:
-        return "J"
+    ``+``, ``-`` and ``*`` are those of affine forms, not of tuples.
+    """
+
+    c: int = 0
+    a: int = 0
+    b: int = 0
+    n: int = 0
+
+    def __add__(self, other: Union[Affine, int]) -> Affine:
+        o = _affine(other)
+        return Affine(self.c + o.c, self.a + o.a, self.b + o.b, self.n + o.n)
+
+    def __mul__(self, k: int) -> Affine:
+        if not isinstance(k, int):
+            return NotImplemented
+        return Affine(self.c * k, self.a * k, self.b * k, self.n * k)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other: Union[Affine, int]) -> Affine:
+        return self + _affine(other) * -1
+
+    def __call__(self, a: int, b: int, n: int) -> int:
+        return self.c + self.a * a + self.b * b + self.n * n
 
 
-J = _Placeholder()  # the varying component of a span's template
+A, B, N = Affine(a=1), Affine(b=1), Affine(n=1)
 
-Template = tuple  # a Label with J in one or more components
-Span = tuple[Template, int, int, int]  # (template, lo, hi, step)
-Successors = tuple[tuple[Label, ...], tuple[Span, ...]]  # (fixed, spans)
+
+def _affine(x: Union[Affine, int], free: str = "abn") -> Affine:
+    """``x`` as an Affine, which may depend only on the variables in ``free``."""
+    if not isinstance(x, Affine):
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"{x!r} is neither an int nor an affine form")
+        return Affine(x)
+    bound = [v for v in "abn" if v not in free and getattr(x, v)]
+    if bound:
+        raise ValueError(f"{x!r} must not depend on {', '.join(bound).upper()}")
+    return x
+
+
+class Span(NamedTuple):
+    """Children (row, j), (j, j + diag) or (j,), for lo <= j <= hi in steps of step."""
+
+    lo: Affine
+    hi: Affine
+    row: Affine | None
+    diag: int | None
+    step: int
+
+    def labels(self, a: int, b: int, n: int, width: int) -> list[Label]:
+        js = range(self.lo(a, b, n), self.hi(a, b, n) + 1, self.step)
+        if self.diag is not None:
+            return [(j, j + self.diag) for j in js]
+        if width == 1:
+            return [(j,) for j in js]
+        t = self.row(a, b, n)
+        return [(t, j) for j in js]
+
+
+class Case(NamedTuple):
+    """A guard a_lo <= a <= a_hi, b_lo <= b <= b_hi, b = parity mod 2, and its body."""
+
+    body: tuple[Span, ...]
+    a_lo: Affine | None
+    a_hi: Affine | None
+    b_lo: Affine | None
+    b_hi: Affine | None
+    parity: int | None
+
+    def holds(self, a: int, b: int, n: int) -> bool:
+        return ((self.a_lo is None or self.a_lo(a, b, n) <= a)
+                and (self.a_hi is None or a <= self.a_hi(a, b, n))
+                and (self.b_lo is None or self.b_lo(a, b, n) <= b)
+                and (self.b_hi is None or b <= self.b_hi(a, b, n))
+                and (self.parity is None or b % 2 == self.parity))
+
+
+Rule = tuple[Case, ...]
+Bound = Union[Affine, int, None]
+
+
+def span(lo: Union[Affine, int], hi: Union[Affine, int], *, row: Union[Affine, int, None] = None,
+         diag: int | None = None, step: int = 1) -> Span:
+    """The span lo..hi on ``row``, on the diagonal (j, j + diag), or of a one-component class."""
+    lo, hi = _affine(lo), _affine(hi)
+    for x in (lo, hi):
+        if x.b not in (0, 1):
+            raise ValueError(f"span bound {x!r}: the coefficient of B must be 0 or 1")
+    if row is not None and diag is not None:
+        raise ValueError("a span targets a row or a diagonal, not both")
+    if row is not None:
+        try:
+            row = _affine(row, "an")
+        except ValueError as exc:
+            raise ValueError(f"span row: {exc}; a child (j, j + c) is a diagonal") from None
+    if diag is not None and (isinstance(diag, bool) or not isinstance(diag, int)):
+        raise ValueError(f"diagonal offset {diag!r} is not an int")
+    if isinstance(step, bool) or not isinstance(step, int) or step < 1:
+        raise ValueError(f"span step {step!r} is not a positive int")
+    return Span(lo, hi, row, diag, step)
+
+
+def point(x: Union[Affine, int], *, row: Union[Affine, int, None] = None,
+          diag: int | None = None) -> Span:
+    """One fixed child: the span x..x."""
+    return span(x, x, row=row, diag=diag)
+
+
+def _interval(bound: Union[Bound, tuple[Bound, Bound]], free: str) -> tuple[Affine | None, ...]:
+    single = bound is None or isinstance(bound, (int, Affine))
+    lo, hi = (bound, bound) if single else bound
+    return tuple(None if x is None else _affine(x, free) for x in (lo, hi))
+
+
+def case(*body: Span, a: Union[Bound, tuple[Bound, Bound]] = None,
+         b: Union[Bound, tuple[Bound, Bound]] = None, parity: int | None = None) -> Case:
+    """A case: spans for the labels with a in ``a`` and b in ``b`` (a value or a pair
+    (lo, hi), None for no bound) and b of the given parity."""
+    a_lo, a_hi = _interval(a, "n")
+    b_lo, b_hi = _interval(b, "an")
+    if parity not in (None, 0, 1):
+        raise ValueError(f"parity {parity!r} is not 0 or 1")
+    for s in body:
+        if not isinstance(s, Span):
+            raise ValueError(f"{s!r} is not a span")
+        # The dynamic program ends a span one step past hi, so hi - lo must
+        # be a multiple of the step on every label the case guards; the
+        # parity fixes b mod 2 for a step of 2.
+        d = s.hi - s.lo
+        b_known = d.b % s.step == 0 or (s.step == 2 and parity is not None)
+        if not b_known or d.a % s.step or d.n % s.step or (d.b * (parity or 0) + d.c) % s.step:
+            raise ValueError(f"span {s.lo!r}..{s.hi!r} in steps of {s.step} "
+                             "does not end on a step in every guarded label")
+    return Case(tuple(body), a_lo, a_hi, b_lo, b_hi, parity)
+
+
+def _check_width(width: int, rule: Rule) -> None:
+    for c in rule:
+        for s in c.body:
+            if (width == 1) != (s.row is None and s.diag is None):
+                raise ValueError("a span of a two-component class names a row or a "
+                                 "diagonal, and one of a one-component class neither")
+        forms = [c.b_lo, c.b_hi] + [x for s in c.body for x in (s.lo, s.hi)]
+        if width == 1 and (c.a_lo is not None or c.a_hi is not None
+                           or any(x is not None and x.a for x in forms)):
+            raise ValueError("a one-component class has no component A")
 
 
 @dataclass(frozen=True)
@@ -50,192 +205,257 @@ class ClassSpec:
     patterns: PatternSet
     label_stats: tuple[str, ...]  # the perms.statistic name of each component
     root_label: Label
-    rule: Callable[[Label, int], Successors]
+    rule: Rule
 
     def label_of(self, perm: Perm) -> Label:
         return tuple(statistic(perm, w) for w in self.label_stats)
 
     def children(self, label: Label, n: int) -> list[Label]:
-        """The child labels of a length-n node: the spans' labels, then the fixed ones."""
-        fixed, spans = self.rule(label, n)
-        out = [tuple([j if x is J else x for x in template])
-               for template, lo, hi, step in spans
-               for j in range(lo, hi + 1, step)]
-        out += fixed
-        return out
+        """The child labels of a length-n node: the spans of each case it meets, in order."""
+        a, b = label if len(label) == 2 else (0, label[0])
+        return [child for c in self.rule if c.holds(a, b, n)
+                for s in c.body for child in s.labels(a, b, n, len(label))]
 
 
-def _c1(label: Label, n: int) -> Successors:
-    (r,) = label
-    return ((r + 1,),), (((J,), 1, r - 1, 1),)
-
-
-def _c2(label: Label, n: int) -> Successors:
-    # j runs over 1..r+1 with r - j odd
-    (r,) = label
-    return (), (((J,), 2 - (r - 1) % 2, r + 1, 2),)
-
-
-def _c2e(label: Label, n: int) -> Successors:
-    # Derived rule: appending j <= r leaves r - j entries strictly between
-    # j and the old last entry, all to its left, so the new descent has
-    # exactly r - j extensions; j = r + 1 creates no descent.
-    (r,) = label
-    return ((r + 1,),), (((J,), 2 - r % 2, r, 2),)
-
-
-def _c3(label: Label, n: int) -> Successors:
-    (r,) = label
-    if r == 1:
-        return ((1,), (2,)), ()
-    return ((r - 1,), (r,), (r + 1,)), ()
-
-
-def _c4(label: Label, n: int) -> Successors:
-    l, r = label
-    if l == r:
-        return (), (((l + 1, J), 1, l, 1),)
-    if l > r:
-        return ((r + 1, r + 1),), (((l + 1, J), 1, r, 1),)
-    return (), ()
-
-
-def _c5(label: Label, n: int) -> Successors:
-    h, r = label
-    return ((h, r + 1),), (((J, J), h + 1, r, 1),)
-
-
-def _c6(label: Label, n: int) -> Successors:
-    s, r = label
-    if s < r:
-        return ((s, s + 1), (r, r + 1)), (((s + 1, J), 1, s, 1),)
-    if s > r:
-        return ((s + 1, r + 1),), ()
-    return (), ()
-
-
-def _c7(label: Label, n: int) -> Successors:
-    m, r = label
-    if r == 1:
-        return ((m + 1, 1), (2, 2)), ()
-    if m == r == 2:
-        return ((3, 1), (2, 2), (2, 3)), ()
-    if m < r:
-        return ((m + 1, 1), (2, 2)), (((m, J), m + 1, r, 1),)
-    return (), ()
-
-
-def _c8(label: Label, n: int) -> Successors:
-    l, r = label
-    if l > r:
-        return ((r + 1, r + 1),), (((l + 1, J), 1, r, 1),)
-    if l == r:
-        return ((l, l + 1),), (((l + 1, J), 1, l, 1),)
-    return (), (((l + 1, J), 1, l, 1), ((l, J), l + 1, r, 1))
-
-
-def _c9(label: Label, n: int) -> Successors:
-    (r,) = label
-    if r == 1:
-        return ((1,), (n + 1,)), ()
-    return (), (((J,), 1, r, 1),)
-
-
-def _c10(label: Label, n: int) -> Successors:
-    s, r = label
-    if s < r != 1:
-        return (), (((s + 1, J), 1, s, 1), ((s, J), s + 1, r, 1))
-    if (s, r) == (0, 1):
-        return ((0, 1), (1, n + 1)), ()
-    if s > r == 1:
-        return ((s, n + 1),), ()
-    return (), ()
-
-
-def _c11(label: Label, n: int) -> Successors:
-    s, r = label
-    if s < r != 1:
-        return (), (((s + 1, J), 1, s, 1), ((s, J), s + 1, r, 1))
-    if (s, r) == (0, 1):
-        return ((0, 1),), (((1, J), 2, n + 1, 1),)
-    if s > r == 1:
-        return (), (((s + 1, J), 2, s, 1), ((s, J), s + 1, n + 1, 1))
-    return (), ()
-
-
-def _spec(id: str, patterns: str, stats: tuple[str, ...], root: Label,
-          rule: Callable[[Label, int], Successors]) -> ClassSpec:
+def _spec(id: str, patterns: str, stats: tuple[str, ...], root: Label, *rule: Case) -> ClassSpec:
+    _check_width(len(root), rule)
     return ClassSpec(id, parse_pattern_set(patterns), stats, root, rule)
 
 
+# s < r with r >= 2: the children (s + 1, j), j <= s, and (s, j), s < j <= r
+_S_BELOW_R = (span(1, A, row=A + 1), span(A + 1, B, row=A))
+
 REGISTRY: dict[str, ClassSpec] = {s.id: s for s in [
-    _spec("C1", "2-1-3,[2]-31", ("r",), (1,), _c1),
-    _spec("C2", "2-1-3,[2o]-31", ("r",), (1,), _c2),
-    _spec("C2e", "2-1-3,[2e]-31", ("r",), (1,), _c2e),
-    _spec("C3", "2-1-3,2-3-41,3-2-41", ("r",), (1,), _c3),
-    _spec("C4", "2-1-3,12-3", ("l", "r"), (2, 1), _c4),
-    _spec("C5", "2-1-3,32-1", ("h", "r"), (0, 1), _c5),
-    _spec("C6", "2-1-3,34-21", ("s", "r"), (0, 1), _c6),
-    _spec("C7", "1-2-34,2-1-3", ("m", "r"), (2, 1), _c7),
-    _spec("C8", "12-34,2-1-3", ("l", "r"), (2, 1), _c8),
-    _spec("C9", "1-23,3-12", ("r",), (1,), _c9),
-    _spec("C10", "1-23,3-12,34-21", ("s", "r"), (0, 1), _c10),
-    _spec("C11", "1-23,34-21", ("s", "r"), (0, 1), _c11),
+    _spec("C1", "2-1-3,[2]-31", ("r",), (1,),
+          case(span(1, B - 1), point(B + 1))),
+    # j runs over 1..r+1 with r - j odd
+    _spec("C2", "2-1-3,[2o]-31", ("r",), (1,),
+          case(span(2, B + 1, step=2), parity=1),
+          case(span(1, B + 1, step=2), parity=0)),
+    # Derived rule: appending j <= r leaves r - j entries strictly between
+    # j and the old last entry, all to its left, so the new descent has
+    # exactly r - j extensions; j = r + 1 creates no descent.
+    _spec("C2e", "2-1-3,[2e]-31", ("r",), (1,),
+          case(span(1, B, step=2), point(B + 1), parity=1),
+          case(span(2, B, step=2), point(B + 1), parity=0)),
+    _spec("C3", "2-1-3,2-3-41,3-2-41", ("r",), (1,),
+          case(point(1), point(2), b=1),
+          case(point(B - 1), point(B), point(B + 1), b=(2, None))),
+    # (l, r) with l < r has no children
+    _spec("C4", "2-1-3,12-3", ("l", "r"), (2, 1),
+          case(span(1, A, row=A + 1), b=A),
+          case(span(1, B, row=A + 1), point(B + 1, diag=0), b=(None, A - 1))),
+    _spec("C5", "2-1-3,32-1", ("h", "r"), (0, 1),
+          case(span(A + 1, B, diag=0), point(B + 1, row=A))),
+    _spec("C6", "2-1-3,34-21", ("s", "r"), (0, 1),
+          case(span(1, A, row=A + 1), point(A + 1, row=A), point(B, diag=1), b=(A + 1, None)),
+          case(point(B + 1, row=A + 1), b=(None, A - 1))),
+    # m >= 2 on every node; (m, r) with r > 1 and m > r, or m = r > 2, has no children
+    _spec("C7", "1-2-34,2-1-3", ("m", "r"), (2, 1),
+          case(point(1, row=A + 1), point(2, row=2), b=1),
+          case(point(1, row=3), point(2, row=2), point(3, row=2), a=2, b=2),
+          case(span(A + 1, B, row=A), point(1, row=A + 1), point(2, row=2),
+               a=(2, None), b=(A + 1, None))),
+    _spec("C8", "12-34,2-1-3", ("l", "r"), (2, 1),
+          case(span(1, B, row=A + 1), point(B + 1, diag=0), b=(None, A - 1)),
+          case(span(1, A, row=A + 1), point(A + 1, row=A), b=A),
+          case(span(1, A, row=A + 1), span(A + 1, B, row=A), b=(A + 1, None))),
+    _spec("C9", "1-23,3-12", ("r",), (1,),
+          case(point(1), point(N + 1), b=1),
+          case(span(1, B), b=(2, None))),
+    _spec("C10", "1-23,3-12,34-21", ("s", "r"), (0, 1),
+          case(*_S_BELOW_R, a=(1, None), b=(A + 1, None)),
+          case(*_S_BELOW_R, a=0, b=(2, None)),
+          case(point(1, row=0), point(N + 1, row=1), a=0, b=1),
+          case(point(N + 1, row=A), a=(2, None), b=1)),
+    _spec("C11", "1-23,34-21", ("s", "r"), (0, 1),
+          case(*_S_BELOW_R, a=(1, None), b=(A + 1, None)),
+          case(*_S_BELOW_R, a=0, b=(2, None)),
+          case(span(2, N + 1, row=1), point(1, row=0), a=0, b=1),
+          case(span(2, A, row=A + 1), span(A + 1, N + 1, row=A), a=(2, None), b=1)),
 ]}
 
 CLASS_IDS = tuple(REGISTRY)
 
+Rows = dict[int, list[int]]
+_FAR = 1 << 62  # stands for a missing bound
 
-def _dp_levels(spec: ClassSpec, nmax: int) -> Iterator[dict[Label, int]]:
-    """Label -> multiplicity maps for levels 1..nmax, yielded one at a time.
 
-    Fixed children are added one by one.  The spans that share a template
-    and a step add into one difference list over j, prefix-summed per
-    residue class mod the step, so each of their child labels is written
-    once per level however many parents reach it.
+def _at_n(x: Affine | None, n: int, missing: int) -> tuple[int, int]:
+    """``x`` at length n as (constant, coefficient of a); b is left to the caller."""
+    return (missing, 0) if x is None else (x.c + x.n * n, x.a)
+
+
+def _compile(rule: Rule, n: int) -> list[tuple]:
+    """The rule's cases at length n as plain tuples for the row loop."""
+    out = []
+    for c in rule:
+        spans = []
+        for s in c.body:
+            row = s.row if s.row is not None else Affine()
+            spans.append((s.diag, *_at_n(row, n, 0), *_at_n(s.lo, n, 0), s.lo.b,
+                          *_at_n(s.hi, n, 0), s.hi.b, 0 if s.lo == s.hi else s.step))
+        out.append((_at_n(c.a_lo, n, -_FAR)[0], _at_n(c.a_hi, n, _FAR)[0],
+                    *_at_n(c.b_lo, n, 0), *_at_n(c.b_hi, n, _FAR), c.parity, spans))
+    return out
+
+
+def _shift(d: list[int], at: int, cells: list[int], stride: int, op) -> None:
+    """d[at + stride·i] = op(d[at + stride·i], cells[i]) for every i, growing ``d``."""
+    if len(d) <= at and stride == 1 and op is add:
+        d += [0] * (at - len(d))
+        d += cells
+        return
+    end = at + stride * (len(cells) - 1) + 1
+    if len(d) < end:
+        d += [0] * (end - len(d))
+    d[at:end:stride] = map(op, d[at:end:stride], cells)
+
+
+def _dp_levels(spec: ClassSpec, nmax: int) -> Iterator[Rows]:
+    """The rows of levels 1..nmax, yielded one at a time.
+
+    Row a of a level is the list of multiplicities of the labels (a, b),
+    b = 0, 1, ..., with no trailing zeros; a one-component class has the
+    single row 0 for its labels (b,).  For each row and each case that
+    guards some of its cells, every span of the case reads those cells:
+
+    - a span of several children adds into the difference list of its
+      target (a row, or a diagonal indexed by j) kept per step: at lo
+      the cells' sum, or the cells shifted if lo reads b, and at hi plus
+      the step minus the same;
+    - a one-point span whose child reads b adds the cells, shifted, to
+      the next level's row, or to a diagonal's list of values;
+    - a one-point span whose child does not read b adds the cells' sum
+      to one cell, after the difference lists are summed.
     """
     if nmax < 1:
         return
-    rule = spec.rule
-    level = {spec.root_label: 1}
+    root = spec.root_label
+    a, b = root if len(root) == 2 else (0, root[0])
+    level = {a: [0] * b + [1]}
     yield level
     for n in range(1, nmax):
-        nxt: dict[Label, int] = {}
-        get = nxt.get
-        groups: dict[tuple[Template, int], list[tuple[int, int, int]]] = {}
-        for label, mult in level.items():
-            fixed, spans = rule(label, n)
-            for child in fixed:
-                nxt[child] = get(child, 0) + mult
-            for template, lo, hi, step in spans:
-                if lo <= hi:
-                    # end: the first j past hi in lo's residue class
-                    end = hi - (hi - lo) % step + step
-                    groups.setdefault((template, step), []).append((lo, end, mult))
-        for (template, step), ranges in groups.items():
-            base = min(lo for lo, _, _ in ranges)
-            top = max(end for _, end, _ in ranges)
-            diff = [0] * (top - base + 1)
-            for lo, end, mult in ranges:
-                diff[lo - base] += mult
-                diff[end - base] -= mult
-            slots = [i for i, x in enumerate(template) if x is J]
-            child = list(template)
-            for first in range(base, base + step):
-                sums = accumulate(diff[first - base::step])
-                for j, count in zip(range(first, top, step), sums):
-                    if count:
-                        for i in slots:
-                            child[i] = j
-                        key = tuple(child)
-                        nxt[key] = get(key, 0) + count
+        cases = _compile(spec.rule, n)
+        nxt: Rows = {}
+        lists: dict[tuple[int | None, int, int], list[int]] = {}
+        singles: list[tuple[int, int, int]] = []
+        for a, row in level.items():
+            top = len(row) - 1
+            for a_lo, a_hi, lo_c, lo_a, hi_c, hi_a, parity, spans in cases:
+                if not a_lo <= a <= a_hi:
+                    continue
+                b0 = lo_c + lo_a * a
+                b1 = hi_c + hi_a * a
+                if b0 < 0:
+                    b0 = 0
+                if b1 > top:
+                    b1 = top
+                if b0 > b1:
+                    continue
+                stride = 1 if parity is None else 2
+                read = None  # the (s0, s1) that cells and total hold
+                for diag, t_c, t_a, l_c, l_a, l_b, h_c, h_a, h_b, step in spans:
+                    lo = l_c + l_a * a
+                    hi = h_c + h_a * a
+                    # keep the b with lo + l_b·b <= hi + h_b·b
+                    s0, s1 = b0, b1
+                    if l_b == h_b:
+                        if lo > hi:
+                            continue
+                    elif h_b:
+                        if s0 < lo - hi:
+                            s0 = lo - hi
+                    elif s1 > hi - lo:
+                        s1 = hi - lo
+                    if parity is not None and (s0 - parity) % 2:
+                        s0 += 1
+                    if s0 > s1:
+                        continue
+                    t = t_c + t_a * a
+                    if t < 0 or lo + l_b * s0 < 0:
+                        raise ValueError(f"the rule of {spec.id} gives a negative component")
+                    if read != (s0, s1):
+                        read = s0, s1
+                        cells = row[s0:s1 + 1:stride]
+                        total = None
+                    if step:  # differences: + at lo, - one step past hi
+                        d = lists.get((diag, t, step))
+                        if d is None:
+                            d = lists[diag, t, step] = []
+                        if l_b:
+                            _shift(d, lo + s0, cells, stride, add)
+                        else:
+                            if total is None:
+                                total = sum(cells)
+                            if len(d) <= lo:
+                                d += [0] * (lo + 1 - len(d))
+                            d[lo] += total
+                        end = hi + step
+                        if h_b:
+                            _shift(d, end + s0, cells, stride, sub)
+                        else:
+                            if total is None:
+                                total = sum(cells)
+                            if len(d) <= end:
+                                d += [0] * (end + 1 - len(d))
+                            d[end] -= total
+                    elif l_b:  # one child per cell: the cells, shifted
+                        at, key = (nxt, t) if diag is None else (lists, (diag, 0, 0))
+                        d = at.get(key)
+                        if d is None:
+                            d = at[key] = []
+                        _shift(d, lo + s0, cells, stride, add)
+                    else:  # one child: the cells' sum
+                        if total is None:
+                            total = sum(cells)
+                        singles.append((t, lo, total) if diag is None else (lo, lo + diag, total))
+        for (diag, t, step), d in lists.items():
+            if step > 1:
+                for first in range(step):
+                    d[first::step] = accumulate(d[first::step])
+            values = accumulate(d) if step == 1 else d
+            if diag is None:
+                row = nxt.get(t)
+                if row is None:
+                    nxt[t] = list(values)
+                    continue
+                if len(row) < len(d):
+                    row += [0] * (len(d) - len(row))
+                row[:len(d)] = map(add, row, values)
+                continue
+            singles += [(j, j + diag, m) for j, m in enumerate(values) if m]
+        for t, j, m in singles:
+            if j < 0:
+                raise ValueError(f"the rule of {spec.id} gives a negative component")
+            row = nxt.get(t)
+            if row is None:
+                row = nxt[t] = []
+            if len(row) <= j:
+                row += [0] * (j + 1 - len(row))
+            row[j] += m
+        for t in [t for t, row in nxt.items() if not row or not row[-1]]:
+            row = nxt[t]
+            while row and not row[-1]:
+                row.pop()
+            if not row:
+                del nxt[t]
         level = nxt
         yield level
 
 
+def _cells(spec: ClassSpec, rows: Rows) -> Iterator[tuple[Label, int]]:
+    """The (label, multiplicity) pairs of one DP level with a nonzero multiplicity."""
+    two = len(spec.root_label) == 2
+    for a, row in rows.items():
+        for b, mult in enumerate(row):
+            if mult:
+                yield ((a, b) if two else (b,)), mult
+
+
 def count_by_rule(spec: ClassSpec, nmax: int) -> list[int]:
     """Level totals 1..nmax from the label dynamic program."""
-    return [sum(level.values()) for level in _dp_levels(spec, nmax)]
+    return [sum(map(sum, rows.values())) for rows in _dp_levels(spec, nmax)]
 
 
 @dataclass(frozen=True)
@@ -253,8 +473,8 @@ def refined_by_rule(spec: ClassSpec, nmax: int) -> list[RefinedCount]:
     polynomial's term map once a 0 is appended to one-component labels.
     """
     pad = (0,) * (2 - len(spec.root_label))
-    return [RefinedCount(n, Poly({label + pad: mult for label, mult in level.items()}))
-            for n, level in enumerate(_dp_levels(spec, nmax), start=1)]
+    return [RefinedCount(n, Poly({label + pad: mult for label, mult in _cells(spec, rows)}))
+            for n, rows in enumerate(_dp_levels(spec, nmax), start=1)]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Succession rules: registry consistency, dynamic program, tree replay."""
 
 import dataclasses
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +12,14 @@ from patavoid import enumerate as enumeration, rules
 from patavoid.closed_forms import formula_value, gf_counts
 from patavoid.enumerate import count_tree, iter_tree_levels
 from patavoid.patterns import avoids
-from patavoid.rules import (CLASS_IDS, REGISTRY, count_by_rule,
-                            refined_by_rule, verify_rule)
+from patavoid.rules import (CLASS_IDS, REGISTRY, A, B, N, case, count_by_rule,
+                            point, refined_by_rule, span, verify_rule)
 from patavoid.series import Poly
+
+# Digests of every level 1..120 of the label DP, written by the per-label
+# dictionary DP that the row DP replaced.
+_PINNED_LEVELS = json.loads(
+    (Path(__file__).parent / "data" / "dp_levels_n120.json").read_text())
 
 
 def test_registry_shape():
@@ -28,6 +36,10 @@ def test_rule_children_examples():
     assert REGISTRY["C3"].children((1,), 1) == [(1,), (2,)]
     assert REGISTRY["C5"].children((0, 1), 1) == [(1, 1), (0, 2)]
     assert REGISTRY["C9"].children((1,), 1) == [(1,), (2,)]
+    assert REGISTRY["C6"].children((1, 3), 4) == [(2, 1), (1, 2), (3, 4)]
+    assert REGISTRY["C6"].children((3, 1), 4) == [(4, 2)]
+    assert REGISTRY["C6"].children((2, 2), 4) == []
+    assert REGISTRY["C11"].children((0, 1), 3) == [(1, 2), (1, 3), (1, 4), (0, 1)]
 
 
 def test_counts_match_known_sequences():
@@ -91,6 +103,76 @@ def test_deep_counts_within_a_time_gate():
     for cid, counts in deep.items():
         assert counts == gf_counts(cid, 100), cid
     assert elapsed < 5, f"count_by_rule to n=100 took {elapsed:.1f}s"
+
+
+def test_deep_rule_counts_within_a_time_gate():
+    # The row DP moves whole rows: C6's one-child chain is one slice per
+    # row, and the C10/C11 spans are difference-list updates per row.
+    deep = {"C6": 240, "C10": 200, "C11": 200}
+    start = time.perf_counter()
+    counts = {cid: count_by_rule(REGISTRY[cid], n) for cid, n in deep.items()}
+    elapsed = time.perf_counter() - start
+    for cid, n in deep.items():
+        assert counts[cid] == gf_counts(cid, n), cid
+    assert elapsed < 2, f"count_by_rule for C6, C10, C11 took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("cid", CLASS_IDS)
+def test_dp_levels_match_the_pinned_levels(cid):
+    spec = REGISTRY[cid]
+    digests = []
+    for rows in rules._dp_levels(spec, _PINNED_LEVELS["nmax"]):
+        cells = sorted(rules._cells(spec, rows))
+        text = ";".join(",".join(map(str, label)) + f":{mult}" for label, mult in cells)
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert digests == _PINNED_LEVELS["classes"][cid]
+
+
+def _matching_cases(spec, label, n):
+    a, b = label if len(label) == 2 else (0, label[0])
+    return [c for c in spec.rule if c.holds(a, b, n)]
+
+
+@pytest.mark.parametrize("cid", CLASS_IDS)
+def test_cases_are_disjoint_on_the_labels_that_occur(cid):
+    spec = REGISTRY[cid]
+    for n, rows in enumerate(rules._dp_levels(spec, 40), start=1):
+        for label, _ in rules._cells(spec, rows):
+            assert len(_matching_cases(spec, label, n)) <= 1, (label, n)
+    for n, level in enumerate(iter_tree_levels(spec.patterns, 8), start=1):
+        for label in {spec.label_of(perm) for perm in level}:
+            assert len(_matching_cases(spec, label, n)) <= 1, (label, n)
+
+
+def test_table_builder_refuses_other_shapes():
+    assert 2 * A - B + N + 1 == rules.Affine(c=1, a=2, b=-1, n=1)
+    assert (A + 2 * B - 1)(3, 4, 0) == 10
+    # A span's row may not depend on B; (j, j + c) is written as a diagonal.
+    with pytest.raises(ValueError, match="diagonal"):
+        span(1, B, row=B + 1)
+    assert span(1, B, diag=1).diag == 1
+    # A bound's coefficient of B is 0 or 1.
+    with pytest.raises(ValueError, match="coefficient of B"):
+        span(1, 2 * B, row=A)
+    with pytest.raises(ValueError, match="coefficient of B"):
+        point(2 * B + 1, row=A)
+    # The guard of a is affine in n only, and that of b in a and n only.
+    with pytest.raises(ValueError):
+        case(point(1, row=A), a=(B, None))
+    with pytest.raises(ValueError):
+        case(point(1, row=A), b=(None, 2 * B))
+    # A step-2 span must end on a step on every guarded label.
+    with pytest.raises(ValueError, match="step"):
+        case(span(1, B, step=2))
+    assert case(span(1, B, step=2), parity=1).parity == 1
+    with pytest.raises(ValueError, match="step"):
+        span(1, B, step=0)
+    with pytest.raises(ValueError):
+        span(1, "B")
+    with pytest.raises(ValueError, match="component A"):
+        rules._spec("X", "2-1-3", ("r",), (1,), case(span(1, A + B)))
+    with pytest.raises(ValueError, match="row or a diagonal"):
+        rules._spec("X", "2-1-3", ("l", "r"), (2, 1), case(span(1, B)))
 
 
 @pytest.mark.parametrize("cid", CLASS_IDS)
