@@ -7,17 +7,17 @@ nonzero u,v-free rational; it solves c_n = (b_n - sum_k d_k c_(n-k)) / d_0
 term by term, summing over the denominator's nonzero coefficients only, and
 the reciprocal is one division.  Square roots require a u,v-free radicand
 with constant term 1 and halve exactly.  Quotients and halves that are
-integers are held as ``int``, so integer series stay integer.  When every
-coefficient of both operands up to the working order is u,v-free, multiply
-and divide run the same recurrences on plain ``int``/``Fraction`` lists and
-skip ``Poly`` arithmetic; the data picks this dense path, and its results are
-still ``Poly``-wrapped series.  Anything symbolic takes the ``Poly`` path.
-Any operation combining two series works to the smaller of their orders, and
-an order is never negative.  Algebraic roots come from Newton iteration,
-which doubles the correct precision each step and stops as soon as that
-precision covers the order; the equation and its derivative are evaluated
-by Horner's rule (``horner``, which ``closed_forms.verify_identity`` uses
-too).
+integers are held as ``int``, so integer series stay integer.  Multiply and
+divide each run one recurrence over coefficient elements: a u,v-free
+coefficient is read as a plain ``int``/``Fraction`` and any other as its
+``Poly``, so each product or sum is scalar or ``Poly`` arithmetic as its two
+operands are, and two u,v-free series make no ``Poly`` at all; results are
+still ``Poly``-wrapped series.  Any operation combining two series works to
+the smaller of their orders, and an order is never negative.  Algebraic
+roots come from Newton iteration, which doubles the correct precision each
+step and stops as soon as that precision covers the order; the equation and
+its derivative are evaluated by Horner's rule (``horner``, which
+``closed_forms.verify_identity`` uses too).
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from typing import Mapping, Sequence, Union
 Scalar = Union[int, Fraction]
 
 
-def _exact(x: Scalar) -> Scalar:
-    """x as an ``int`` when it is an integer."""
-    return x.numerator if x.denominator == 1 else x
+def _exact(x: Scalar | Poly) -> Scalar | Poly:
+    """x as an ``int`` when it is an integral ``Fraction``, else x itself."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def _term(c: Scalar | Poly, powers: Sequence[tuple[str, int]]) -> str:
@@ -45,15 +45,9 @@ def _term(c: Scalar | Poly, powers: Sequence[tuple[str, int]]) -> str:
     return f"-{mono}" if c == -1 else f"{c}{mono}"
 
 
-def _scalars(coeffs: Sequence[Poly]) -> list[Scalar] | None:
-    """The coefficients as plain numbers, or None if one involves u or v."""
-    out: list[Scalar] = []
-    for c in coeffs:
-        terms = c.terms
-        if len(terms) > 1 or (terms and (0, 0) not in terms):
-            return None
-        out.append(terms.get((0, 0), 0))
-    return out
+def _elements(coeffs: Sequence[Poly]) -> list[Scalar | Poly]:
+    """Each coefficient as a plain number if it is u,v-free, else the Poly."""
+    return [c.terms.get((0, 0), 0) if c.is_constant() else c for c in coeffs]
 
 
 def _signed_sum(terms: Sequence[str]) -> str:
@@ -89,9 +83,13 @@ class Poly:
             raise ValueError(f"not a constant polynomial: {self}")
         return self.terms.get((0, 0), 0)
 
-    def __add__(self, other: Poly) -> Poly:
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other: Poly | Scalar) -> Poly:
         out = dict(self.terms)
-        for k, c in other.terms.items():
+        terms = other.terms if isinstance(other, Poly) else {(0, 0): other}
+        for k, c in terms.items():
             s = out.get(k, 0) + c
             if s:
                 out[k] = s
@@ -101,15 +99,21 @@ class Poly:
         res.terms = out
         return res
 
+    __radd__ = __add__
+
     def __neg__(self) -> Poly:
         res = Poly.__new__(Poly)
         res.terms = {k: -c for k, c in self.terms.items()}
         return res
 
-    def __sub__(self, other: Poly) -> Poly:
+    def __sub__(self, other: Poly | Scalar) -> Poly:
         return self + (-other)
 
-    def __mul__(self, other: Poly) -> Poly:
+    def __mul__(self, other: Poly | Scalar) -> Poly:
+        if not isinstance(other, Poly):
+            res = Poly.__new__(Poly)
+            res.terms = {k: _exact(c * other) for k, c in self.terms.items()} if other else {}
+            return res
         out: dict[tuple[int, int], Scalar] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
@@ -123,8 +127,8 @@ class Poly:
         res.terms = out
         return res
 
-    def scale(self, c: Scalar) -> Poly:
-        return Poly({k: _exact(c * v) for k, v in self.terms.items()})
+    def __rmul__(self, other: Scalar) -> Poly:
+        return self * other  # through __mul__, so a wrapper of it sees this too
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
@@ -224,30 +228,17 @@ class TruncatedSeries:
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         order = min(self.order, other.order)
-        xs = _scalars(self.coeffs[: order + 1])
-        ys = None if xs is None else _scalars(other.coeffs[: order + 1])
-        if ys is not None:
-            nonzero = [(j, y) for j, y in enumerate(ys) if y]
-            dense: list[Scalar] = [0] * (order + 1)
-            for i, x in enumerate(xs):
-                if x:
-                    for j, y in nonzero:
-                        if i + j > order:
-                            break
-                        dense[i + j] += x * y
-            return TruncatedSeries(dense, order)
-        out = [_ZERO] * (order + 1)
-        for i, a in enumerate(self.coeffs[: order + 1]):
-            if a.is_zero():
-                continue
-            for j in range(order + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
+        nonzero = [(j, y) for j, y in enumerate(_elements(other.coeffs[: order + 1])) if y]
+        out: list[Scalar | Poly] = [0] * (order + 1)
+        for i, x in enumerate(_elements(self.coeffs[: order + 1])):
+            if x:
+                for j, y in nonzero:
+                    if i + j > order:
+                        break
+                    out[i + j] += x * y
         return TruncatedSeries(out, order)
 
     def scale(self, p: Poly | Scalar) -> TruncatedSeries:
-        p = _as_poly(p)
         return TruncatedSeries([c * p for c in self.coeffs], self.order)
 
     def inverse(self) -> TruncatedSeries:
@@ -257,10 +248,10 @@ class TruncatedSeries:
     def __truediv__(self, other: TruncatedSeries) -> TruncatedSeries:
         """Quotient by c_n = (b_n - sum_{k>=1} d_k c_(n-k)) / d_0.
 
-        The sum runs over the denominator's nonzero coefficients only, on
-        plain numbers when both series are u,v-free.  The denominator's
-        constant term must be a nonzero rational; integral quotient
-        coefficients are held as ``int``.
+        The sum runs over the denominator's nonzero coefficients only, and
+        each term is scalar or ``Poly`` arithmetic as its coefficients are.
+        The denominator's constant term must be a nonzero rational; integral
+        quotient coefficients are held as ``int``.
         """
         order = min(self.order, other.order)
         d0 = other.coeffs[0]
@@ -268,39 +259,23 @@ class TruncatedSeries:
             raise ValueError(
                 f"series not invertible: constant term {d0} is not a nonzero rational")
         inv0 = _exact(1 / Fraction(d0.constant_value()))
-        bs = _scalars(self.coeffs[: order + 1])
-        ds = None if bs is None else _scalars(other.coeffs[: order + 1])
-        if ds is not None:
-            negated_ds = [(k, -d) for k, d in enumerate(ds[1:], 1) if d]
-            dense: list[Scalar] = []
-            for n in range(order + 1):
-                acc = bs[n]
-                for k, d in negated_ds:
-                    if k > n:
-                        break
-                    c = dense[n - k]
-                    if c:
-                        acc += d * c
-                dense.append(acc if inv0 == 1 else _exact(acc * inv0))
-            return TruncatedSeries(dense, order)
-        negated = [(k, -d) for k, d in enumerate(other.coeffs[1: order + 1], 1)
-                   if not d.is_zero()]
-        out: list[Poly] = []
-        for n in range(order + 1):
-            acc = self.coeffs[n]
+        negated = [(k, -d) for k, d in enumerate(_elements(other.coeffs[1: order + 1]), 1)
+                   if d]
+        out: list[Scalar | Poly] = []
+        for n, acc in enumerate(_elements(self.coeffs[: order + 1])):
             for k, d in negated:
                 if k > n:
                     break
                 c = out[n - k]
-                if not c.is_zero():
-                    acc = acc + d * c
-            out.append(acc if inv0 == 1 else acc.scale(inv0))
+                if c:
+                    acc += d * c
+            out.append(acc if inv0 == 1 else _exact(acc * inv0))
         return TruncatedSeries(out, order)
 
     def sqrt(self) -> TruncatedSeries:
         """Square root with constant term 1; radicand must be u,v-free."""
-        s = _scalars(self.coeffs)
-        if s is None:
+        s = _elements(self.coeffs)
+        if any(isinstance(c, Poly) for c in s):
             raise ValueError("sqrt requires a u,v-free radicand")
         if s[0] != 1:
             raise ValueError("sqrt requires constant term 1")

@@ -263,6 +263,20 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert err == b""
 
 
+def test_runtime_imports_only_the_standard_library():
+    # A fresh isolated interpreter, compared with the modules it held before
+    # the import: site hooks may preload third-party modules of their own.
+    src = str(Path(patavoid.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules)\n"
+            "import patavoid, patavoid.cli\n"
+            "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(added - set(sys.stdlib_module_names)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['patavoid']\n"
+
+
 def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patavoid.closed_forms import REGISTRY as GFS, closed_form, formula_value, gf_counts
@@ -24,6 +24,15 @@ def test_poly_arithmetic():
     assert (p - p).is_zero()
     assert p.subs_one(u=True) == Poly.const(3)
     assert str(Poly({(2, 1): 1, (0, 0): -1})) == "-1 + u^2v"
+    # a plain number is a constant polynomial on either side of + and *
+    assert (p + 3).terms == (3 + p).terms == {(1, 0): 1, (0, 0): 5}
+    assert (p + -2).terms == {(1, 0): 1}
+    assert (2 * p).terms == {(1, 0): 2, (0, 0): 4}
+    half = p * Fraction(1, 2)
+    assert half.terms == {(1, 0): Fraction(1, 2), (0, 0): 1}
+    assert type(half.terms[(0, 0)]) is int
+    assert not Poly() and p
+    assert (p * 0).is_zero() and (0 * p).is_zero() and not p * 0
 
 
 def test_poly_constants():
@@ -59,6 +68,9 @@ def test_sqrt_requires_unit_constant():
         S({(0, 0, 0): 4}, 3).sqrt()
     with pytest.raises(ValueError):
         S({(0, 1, 0): 1}, 3).sqrt()
+    # u anywhere in the radicand is refused, not just at t^0
+    with pytest.raises(ValueError, match="u,v-free radicand"):
+        S({(0, 0, 0): 1, (2, 1, 0): 1}, 3).sqrt()
 
 
 def test_inverse_requires_unit():
@@ -198,7 +210,7 @@ def bivariate_series(draw, constant=None, symbolic=False):
 @settings(max_examples=60, deadline=None)
 @given(bivariate_series(symbolic=True), bivariate_series(units, symbolic=True))
 def test_symbolic_product_division_round_trip(a, b):
-    # the generic Poly recurrences, which u,v-free series do not reach
+    # symbolic coefficients make Poly products, which u,v-free series do not
     with poly_products() as calls:
         assert (a * b) / b == a
     assert calls
@@ -269,43 +281,45 @@ def test_integral_quotient_stays_integer(name):
 
 scalars = st.one_of(st.just(0), st.integers(-5, 5),
                     st.fractions(-3, 3, max_denominator=4))
-U = Poly({(1, 0): 1})
+symbolic_entries = st.builds(lambda c, mono, const: Poly({mono: c, (0, 0): const}),
+                             scalars.filter(bool),
+                             st.sampled_from([(1, 0), (0, 1), (1, 1)]), scalars)
 
 
-def scalar_series(constant=scalars):
-    """Order-7 u,v-free coefficient lists with zero gaps; ``constant``
-    draws the t^0 coefficient."""
-    return st.tuples(constant, st.lists(scalars, min_size=7, max_size=7)).map(
-        lambda cs: [cs[0], *cs[1]])
+@st.composite
+def operand_lists(draw):
+    """Order-7 numerator and denominator coefficient lists with zero gaps.
+
+    Half the draws are u,v-free; the others mix ``Poly`` entries carrying u
+    or v in among plain numbers.  The denominator's t^0 entry is a nonzero
+    plain number."""
+    entry = st.one_of(scalars, symbolic_entries) if draw(st.booleans()) else scalars
+    num = draw(st.lists(entry, min_size=8, max_size=8))
+    den = [draw(scalars.filter(bool)), *draw(st.lists(entry, min_size=7, max_size=7))]
+    return num, den
 
 
 def convolve(a, b):
-    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
-
-
-def quotient(b, d):
-    """The c with convolve(c, d) == b, solved term by term."""
-    c = []
-    for n in range(len(b)):
-        c.append((b[n] - sum(d[k] * c[n - k] for k in range(1, n + 1))) / Fraction(d[0]))
-    return c
+    """The product's coefficients with every entry held as a Poly, so only
+    Poly x Poly and Poly + Poly arithmetic runs."""
+    a, b = ([x if isinstance(x, Poly) else Poly.const(x) for x in xs] for xs in (a, b))
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), Poly()) for n in range(len(a))]
 
 
 @settings(max_examples=80, deadline=None)
-@given(scalar_series(), scalar_series(scalars.filter(bool)))
-def test_dense_path_matches_the_oracles(a, d):
+@given(operand_lists())
+def test_dense_path_matches_the_oracles(operands):
+    a, d = operands
     num, den = TruncatedSeries(a), TruncatedSeries(d)
     with poly_products() as calls:
         product, ratio = num * den, num / den
-    assert not calls  # u,v-free operands take the dense path
-    assert [c.constant_value() for c in product.coeffs] == convolve(a, d)
-    assert [c.constant_value() for c in ratio.coeffs] == quotient(a, d)
-
-    # one symbolic operand sends the same data down the Poly path
-    assume(any(a))
-    num_u, product_u, ratio_u = num.scale(U), product.scale(U), ratio.scale(U)
-    with poly_products() as calls:
-        assert num_u * den == product_u
-        assert den * num_u == product_u
-    assert calls
-    assert num_u / den == ratio_u
+    assert product.coeffs == convolve(a, d)
+    assert convolve(ratio.coeffs, d) == a
+    assert den * num == product
+    symbolic = any(isinstance(c, Poly) for c in a + d)
+    if not symbolic:
+        assert not calls  # two u,v-free operands make no Poly at all
+    elif a[0]:
+        # the t^0 terms of both operands are nonzero, so the product pairs
+        # each symbolic entry with one of them
+        assert calls
