@@ -19,20 +19,21 @@ from . import bijections
 from .closed_forms import GF_FOR_CLASS, REGISTRY as GF_REGISTRY, closed_form, \
     gf_counts, rule_series, verify_identity
 from .enumerate import BRUTE_GUARD, CLOSURE_N, closure_check, count_brute, \
-    count_tree, may_be_unclosed
+    iter_tree_levels, may_be_unclosed
 from .patterns import parse_pattern_set
 from .perms import format_perm, parse_perm
-from .rules import CLASS_IDS, REGISTRY, count_by_rule, verify_rule
+from .rules import CLASS_IDS, REGISTRY, iter_rule_counts, verify_rule
 
 
 # The counting routes in report column order: (class id or None, pattern
-# set, max_n) -> counts for n = 1..max_n, None past the brute-force guard.
+# set, max_n) -> counts for n = 1..max_n, None past the brute-force guard,
+# each yielded as soon as its route has it (gf expands all orders at once).
 ROUTES = {
-    "brute": lambda cid, pats, max_n: [
+    "brute": lambda cid, pats, max_n: (
         count_brute(pats, n) if n <= BRUTE_GUARD else None
-        for n in range(1, max_n + 1)],
-    "tree": lambda cid, pats, max_n: count_tree(pats, max_n),
-    "rule": lambda cid, pats, max_n: count_by_rule(REGISTRY[cid], max_n),
+        for n in range(1, max_n + 1)),
+    "tree": lambda cid, pats, max_n: map(len, iter_tree_levels(pats, max_n)),
+    "rule": lambda cid, pats, max_n: iter_rule_counts(REGISTRY[cid], max_n),
     "gf": lambda cid, pats, max_n: gf_counts(cid, max_n),
 }
 
@@ -64,7 +65,7 @@ def _cmd_count(args) -> int:
                   f"exhaustively only to n = {CLOSURE_N}", file=sys.stderr)
     counts = ROUTES[args.method](args.klass, pats, args.max_n)
     for n, c in enumerate(counts, start=1):
-        print(f"{n} {c}")
+        print(f"{n} {c}", flush=True)
     return 0
 
 
@@ -105,7 +106,7 @@ def _cmd_report(args) -> int:
     all_agree = True
     for cid in CLASS_IDS:
         pats = REGISTRY[cid].patterns
-        counts = {r: ROUTES[r](cid, pats, args.max_n) for r in routes}
+        counts = {r: list(ROUTES[r](cid, pats, args.max_n)) for r in routes}
         for n in range(1, args.max_n + 1):
             row = {r: counts[r][n - 1] if r in counts else None for r in ROUTES}
             agree = len({v for v in row.values() if v is not None}) == 1

@@ -16,14 +16,21 @@ way (plain brackets), in an odd number of ways (``[2o]``) or in an even
 number of ways (``[2e]``; zero counts as even).  The bracketed letter must be
 the first or last letter and must be dash-separated from the rest.
 
-Every check runs one backtracking search over a ``SearchForm``: the
-pattern's blocks (maximal runs of adjacent letters) in a placement order,
-each letter with the already-placed letters just below and just above it
-in value, and for a barred pattern a test on the extension count of each
-reduced occurrence.  There are two placement orders.  The full form, which
-every pattern builds at construction, places the blocks left to right;
-``avoids(perm, pats)`` uses it.  The anchored form, which ``at_end``
-builds, pins the last block on the last entries first and then places the
+Every check runs the kernel of a ``SearchForm``: the pattern's blocks
+(maximal runs of adjacent letters) in a placement order, each letter with
+the already-placed letters just below and just above it in value, and for
+a barred pattern a test on the extension count of each reduced
+occurrence.  On its first search a form generates the Python source of
+one function and compiles it once: a ``for`` loop per block over the
+position of the block's first letter, bounded by the positions the later
+blocks need, each letter checked by exactly the comparison it needs, and
+the bar's extension count taken at the innermost level.  That source
+holds only integers taken from the form (letter indices and block
+lengths) and fixed operators; pattern text never reaches it.  There are
+two placement orders.  The full form, which every pattern builds at
+construction, places the blocks left to right; ``avoids(perm, pats)``
+uses it.  The anchored form, which ``at_end`` builds, reads the last
+block straight from the last entries before any loop and then places the
 other blocks left to right.
 
 A generating tree grows a permutation by appending a last entry, so each
@@ -56,7 +63,6 @@ from dataclasses import dataclass
 from typing import Union
 
 Perm = tuple[int, ...]
-_INF = float("inf")
 
 EXISTS = "exists"
 ODD = "odd"
@@ -239,22 +245,27 @@ def parse_pattern_set(text: str) -> PatternSet:
 
 
 class SearchForm:
-    """A vincular pattern compiled for the one occurrence search.
+    """A vincular pattern laid out for its search kernel.
 
     Each letter is stored as ``(j, lo, hi)``: its index j and the indices
     of the letters placed before it that are next below and next above it
-    in value, with k and k + 1 standing for the bounds -inf and +inf.  So
-    one chained comparison checks a letter against every letter placed
-    before it.  ``pinned`` is the last block when the form is anchored (it
-    is placed first, on the last entries) and empty otherwise; ``blocks``
-    are the remaining blocks, placed left to right, and ``need[b]`` counts
-    the positions that blocks b, b + 1, ... and the pinned block take.
+    in value, or None where there is no such letter.  So the
+    letter is checked against every letter placed before it by the one
+    comparison ``v[lo] < v[j] < v[hi]``, or by one side of it, or by none.
+    ``pinned`` is the last block when the form is anchored (it is placed
+    first, on the last entries) and empty otherwise; ``blocks`` are the
+    remaining blocks, placed left to right, and ``need[b]`` counts the
+    positions that blocks b, b + 1, ... and the pinned block take.
     ``bar`` is ``(lo, hi, mode, first)`` for the reduced pattern of a
     barred one: an occurrence then counts only if its extension count
-    breaks the mode.  An anchored form carries a bar only when it is first.
+    breaks the mode.
+
+    ``kernel`` is the search itself, ``kernel(perm) -> bool``, compiled
+    from the fields above on the form's first search (``_compile``).  It
+    is held on the form, so it lives and dies with it.
     """
 
-    __slots__ = ("k", "pinned", "blocks", "need", "bar")
+    __slots__ = ("k", "pinned", "blocks", "need", "bar", "kernel")
 
     def __init__(self, pat: GeneralizedPattern, anchored: bool = False,
                  barred: BarredPattern | None = None):
@@ -273,8 +284,8 @@ class SearchForm:
             placed = order[:m]
             below = [i for i in placed if letters[i] < letters[j]]
             above = [i for i in placed if letters[i] > letters[j]]
-            item[j] = (j, max(below, key=letters.__getitem__, default=k),
-                       min(above, key=letters.__getitem__, default=k + 1))
+            item[j] = (j, max(below, key=letters.__getitem__, default=None),
+                       min(above, key=letters.__getitem__, default=None))
         self.k = k
         self.pinned = tuple(item[j] for j in pinned)
         self.blocks = tuple(tuple(item[j] for j in block) for block in blocks)
@@ -284,62 +295,87 @@ class SearchForm:
         if barred is not None:
             # The reduced letters next below and next above the barred one.
             x = barred.full.letters[barred.barred_index]
-            self.bar = (letters.index(x - 1) if x > 1 else k,
-                        letters.index(x) if x <= k else k + 1,
+            self.bar = (letters.index(x - 1) if x > 1 else None,
+                        letters.index(x) if x <= k else None,
                         barred.mode, barred.barred_index == 0)
+        self.kernel = None
 
 
-def _counts(perm: Perm, bar: tuple, vals: list, first: int, end: int) -> bool:
-    """The bar test: a reduced occurrence with letter values ``vals``,
-    spanning positions first..end - 1, counts unless its extension count
-    (the entries in the barred slot whose values lie strictly between the
-    bounds) meets the mode.  ``end`` is exact only for a form that is not
-    anchored, which is why an anchored form carries a bar only when it is
-    first."""
-    lo, hi, mode, bar_first = bar
-    lo, hi = vals[lo], vals[hi]
-    count = sum(1 for x in (perm[:first] if bar_first else perm[end:]) if lo < x < hi)
-    if mode == EXISTS:
-        return count == 0
-    return count % 2 == (1 if mode == EVEN else 0)
+# Every kernel runs in this one namespace, which holds no kernel, so a
+# kernel and its globals form no reference cycle.
+_KERNEL_GLOBALS: dict = {"__builtins__": {"len": len, "range": range}}
 
 
-def _search(perm: Perm, form: SearchForm) -> bool:
-    """True iff ``perm`` has an occurrence of ``form`` that counts."""
-    n, k = len(perm), form.k
-    if n < k:
-        return False
-    vals = [0] * k + [-_INF, _INF]
-    p = first = n - len(form.pinned)
-    for j, lo, hi in form.pinned:
-        v = perm[p]
-        if not vals[lo] < v < vals[hi]:
-            return False
-        vals[j] = v
-        p += 1
-    return _place(perm, form, vals, 0, 0, first)
+def _between(lo: int | None, hi: int | None, x: str) -> str | None:
+    """The test that value ``x`` lies between letters lo and hi (None
+    meaning no bound), or None when neither bound exists."""
+    if lo is None:
+        return None if hi is None else f"{x} < v{hi}"
+    return f"v{lo} < {x}" if hi is None else f"v{lo} < {x} < v{hi}"
 
 
-def _place(perm: Perm, form: SearchForm, vals: list, b: int, minpos: int,
-           first: int) -> bool:
-    """Place blocks b, b + 1, ... of ``form`` from ``minpos`` on; ``first``
-    is the position of the occurrence's first entry once block 0 is placed."""
-    blocks = form.blocks
-    if b == len(blocks):
-        return form.bar is None or _counts(perm, form.bar, vals, first, minpos)
-    letters = blocks[b]
-    for p in range(minpos, len(perm) - form.need[b] + 1):
-        q = p
-        for j, lo, hi in letters:
-            v = perm[q]
-            if not vals[lo] < v < vals[hi]:
-                break
-            vals[j] = v
-            q += 1
+def _kernel_source(form: SearchForm) -> str:
+    """Python source of ``kernel(p)``, built from the form's integers.
+
+    The pinned letters are read straight from the last entries, and each
+    block gets one loop over the position of its first letter, nested in
+    placement order; a letter that breaks its comparison ends the search
+    (pinned) or its block's current position.  At the innermost level an
+    occurrence is found: it counts at once, or, for a barred form, when
+    the entries of its barred slot (left of its first entry, or right of
+    its last) that lie between the bar's bounds number what breaks the
+    mode.
+    """
+    k, pinned, blocks, need = form.k, form.pinned, form.blocks, form.need
+    lines = ["def kernel(p):", " n = len(p)", f" if n < {k}:", "  return False"]
+
+    def read(letter: tuple, at: str, pad: str, miss: str) -> None:
+        j, lo, hi = letter
+        lines.append(f"{pad}v{j} = p[{at}]")
+        test = _between(lo, hi, f"v{j}")
+        if test:
+            lines.extend([f"{pad}if not {test}:", f"{pad} {miss}"])
+
+    pad = " "
+    for t, letter in enumerate(pinned):
+        read(letter, f"{t - len(pinned)}", pad, "return False")
+    start = "0"
+    for b, block in enumerate(blocks):
+        stop = f"n - {need[b] - 1}" if need[b] > 1 else "n"
+        lines.append(f"{pad}for i{b} in range({start}, {stop}):")
+        pad += " "
+        for t, letter in enumerate(block):
+            read(letter, f"i{b} + {t}" if t else f"i{b}", pad, "continue")
+        start = f"i{b} + {len(block)}"
+    if form.bar is None:
+        lines.append(f"{pad}return True")
+    else:
+        lo, hi, mode, bar_first = form.bar
+        if bar_first:
+            slot = f"p[:{'i0' if blocks else -len(pinned)}]"
         else:
-            if _place(perm, form, vals, b + 1, q, first if b else p):
-                return True
-    return False
+            # An anchored occurrence ends on the last entry.
+            slot = "p[n:]" if pinned else f"p[{start}:]"
+        # The barred letter has a bound among the k >= 1 reduced letters.
+        test = _between(lo, hi, "x")
+        if mode == EXISTS:
+            lines.extend([f"{pad}for x in {slot}:", f"{pad} if {test}:",
+                          f"{pad}  break", f"{pad}else:", f"{pad} return True"])
+        else:
+            lines.extend([f"{pad}c = 0", f"{pad}for x in {slot}:",
+                          f"{pad} if {test}:", f"{pad}  c += 1",
+                          f"{pad}if c % 2 == {1 if mode == EVEN else 0}:",
+                          f"{pad} return True"])
+    lines.append(" return False")
+    return "\n".join(lines) + "\n"
+
+
+def _compile(form: SearchForm):
+    """Compile, store and return ``form.kernel``."""
+    scope: dict = {}
+    exec(_kernel_source(form), _KERNEL_GLOBALS, scope)
+    form.kernel = scope["kernel"]
+    return form.kernel
 
 
 def at_end(pats: PatternSet) -> tuple[SearchForm, ...]:
@@ -371,6 +407,7 @@ def avoids(perm: Perm, pats: PatternSet | tuple[SearchForm, ...]) -> bool:
     then exact only when the parent of ``perm`` avoids the patterns.
     """
     for pat in pats:
-        if _search(perm, pat if isinstance(pat, SearchForm) else pat._form):
+        form = pat if isinstance(pat, SearchForm) else pat._form
+        if (form.kernel or _compile(form))(perm):
             return False
     return True

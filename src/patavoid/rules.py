@@ -453,9 +453,15 @@ def _cells(spec: ClassSpec, rows: Rows) -> Iterator[tuple[Label, int]]:
                 yield ((a, b) if two else (b,)), mult
 
 
+def iter_rule_counts(spec: ClassSpec, nmax: int) -> Iterator[int]:
+    """Level totals 1..nmax from the label dynamic program, each yielded
+    as soon as its level is computed."""
+    return (sum(map(sum, rows.values())) for rows in _dp_levels(spec, nmax))
+
+
 def count_by_rule(spec: ClassSpec, nmax: int) -> list[int]:
     """Level totals 1..nmax from the label dynamic program."""
-    return [sum(map(sum, rows.values())) for rows in _dp_levels(spec, nmax)]
+    return list(iter_rule_counts(spec, nmax))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import patavoid
-from patavoid import closed_forms, enumerate as enumeration
+from patavoid import cli, closed_forms, enumerate as enumeration, rules
 from patavoid.cli import main
 from patavoid.closed_forms import REGISTRY as GFS, gf_counts
 from patavoid.patterns import avoids, parse_pattern_set
@@ -51,6 +51,38 @@ def test_count_adhoc_patterns(capsys):
     code, out, _ = run(capsys, "count", "--avoid", "2-1-3", "--max-n", "5")
     assert code == 0
     assert out.splitlines()[-1] == "5 42"
+
+
+@pytest.mark.parametrize("method,owner,name", [
+    ("brute", cli, "count_brute"),
+    ("tree", cli, "iter_tree_levels"),
+    ("rule", rules, "_dp_levels")])
+def test_count_prints_each_level_as_it_is_computed(monkeypatch, method, owner, name):
+    # A reader that stops after the first line (`| head -n 1`) must not
+    # wait for the last level to be computed.
+    computed = []
+    inner = getattr(owner, name)
+    if method == "brute":
+        def spy(pats, n):
+            computed.append(n)
+            return inner(pats, n)
+    else:
+        def spy(*args):
+            for level in inner(*args):
+                computed.append(level)
+                yield level
+    monkeypatch.setattr(owner, name, spy)
+    lines = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            if text != "\n":
+                lines.append((text, len(computed)))
+            return len(text)
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["count", "--class", "C1", "--method", method, "--max-n", "6"]) == 0
+    assert lines == [(f"{n} {c}", n) for n, c in
+                     enumerate([1, 1, 2, 4, 9, 21], start=1)]
 
 
 def test_count_usage_errors(capsys):

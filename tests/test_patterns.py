@@ -3,16 +3,17 @@
 import gc
 from collections import Counter
 from itertools import combinations, permutations, product
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patavoid.enumerate import iter_tree_levels
+from patavoid import patterns
+from patavoid.enumerate import count_tree, iter_tree_levels
 from patavoid.patterns import (BarredPattern, GeneralizedPattern,
-                               PatternSyntaxError, at_end, avoids,
-                               parse_pattern, parse_pattern_set)
+                               PatternSyntaxError, SearchForm, at_end,
+                               avoids, parse_pattern, parse_pattern_set)
 from patavoid.perms import append_child
 from patavoid.rules import CLASS_IDS, REGISTRY
 
@@ -200,7 +201,7 @@ def test_anchored_items_decide_every_single_pattern():
 
 @st.composite
 def _pattern_texts(draw, kmin=1):
-    k = draw(st.integers(kmin, 4))
+    k = draw(st.integers(kmin, 5))
     letters = draw(st.permutations(list(range(1, k + 1))))
     glued = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
     bar = draw(st.sampled_from([None, "first", "last"])) if k >= 2 else None
@@ -234,7 +235,16 @@ def test_avoids_matches_naive_for_random_patterns(text):
         assert avoids(perm, (pat,)) == naive_avoids(perm, pat), perm
 
 
+def _live_forms_and_kernels():
+    objs = gc.get_objects()
+    return (sum(isinstance(obj, SearchForm) for obj in objs),
+            sum(isinstance(obj, FunctionType) and obj.__globals__ is patterns._KERNEL_GLOBALS
+                for obj in objs))
+
+
 def test_matching_leaves_no_cyclic_garbage():
+    # Each tree walk builds anchored forms, compiles their kernels and drops
+    # them; neither the forms nor the kernels may outlive the walk.
     gc.collect()
     gc.disable()
     try:
@@ -242,7 +252,14 @@ def test_matching_leaves_no_cyclic_garbage():
             for n in range(1, 6):
                 for perm in permutations(range(1, n + 1)):
                     avoids(perm, spec.patterns)
+            count_tree(spec.patterns, 6)
         assert gc.collect() == 0
+        live = _live_forms_and_kernels()
+        for _ in range(3):
+            for spec in REGISTRY.values():
+                count_tree(spec.patterns, 5)
+        assert gc.collect() == 0
+        assert _live_forms_and_kernels() == live
     finally:
         gc.enable()
 

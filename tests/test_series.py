@@ -279,6 +279,16 @@ def test_integral_quotient_stays_integer(name):
     assert _all_int(closed_form(name, 20, **at_one))
 
 
+@pytest.mark.parametrize("name", sorted(GFS))
+def test_every_closed_form_holds_int_coefficients(name):
+    # What the package promises for closed_form, symbolic or substituted;
+    # general series arithmetic may leave an integral Fraction.
+    variables = GFS[name].variables
+    for at_u in ((None, 1) if "u" in variables else (None,)):
+        for at_v in ((None, 1) if "v" in variables else (None,)):
+            assert _all_int(closed_form(name, 12, at_u=at_u, at_v=at_v)), (at_u, at_v)
+
+
 scalars = st.one_of(st.just(0), st.integers(-5, 5),
                     st.fractions(-3, 3, max_denominator=4))
 symbolic_entries = st.builds(lambda c, mono, const: Poly({mono: c, (0, 0): const}),
