@@ -29,9 +29,9 @@ holds only integers taken from the form (letter indices and block
 lengths) and fixed operators; pattern text never reaches it.  There are
 two placement orders.  The full form, which every pattern builds at
 construction, places the blocks left to right; ``avoids(perm, pats)``
-uses it.  The anchored form, which ``at_end`` builds, reads the last
-block straight from the last entries before any loop and then places the
-other blocks left to right.
+uses it.  The anchored form, which a pattern builds on its first
+``at_end`` and then keeps, reads the last block straight from the last
+entries before any loop and then places the other blocks left to right.
 
 A generating tree grows a permutation by appending a last entry, so each
 child's parent (the child with its last entry deleted and the rest
@@ -96,6 +96,7 @@ class GeneralizedPattern:
         if len(self.adjacency) != k - 1:
             raise ValueError("adjacency must have length k-1")
         object.__setattr__(self, "_form", SearchForm(self))
+        object.__setattr__(self, "_anchored", None)
 
     @property
     def k(self) -> int:
@@ -146,6 +147,7 @@ class BarredPattern:
             adjacency = self.full.adjacency[:-1]
         object.__setattr__(self, "_reduced", GeneralizedPattern(letters, adjacency))
         object.__setattr__(self, "_form", SearchForm(self._reduced, barred=self))
+        object.__setattr__(self, "_anchored", None)
 
     def reduced(self) -> GeneralizedPattern:
         """The pattern with the barred letter removed and letters relabeled."""
@@ -378,26 +380,34 @@ def _compile(form: SearchForm):
     return form.kernel
 
 
-def at_end(pats: PatternSet) -> tuple[SearchForm, ...]:
-    """Compile ``pats`` for children of parents that avoid it.
+def _anchored(pat: PatternExpr) -> tuple[SearchForm, ...]:
+    """The anchored forms of one pattern, built on first use and kept on it.
 
     The four cases of the module docstring: a vincular pattern and the
     reduced pattern of a bar-first one are searched as they are; a bar-last
     pattern becomes its reduced pattern (``exists``), its full pattern
     (``even``) or both (``odd``).
     """
-    items = []
-    for pat in pats:
+    forms = pat._anchored
+    if forms is None:
         if isinstance(pat, GeneralizedPattern):
-            items.append(SearchForm(pat, anchored=True))
+            forms = (SearchForm(pat, anchored=True),)
         elif pat.barred_index == 0:
-            items.append(SearchForm(pat._reduced, anchored=True, barred=pat))
+            forms = (SearchForm(pat._reduced, anchored=True, barred=pat),)
         else:
-            if pat.mode != EVEN:
-                items.append(SearchForm(pat._reduced, anchored=True))
-            if pat.mode != EXISTS:
-                items.append(SearchForm(pat.full, anchored=True))
-    return tuple(items)
+            forms = ((_anchored(pat._reduced) if pat.mode != EVEN else ())
+                     + (_anchored(pat.full) if pat.mode != EXISTS else ()))
+        object.__setattr__(pat, "_anchored", forms)
+    return forms
+
+
+def at_end(pats: PatternSet) -> tuple[SearchForm, ...]:
+    """Compile ``pats`` for children of parents that avoid it.
+
+    The forms are each pattern's own (``_anchored``), so every tree walk
+    over one pattern set runs the same kernels, each compiled once.
+    """
+    return tuple(form for pat in pats for form in _anchored(pat))
 
 
 def avoids(perm: Perm, pats: PatternSet | tuple[SearchForm, ...]) -> bool:

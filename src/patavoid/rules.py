@@ -20,22 +20,26 @@ disjoint on the labels that occur.  This is the form of Banderier,
 Bousquet-Mélou, Denise, Flajolet, Gardy and Gouyou-Beauchamps
 ("Generating functions for generating trees", 2002).
 
-``ClassSpec.children`` lists one node's children, and ``verify_rule``
-compares them with the tree ``iter_tree_levels`` grows.  ``count_by_rule``
-and ``refined_by_rule`` read one dynamic program, which holds a level as
-rows {a: [multiplicity of (a, b) for b = 0, 1, ...]}, the single row 0 for
-a one-component class.  It moves the cells of a row that a case guards
-together: a span adds to its target's difference list the cells' sum at one
-index or the cells as a shifted slice, and a fixed child that reads b is
-the cells shifted.  So C6's chain (s, r) -> (s + 1, r + 1) moves each row
-in one slice operation, and no rule is evaluated label by label.
+``ClassSpec.children`` reads the table one label at a time, and
+``verify_rule`` compares that reading with the tree ``iter_tree_levels``
+grows.  ``count_by_rule`` and ``refined_by_rule`` read one dynamic
+program, which holds a level as rows {a: [multiplicity of (a, b) for b =
+0, 1, ...]}, the single row 0 for a one-component class.  Each table
+generates the Python source of one level kernel (``level_kernel``), which
+maps a level's rows to the next level's rows; it is compiled on the
+table's first use and kept for that table.  The source holds only
+integers from the table and fixed operators: every guard and span bound
+is an integer expression in a and n, and the class id reaches the kernel
+only as an argument, for its error message.  The kernel moves the cells
+of a row that a case guards together: a span adds the cells' sum along a
+range, or at one index of a difference list, or the cells as a shifted
+slice.  So C6's chain (s, r) -> (s + 1, r + 1) moves each row in one
+slice operation, and no rule is evaluated label by label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add, sub
 from typing import Iterator, NamedTuple, Union
 
 from .enumerate import iter_tree_levels
@@ -278,38 +282,6 @@ REGISTRY: dict[str, ClassSpec] = {s.id: s for s in [
 CLASS_IDS = tuple(REGISTRY)
 
 Rows = dict[int, list[int]]
-_FAR = 1 << 62  # stands for a missing bound
-
-
-def _at_n(x: Affine | None, n: int, missing: int) -> tuple[int, int]:
-    """``x`` at length n as (constant, coefficient of a); b is left to the caller."""
-    return (missing, 0) if x is None else (x.c + x.n * n, x.a)
-
-
-def _compile(rule: Rule, n: int) -> list[tuple]:
-    """The rule's cases at length n as plain tuples for the row loop."""
-    out = []
-    for c in rule:
-        spans = []
-        for s in c.body:
-            row = s.row if s.row is not None else Affine()
-            spans.append((s.diag, *_at_n(row, n, 0), *_at_n(s.lo, n, 0), s.lo.b,
-                          *_at_n(s.hi, n, 0), s.hi.b, 0 if s.lo == s.hi else s.step))
-        out.append((_at_n(c.a_lo, n, -_FAR)[0], _at_n(c.a_hi, n, _FAR)[0],
-                    *_at_n(c.b_lo, n, 0), *_at_n(c.b_hi, n, _FAR), c.parity, spans))
-    return out
-
-
-def _shift(d: list[int], at: int, cells: list[int], stride: int, op) -> None:
-    """d[at + stride·i] = op(d[at + stride·i], cells[i]) for every i, growing ``d``."""
-    if len(d) <= at and stride == 1 and op is add:
-        d += [0] * (at - len(d))
-        d += cells
-        return
-    end = at + stride * (len(cells) - 1) + 1
-    if len(d) < end:
-        d += [0] * (end - len(d))
-    d[at:end:stride] = map(op, d[at:end:stride], cells)
 
 
 def _dp_levels(spec: ClassSpec, nmax: int) -> Iterator[Rows]:
@@ -317,130 +289,33 @@ def _dp_levels(spec: ClassSpec, nmax: int) -> Iterator[Rows]:
 
     Row a of a level is the list of multiplicities of the labels (a, b),
     b = 0, 1, ..., with no trailing zeros; a one-component class has the
-    single row 0 for its labels (b,).  For each row and each case that
-    guards some of its cells, every span of the case reads those cells:
+    single row 0 for its labels (b,).  Each level comes from the one
+    before by the level kernel of the rule table (``level_kernel``,
+    compiled once per table): for each row and each case that guards some
+    of its cells, every span of the case reads those cells:
 
-    - a span of several children adds into the difference list of its
-      target (a row, or a diagonal indexed by j) kept per step: at lo
-      the cells' sum, or the cells shifted if lo reads b, and at hi plus
-      the step minus the same;
+    - a span of several children adds the cells' sum along its range of
+      the target row, or adds into the difference list of its target (a
+      row, or a diagonal indexed by j) kept per step: at lo the cells'
+      sum, or the cells shifted if lo reads b, and at hi plus the step
+      minus the same;
     - a one-point span whose child reads b adds the cells, shifted, to
       the next level's row, or to a diagonal's list of values;
     - a one-point span whose child does not read b adds the cells' sum
-      to one cell, after the difference lists are summed.
+      to one cell of the next level.
     """
     if nmax < 1:
         return
+    # The generator loads with the first kernel, so importing the package
+    # compiles neither.
+    from .level_kernel import kernel_for
+    kernel = kernel_for(spec.rule)
     root = spec.root_label
     a, b = root if len(root) == 2 else (0, root[0])
     level = {a: [0] * b + [1]}
     yield level
     for n in range(1, nmax):
-        cases = _compile(spec.rule, n)
-        nxt: Rows = {}
-        lists: dict[tuple[int | None, int, int], list[int]] = {}
-        singles: list[tuple[int, int, int]] = []
-        for a, row in level.items():
-            top = len(row) - 1
-            for a_lo, a_hi, lo_c, lo_a, hi_c, hi_a, parity, spans in cases:
-                if not a_lo <= a <= a_hi:
-                    continue
-                b0 = lo_c + lo_a * a
-                b1 = hi_c + hi_a * a
-                if b0 < 0:
-                    b0 = 0
-                if b1 > top:
-                    b1 = top
-                if b0 > b1:
-                    continue
-                stride = 1 if parity is None else 2
-                read = None  # the (s0, s1) that cells and total hold
-                for diag, t_c, t_a, l_c, l_a, l_b, h_c, h_a, h_b, step in spans:
-                    lo = l_c + l_a * a
-                    hi = h_c + h_a * a
-                    # keep the b with lo + l_b·b <= hi + h_b·b
-                    s0, s1 = b0, b1
-                    if l_b == h_b:
-                        if lo > hi:
-                            continue
-                    elif h_b:
-                        if s0 < lo - hi:
-                            s0 = lo - hi
-                    elif s1 > hi - lo:
-                        s1 = hi - lo
-                    if parity is not None and (s0 - parity) % 2:
-                        s0 += 1
-                    if s0 > s1:
-                        continue
-                    t = t_c + t_a * a
-                    if t < 0 or lo + l_b * s0 < 0:
-                        raise ValueError(f"the rule of {spec.id} gives a negative component")
-                    if read != (s0, s1):
-                        read = s0, s1
-                        cells = row[s0:s1 + 1:stride]
-                        total = None
-                    if step:  # differences: + at lo, - one step past hi
-                        d = lists.get((diag, t, step))
-                        if d is None:
-                            d = lists[diag, t, step] = []
-                        if l_b:
-                            _shift(d, lo + s0, cells, stride, add)
-                        else:
-                            if total is None:
-                                total = sum(cells)
-                            if len(d) <= lo:
-                                d += [0] * (lo + 1 - len(d))
-                            d[lo] += total
-                        end = hi + step
-                        if h_b:
-                            _shift(d, end + s0, cells, stride, sub)
-                        else:
-                            if total is None:
-                                total = sum(cells)
-                            if len(d) <= end:
-                                d += [0] * (end + 1 - len(d))
-                            d[end] -= total
-                    elif l_b:  # one child per cell: the cells, shifted
-                        at, key = (nxt, t) if diag is None else (lists, (diag, 0, 0))
-                        d = at.get(key)
-                        if d is None:
-                            d = at[key] = []
-                        _shift(d, lo + s0, cells, stride, add)
-                    else:  # one child: the cells' sum
-                        if total is None:
-                            total = sum(cells)
-                        singles.append((t, lo, total) if diag is None else (lo, lo + diag, total))
-        for (diag, t, step), d in lists.items():
-            if step > 1:
-                for first in range(step):
-                    d[first::step] = accumulate(d[first::step])
-            values = accumulate(d) if step == 1 else d
-            if diag is None:
-                row = nxt.get(t)
-                if row is None:
-                    nxt[t] = list(values)
-                    continue
-                if len(row) < len(d):
-                    row += [0] * (len(d) - len(row))
-                row[:len(d)] = map(add, row, values)
-                continue
-            singles += [(j, j + diag, m) for j, m in enumerate(values) if m]
-        for t, j, m in singles:
-            if j < 0:
-                raise ValueError(f"the rule of {spec.id} gives a negative component")
-            row = nxt.get(t)
-            if row is None:
-                row = nxt[t] = []
-            if len(row) <= j:
-                row += [0] * (j + 1 - len(row))
-            row[j] += m
-        for t in [t for t, row in nxt.items() if not row or not row[-1]]:
-            row = nxt[t]
-            while row and not row[-1]:
-                row.pop()
-            if not row:
-                del nxt[t]
-        level = nxt
+        level = kernel(level, n, spec.id)
         yield level
 
 

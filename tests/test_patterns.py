@@ -243,8 +243,10 @@ def _live_forms_and_kernels():
 
 
 def test_matching_leaves_no_cyclic_garbage():
-    # Each tree walk builds anchored forms, compiles their kernels and drops
-    # them; neither the forms nor the kernels may outlive the walk.
+    # A pattern keeps the anchored forms its first tree walk builds, with
+    # their kernels; a set parsed afresh builds its own and drops them with
+    # the set.  So after one warm-up walk per class the live forms and
+    # kernels may not grow, and no walk leaves cyclic garbage.
     gc.collect()
     gc.disable()
     try:
@@ -258,10 +260,23 @@ def test_matching_leaves_no_cyclic_garbage():
         for _ in range(3):
             for spec in REGISTRY.values():
                 count_tree(spec.patterns, 5)
+            count_tree(parse_pattern_set("12-[3o],2-1-3"), 5)
         assert gc.collect() == 0
         assert _live_forms_and_kernels() == live
     finally:
         gc.enable()
+
+
+def test_a_second_tree_walk_compiles_no_kernel(monkeypatch):
+    pats = REGISTRY["C2"].patterns
+    count_tree(pats, 6)
+    compiled = []
+    compile_form = patterns._compile
+    monkeypatch.setattr(patterns, "_compile",
+                        lambda form: compiled.append(form) or compile_form(form))
+    count_tree(pats, 6)
+    assert compiled == []
+    assert all(a is b for a, b in zip(at_end(pats), at_end(pats), strict=True))
 
 
 def _reference_levels(pats, nmax):

@@ -2,13 +2,15 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import time
+import tokenize
 from pathlib import Path
 
 import pytest
 
-from patavoid import enumerate as enumeration, rules
+from patavoid import enumerate as enumeration, level_kernel, rules
 from patavoid.closed_forms import formula_value, gf_counts
 from patavoid.enumerate import count_tree, iter_tree_levels
 from patavoid.patterns import avoids
@@ -126,6 +128,42 @@ def test_dp_levels_match_the_pinned_levels(cid):
         text = ";".join(",".join(map(str, label)) + f":{mult}" for label, mult in cells)
         digests.append(hashlib.sha256(text.encode()).hexdigest())
     assert digests == _PINNED_LEVELS["classes"][cid]
+
+
+def test_a_kernel_follows_its_rule_table():
+    # The level kernel belongs to the table, not to the class id: C1's id
+    # on C2's table, run after C1, counts C2.
+    c1 = REGISTRY["C1"]
+    c1_with_c2 = dataclasses.replace(c1, rule=REGISTRY["C2"].rule)
+    count_by_rule(c1, 30)
+    assert count_by_rule(c1_with_c2, 30) == count_by_rule(REGISTRY["C2"], 30)
+    refined_by_rule(c1, 30)
+    assert refined_by_rule(c1_with_c2, 30) == refined_by_rule(REGISTRY["C2"], 30)
+
+
+def test_kernel_sources_hold_no_text():
+    # A generated level kernel is made of the table's integers and fixed
+    # names and operators; the class id is an argument, not a literal.
+    for cid in CLASS_IDS:
+        source = level_kernel.kernel_source(REGISTRY[cid].rule)
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert not [t for t in tokens if t.type == tokenize.STRING], cid
+        assert all(t.string.isdigit() for t in tokens if t.type == tokenize.NUMBER), cid
+
+
+@pytest.mark.parametrize("spec", [
+    rules._spec("X1", "2-1-3", ("r",), (1,), case(point(B - 2))),
+    rules._spec("X3", "2-1-3", ("l", "r"), (2, 1), case(point(1, row=A - 3))),
+    rules._spec("X5", "2-1-3", ("l", "r"), (2, 1), case(point(B, diag=-5))),
+    rules._spec("X6", "2-1-3", ("l", "r"), (2, 1), case(span(1, B, diag=-3))),
+    rules._spec("X7", "2-1-3", ("l", "r"), (2, 1), case(point(1, diag=-3))),
+    rules._spec("X8", "2-1-3", ("l", "r"), (2, 1), case(span(A - 3, B, row=A))),
+], ids=lambda spec: spec.id)
+def test_a_negative_component_is_refused(spec):
+    # A point, a row, a diagonal's cells, a diagonal span, a diagonal's
+    # single child and a span start, each negative from the root on.
+    with pytest.raises(ValueError, match=f"^the rule of {spec.id} gives a negative component$"):
+        count_by_rule(spec, 6)
 
 
 def _matching_cases(spec, label, n):
