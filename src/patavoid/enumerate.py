@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import permutations as _all_perms
 from typing import Iterator
 
-from .patterns import BarredPattern, PatternSet, at_end, avoids
+from .patterns import BarredPattern, PatternSet, SearchForm, at_end, avoids
 from .perms import Perm, append_child, reduce_to_perm
 
 BRUTE_GUARD = 10
@@ -34,27 +34,34 @@ def count_brute(pats: PatternSet, n: int) -> int:
     return sum(1 for _ in iter_avoiders_brute(pats, n))
 
 
+def kept_children(perm: Perm, forms: tuple[SearchForm, ...]) -> list[Perm]:
+    """The children of tree node ``perm`` that avoid, in order of the appended value.
+
+    ``forms`` is ``at_end(pats)``, and ``perm`` must avoid ``pats``.  The
+    child with appended value v is tested as ``perm + (v - 0.5,)``, which
+    has the relative order of ``append_child(perm, v)``; a kernel only
+    compares entries and takes lengths, so only the kept children are built.
+    """
+    return [append_child(perm, v) for v in range(1, len(perm) + 2)
+            if avoids(perm + (v - 0.5,), forms)]
+
+
 def iter_tree_levels(pats: PatternSet, nmax: int) -> Iterator[list[Perm]]:
     """Levels 1..nmax of the rightward generating tree, as permutation lists.
 
-    Every node's parent avoids ``pats``, so a child is searched only for
-    occurrences that end at its new last entry (``patterns.at_end``); that
-    decides avoidance exactly, and a level holds the same permutations as
-    under the full check.  Pruning at each level is sound only if the class
-    is closed under last-entry deletion.  The library trusts its caller on
-    that and does not check it; ``closure_check`` is the check.  The tree
-    grows from the empty permutation, so there are no levels when nmax < 1.
+    A level is its parents' ``kept_children`` in turn.  Every node's parent
+    avoids ``pats``, so a child is searched only for occurrences that end
+    at its new last entry (``patterns.at_end``); that decides avoidance
+    exactly, and a level holds the same permutations as under the full
+    check.  Pruning at each level is sound only if the class is closed
+    under last-entry deletion.  The library trusts its caller on that and
+    does not check it; ``closure_check`` is the check.  The tree grows from
+    the empty permutation, so there are no levels when nmax < 1.
     """
-    items = at_end(pats)
+    forms = at_end(pats)
     level: list[Perm] = [()]
-    for n in range(nmax):
-        nxt = []
-        for perm in level:
-            for v in range(1, n + 2):
-                child = append_child(perm, v)
-                if avoids(child, items):
-                    nxt.append(child)
-        level = nxt
+    for _ in range(nmax):
+        level = [child for perm in level for child in kept_children(perm, forms)]
         yield level
 
 

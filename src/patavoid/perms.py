@@ -49,7 +49,7 @@ def append_child(perm: Perm, v: int) -> Perm:
     n = len(perm)
     if not 1 <= v <= n + 1:
         raise ValueError(f"appended value {v} out of range 1..{n + 1}")
-    return tuple(x + 1 if x >= v else x for x in perm) + (v,)
+    return (*[x + 1 if x >= v else x for x in perm], v)
 
 
 def statistic(perm: Perm, which: str) -> int:

@@ -21,10 +21,11 @@ Bousquet-Mélou, Denise, Flajolet, Gardy and Gouyou-Beauchamps
 ("Generating functions for generating trees", 2002).
 
 ``ClassSpec.children`` reads the table one label at a time, and
-``verify_rule`` compares that reading with the tree ``iter_tree_levels``
-grows.  ``count_by_rule`` and ``refined_by_rule`` read one dynamic
-program, which holds a level as rows {a: [multiplicity of (a, b) for b =
-0, 1, ...]}, the single row 0 for a one-component class.  Each table
+``verify_rule`` compares that reading with the tree, whose nodes' children
+it reads from ``enumerate.kept_children``.  ``count_by_rule`` and
+``refined_by_rule`` read one dynamic program, which holds a level as rows
+{a: [multiplicity of (a, b) for b = 0, 1, ...]}, the single row 0 for a
+one-component class.  Each table
 generates the Python source of one level kernel (``level_kernel``), which
 maps a level's rows to the next level's rows; it is compiled on the
 table's first use and kept for that table.  The source holds only
@@ -42,10 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
-from .enumerate import iter_tree_levels
-from .patterns import PatternSet, parse_pattern_set
+from .enumerate import kept_children
+from .enumerate import iter_tree_levels  # unused; bench/tracing.py checks rules.iter_tree_levels
+from .patterns import PatternSet, at_end, parse_pattern_set
 from .patterns import avoids  # unused; bench/tracing.py rebinds and checks rules.avoids
-from .perms import Perm, reduce_to_perm, statistic
+from .perms import Perm, statistic
 from .series import Poly
 
 Label = tuple[int, ...]
@@ -175,7 +177,7 @@ def case(*body: Span, a: Union[Bound, tuple[Bound, Bound]] = None,
     (lo, hi), None for no bound) and b of the given parity."""
     a_lo, a_hi = _interval(a, "n")
     b_lo, b_hi = _interval(b, "an")
-    if parity not in (None, 0, 1):
+    if isinstance(parity, bool) or parity not in (None, 0, 1):
         raise ValueError(f"parity {parity!r} is not 0 or 1")
     for s in body:
         if not isinstance(s, Span):
@@ -376,26 +378,36 @@ class RuleReport:
 
 
 def verify_rule(spec: ClassSpec, nmax: int) -> RuleReport:
-    """Compare rule-predicted child labels with the levels of the actual tree."""
+    """Compare rule-predicted child labels with the actual tree to length nmax.
+
+    Grows the tree parent by parent from the empty permutation, reading each
+    parent's children from ``kept_children``, so it tests the same children
+    as ``iter_tree_levels``; a level's rule is read once per distinct label.
+    """
     seen: set[Label] = set()
     root = (1,)
     if spec.label_of(root) != spec.root_label:
         return RuleReport(spec.id, nmax, False, frozenset(),
                           (root, (spec.root_label,), (spec.label_of(root),)))
-    parents: list[tuple[Perm, Label]] = []
-    for n, level in enumerate(iter_tree_levels(spec.patterns, nmax)):
-        # level n + 1; a child's parent is its last entry deleted, rest relabeled
-        nodes = [(perm, spec.label_of(perm)) for perm in level]
-        children: dict[Perm, list[Label]] = {}
-        for child, label in nodes:
-            children.setdefault(reduce_to_perm(child[:-1]), []).append(label)
-        for perm, label in parents:
+    forms = at_end(spec.patterns)
+
+    def grow(perm: Perm) -> list[tuple[Perm, Label]]:
+        return [(child, spec.label_of(child)) for child in kept_children(perm, forms)]
+
+    level = grow(()) if nmax >= 1 else []
+    for n in range(1, nmax):
+        predicted: dict[Label, list[Label]] = {}
+        nxt: list[tuple[Perm, Label]] = []
+        for perm, label in level:
             seen.add(label)
-            actual = sorted(children.get(perm, []))
-            predicted = sorted(spec.children(label, n))
-            if actual != predicted:
+            nodes = grow(perm)
+            actual = sorted(lab for _, lab in nodes)
+            if label not in predicted:
+                predicted[label] = sorted(spec.children(label, n))
+            if actual != predicted[label]:
                 return RuleReport(spec.id, nmax, False, frozenset(seen),
-                                  (perm, tuple(predicted), tuple(actual)))
-        parents = nodes
-    seen.update(label for _, label in parents)
+                                  (perm, tuple(predicted[label]), tuple(actual)))
+            nxt += nodes
+        level = nxt
+    seen.update(label for _, label in level)
     return RuleReport(spec.id, nmax, True, frozenset(seen), None)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patavoid import patterns
-from patavoid.enumerate import count_tree, iter_tree_levels
+from patavoid.enumerate import count_tree, iter_tree_levels, kept_children
 from patavoid.patterns import (BarredPattern, GeneralizedPattern,
                                PatternSyntaxError, SearchForm, at_end,
                                avoids, parse_pattern, parse_pattern_set)
@@ -33,19 +33,20 @@ def naive_occurrences(perm, pat):
     return out
 
 
-def naive_avoids(perm, pat):
+def naive_avoids(perm, pat, occurrences=naive_occurrences):
     """Reference avoidance: a barred pattern's extensions of a reduced
-    occurrence are the full occurrences that drop to it."""
+    occurrence are the full occurrences that drop to it.  ``occurrences``
+    is ``naive_occurrences`` or a memo of it."""
     if isinstance(pat, GeneralizedPattern):
-        return not naive_occurrences(perm, pat)
+        return not occurrences(perm, pat)
     full, e = pat.full, pat.barred_index
     # The reduced letters keep their relative order, so no relabeling.
     reduced = SimpleNamespace(
         k=full.k - 1, letters=full.letters[:e] + full.letters[e + 1:],
         adjacency=full.adjacency[1:] if e == 0 else full.adjacency[:-1])
     extensions = Counter(occ[:e] + occ[e + 1:]
-                         for occ in naive_occurrences(perm, full))
-    for occ in naive_occurrences(perm, reduced):
+                         for occ in occurrences(perm, full))
+    for occ in occurrences(perm, reduced):
         count = extensions[occ]
         if pat.mode == "exists" and count == 0:
             return False
@@ -220,11 +221,37 @@ def test_anchored_items_decide_random_sets(texts):
 _PERMS_TO_6 = [p for n in range(7) for p in permutations(range(1, n + 1))]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_pattern_texts(), min_size=1, max_size=3))
+def test_half_entry_children_match_built_children(texts):
+    # The tree tests the child that appends v as perm + (v - 0.5,): the
+    # kernels only compare entries, so it is the child append_child builds.
+    pats = parse_pattern_set(",".join(texts))
+    forms = at_end(pats)
+    for perm in (p for p in _PERMS_TO_6 if len(p) <= 5):
+        built = [append_child(perm, v) for v in range(1, len(perm) + 2)]
+        for v, child in enumerate(built, start=1):
+            assert avoids(perm + (v - 0.5,), forms) == avoids(child, forms), (perm, v)
+        if avoids(perm, pats):
+            assert kept_children(perm, forms) == [c for c in built if avoids(c, pats)], perm
+
+
 def test_avoids_matches_naive_for_every_single_pattern():
+    # The oracle is memoised on (perm, letters, adjacency), so the three
+    # modes of a barred pattern share one search of its full pattern and
+    # one of its reduced pattern.
+    memo = {}
+
+    def occurrences(perm, pat):
+        key = (perm, pat.letters, pat.adjacency)
+        if key not in memo:
+            memo[key] = naive_occurrences(perm, pat)
+        return memo[key]
+
     for text in _single_patterns(3):
         pat = parse_pattern(text)
         for perm in _PERMS_TO_6:
-            assert avoids(perm, (pat,)) == naive_avoids(perm, pat), (text, perm)
+            assert avoids(perm, (pat,)) == naive_avoids(perm, pat, occurrences), (text, perm)
 
 
 @settings(max_examples=60, deadline=None)

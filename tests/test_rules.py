@@ -203,6 +203,10 @@ def test_table_builder_refuses_other_shapes():
     with pytest.raises(ValueError, match="step"):
         case(span(1, B, step=2))
     assert case(span(1, B, step=2), parity=1).parity == 1
+    # A parity is the int 0 or 1, as a step is an int: a bool is refused.
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="parity"):
+            case(span(1, B, step=2), parity=flag)
     with pytest.raises(ValueError, match="step"):
         span(1, B, step=0)
     with pytest.raises(ValueError):
