@@ -5,7 +5,7 @@ Subcommands: count (one class or ad-hoc pattern set, four methods), verify
 truncated series), biject (apply one of the lattice-path maps), report
 (cross-method comparison table).  Exit status 0 means every requested check
 agreed, 1 means a mismatch, 2 means a usage error or an input the requested
-route cannot count soundly, 141 (128 + SIGPIPE) that the reader closed stdout.
+route refuses, 141 (128 + SIGPIPE) that the reader closed stdout.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import sys
 from . import bijections
 from .closed_forms import GF_FOR_CLASS, REGISTRY as GF_REGISTRY, closed_form, \
     gf_counts, rule_series, verify_identity
-from .enumerate import BRUTE_GUARD, CLOSURE_N, closure_check, count_brute, \
-    iter_tree_levels, may_be_unclosed
+from .enumerate import BRUTE_GUARD, count_brute, iter_tree_levels
 from .patterns import parse_pattern_set
 from .perms import format_perm, parse_perm
 from .rules import CLASS_IDS, REGISTRY, iter_rule_counts, verify_rule
@@ -56,13 +55,6 @@ def _cmd_count(args) -> int:
                          f"guard {BRUTE_GUARD}")
     pats = (REGISTRY[args.klass].patterns if args.klass
             else parse_pattern_set(args.avoid))
-    if args.avoid is not None and args.method == "tree":
-        # Pruning the tree undercounts a set that is not closed under
-        # last-entry deletion; the check is exhaustive up to CLOSURE_N.
-        closure_check(pats, min(args.max_n, CLOSURE_N))
-        if args.max_n > CLOSURE_N and may_be_unclosed(pats):
-            print(f"note: closure under last-entry deletion was checked "
-                  f"exhaustively only to n = {CLOSURE_N}", file=sys.stderr)
     counts = ROUTES[args.method](args.klass, pats, args.max_n)
     for n, c in enumerate(counts, start=1):
         print(f"{n} {c}", flush=True)

@@ -1,8 +1,11 @@
 """Ground-truth counting of pattern-avoiding permutations.
 
-Two routes: brute force over S_n and pruned rightward-tree expansion, with
-the exhaustive check that the pruning is sound.  The brute force is the
-oracle; everything faster is checked against it.
+Two routes: brute force over S_n and pruned rightward-tree expansion.  The
+brute force is the oracle; everything faster is checked against it.  The
+tree prunes only by the patterns that are always closed under last-entry
+deletion (``patterns.always_closed``), so it is sound for every set and
+has no precondition; ``closure_check`` looks for a counterexample to that
+closure by brute force.
 """
 
 from __future__ import annotations
@@ -10,11 +13,10 @@ from __future__ import annotations
 from itertools import permutations as _all_perms
 from typing import Iterator
 
-from .patterns import BarredPattern, PatternSet, SearchForm, at_end, avoids
+from .patterns import PatternSet, SearchForm, always_closed, at_end, avoids
 from .perms import Perm, append_child, reduce_to_perm
 
 BRUTE_GUARD = 10
-CLOSURE_N = 6  # largest n to which closure_check looks by default
 
 
 class ClosureError(ValueError):
@@ -49,40 +51,34 @@ def kept_children(perm: Perm, forms: tuple[SearchForm, ...]) -> list[Perm]:
 def iter_tree_levels(pats: PatternSet, nmax: int) -> Iterator[list[Perm]]:
     """Levels 1..nmax of the rightward generating tree, as permutation lists.
 
-    A level is its parents' ``kept_children`` in turn.  Every node's parent
-    avoids ``pats``, so a child is searched only for occurrences that end
-    at its new last entry (``patterns.at_end``); that decides avoidance
-    exactly, and a level holds the same permutations as under the full
-    check.  Pruning at each level is sound only if the class is closed
-    under last-entry deletion.  The library trusts its caller on that and
-    does not check it; ``closure_check`` is the check.  The tree grows from
-    the empty permutation, so there are no levels when nmax < 1.
+    The tree is pruned only by the always-closed members of ``pats``:
+    their class contains Av(pats) and is closed under last-entry deletion,
+    so every avoider of ``pats`` is grown.  A level is its parents'
+    ``kept_children`` in turn: every node's parent avoids those members,
+    so a child is searched only for occurrences that end at its new last
+    entry (``patterns.at_end``), which decides avoidance exactly.  Each
+    level is yielded filtered by the other members, those with the bar
+    last, under the full check, so it holds the avoiders of ``pats``.  The
+    tree grows from the empty permutation, so there are no levels when
+    nmax < 1.
     """
-    forms = at_end(pats)
+    closed = tuple(p for p in pats if always_closed(p))
+    rest = tuple(p for p in pats if not always_closed(p))
+    forms = at_end(closed)
     level: list[Perm] = [()]
     for _ in range(nmax):
         level = [child for perm in level for child in kept_children(perm, forms)]
-        yield level
+        yield [perm for perm in level if avoids(perm, rest)] if rest else level
 
 
-def may_be_unclosed(pats: PatternSet) -> bool:
-    """Whether ``pats`` has a barred pattern whose bar is last, the only kind
-    that can make a set fail to be closed under last-entry deletion."""
-    return any(isinstance(p, BarredPattern) and p.barred_index == p.full.k - 1
-               for p in pats)
-
-
-def closure_check(pats: PatternSet, nmax: int = CLOSURE_N) -> None:
+def closure_check(pats: PatternSet, nmax: int) -> None:
     """Verify closure under last-entry deletion, exhaustively up to nmax.
 
     Raises ClosureError with a counterexample if some avoider's parent
-    (last entry deleted, rest relabeled) fails to avoid.  Only a barred
-    pattern whose bar is last can make a set fail, so a set with none
-    passes at once.  An occurrence of a vincular pattern in the parent is
-    one in the child.  So is a reduced occurrence of a bar-first pattern,
-    and its extensions all lie left of it, so their count is the same.
+    (last entry deleted, rest relabeled) fails to avoid.  A set of
+    always-closed patterns (``patterns.always_closed``) passes at once.
     """
-    if not may_be_unclosed(pats):
+    if all(always_closed(p) for p in pats):
         return
     for n in range(2, nmax + 1):
         for perm in iter_avoiders_brute(pats, n):
@@ -94,10 +90,5 @@ def closure_check(pats: PatternSet, nmax: int = CLOSURE_N) -> None:
 
 
 def count_tree(pats: PatternSet, nmax: int) -> list[int]:
-    """Level sizes 1..nmax of the pruned rightward tree.
-
-    Like ``iter_tree_levels``, checks each child only for occurrences that
-    end at its new last entry, and trusts its caller that the class is
-    closed under last-entry deletion.
-    """
+    """|S_n(pats)| for n = 1..nmax, the level sizes of ``iter_tree_levels``."""
     return [len(level) for level in iter_tree_levels(pats, nmax)]

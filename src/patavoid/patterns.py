@@ -35,10 +35,11 @@ entries before any loop and then places the other blocks left to right.
 
 A generating tree grows a permutation by appending a last entry, so each
 child's parent (the child with its last entry deleted and the rest
-relabeled) already avoids the set.  ``at_end`` compiles the set for such a
-child into anchored forms that search only the occurrences whose last
-letter sits on the new last entry.  ``avoids(child, at_end(pats))`` equals
-``avoids(child, pats)`` whenever the parent avoids ``pats``, by four cases:
+relabeled) already avoids what the tree prunes by.  ``at_end`` compiles a
+set of always-closed patterns (``always_closed``) for such a child into
+anchored forms that search only the occurrences whose last letter sits on
+the new last entry.  ``avoids(child, at_end(pats))`` equals
+``avoids(child, pats)`` whenever the parent avoids ``pats``, by two cases:
 
 * A vincular pattern: an occurrence that misses the last entry is one in
   the parent, so the child contains the pattern iff an occurrence ends at
@@ -47,14 +48,11 @@ letter sits on the new last entry.  ``avoids(child, at_end(pats))`` equals
   parent, and its barred slot lies to its left, so its extension count is
   the parent's.  Only reduced occurrences ending at the last entry need
   their mode checked.
-* Bar last, plain brackets: a reduced occurrence ending at the last entry
-  has an empty slot, so 0 extensions, and fails.  An earlier one keeps its
-  extensions and may gain the new entry.  The item is the reduced pattern.
-* Bar last, ``o`` or ``e``: the new entry flips the parity of an earlier
-  reduced occurrence exactly when it lies between that occurrence's bounds,
-  that is when the full pattern, read as vincular, has an occurrence ending
-  at the last entry.  So ``e`` gives one item, the full pattern, and ``o``
-  gives two: the full pattern and the reduced one (0 extensions is even).
+
+Both cases also show that such a pattern's class is closed under deletion
+of the last entry.  A pattern with its bar last may break that closure
+(``13-[2]`` is avoided by 132 but not by its parent 12), so no tree prunes
+by one.
 """
 
 from __future__ import annotations
@@ -356,8 +354,8 @@ def _kernel_source(form: SearchForm) -> str:
         if bar_first:
             slot = f"p[:{'i0' if blocks else -len(pinned)}]"
         else:
-            # An anchored occurrence ends on the last entry.
-            slot = "p[n:]" if pinned else f"p[{start}:]"
+            # Only a full form has its bar last (``_anchored``).
+            slot = f"p[{start}:]"
         # The barred letter has a bound among the k >= 1 reduced letters.
         test = _between(lo, hi, "x")
         if mode == EXISTS:
@@ -380,34 +378,39 @@ def _compile(form: SearchForm):
     return form.kernel
 
 
-def _anchored(pat: PatternExpr) -> tuple[SearchForm, ...]:
-    """The anchored forms of one pattern, built on first use and kept on it.
+def always_closed(pat: PatternExpr) -> bool:
+    """Whether the parent of every avoider of ``pat`` avoids it too: true
+    of a vincular pattern and of a barred one with its bar first (the two
+    cases of the module docstring)."""
+    return isinstance(pat, GeneralizedPattern) or pat.barred_index == 0
 
-    The four cases of the module docstring: a vincular pattern and the
-    reduced pattern of a bar-first one are searched as they are; a bar-last
-    pattern becomes its reduced pattern (``exists``), its full pattern
-    (``even``) or both (``odd``).
+
+def _anchored(pat: PatternExpr) -> SearchForm:
+    """The anchored form of one always-closed pattern, built on first use
+    and kept on it: a vincular pattern, or the reduced pattern of a
+    bar-first one, searched as it is.  A bar-last pattern raises
+    ValueError, so that no tree prunes by one.
     """
-    forms = pat._anchored
-    if forms is None:
+    form = pat._anchored
+    if form is None:
+        if not always_closed(pat):
+            raise ValueError(f"{pat.render()} has its bar last: no tree "
+                             f"may prune by it")
         if isinstance(pat, GeneralizedPattern):
-            forms = (SearchForm(pat, anchored=True),)
-        elif pat.barred_index == 0:
-            forms = (SearchForm(pat._reduced, anchored=True, barred=pat),)
+            form = SearchForm(pat, anchored=True)
         else:
-            forms = ((_anchored(pat._reduced) if pat.mode != EVEN else ())
-                     + (_anchored(pat.full) if pat.mode != EXISTS else ()))
-        object.__setattr__(pat, "_anchored", forms)
-    return forms
+            form = SearchForm(pat._reduced, anchored=True, barred=pat)
+        object.__setattr__(pat, "_anchored", form)
+    return form
 
 
 def at_end(pats: PatternSet) -> tuple[SearchForm, ...]:
-    """Compile ``pats`` for children of parents that avoid it.
+    """Compile the always-closed ``pats`` for children of parents that avoid it.
 
     The forms are each pattern's own (``_anchored``), so every tree walk
     over one pattern set runs the same kernels, each compiled once.
     """
-    return tuple(form for pat in pats for form in _anchored(pat))
+    return tuple(_anchored(pat) for pat in pats)
 
 
 def avoids(perm: Perm, pats: PatternSet | tuple[SearchForm, ...]) -> bool:

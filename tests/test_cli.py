@@ -121,21 +121,24 @@ def test_gf_refuses_a_non_integral_coefficient(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "D has the non-integral" in err
 
 
-def test_count_refuses_sets_not_closed(capsys):
-    # 13-[2] is not closed under last-entry deletion: the pruned tree would
-    # print 1, 1, 1, 1, 1 where brute force finds 1, 1, 2, 6, 24.
-    code, out, err = run(capsys, "count", "--avoid", "13-[2]", "--max-n", "5")
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and "not closed" in err
-    code, out, _ = run(capsys, "count", "--avoid", "13-[2]", "--max-n", "5",
-                       "--method", "brute")
-    assert code == 0
-    assert out.splitlines() == ["1 1", "2 1", "3 2", "4 6", "5 24"]
+def test_count_tree_counts_sets_not_closed(capsys):
+    # 13-[2] is not closed under last-entry deletion (132 avoids it, its
+    # parent 12 does not), so a tree pruned by it would print 1, 1, 1, 1, 1.
+    # 12-3-[4e],1-23 passes closure_check to n = 6 and is not closed at
+    # n = 7, where such a tree printed 860.  No route notes anything.
+    for text, max_n, counts in (("13-[2]", 5, [1, 1, 2, 6, 24]),
+                                ("12-[3]", 7, [1] * 7),
+                                ("12-3-[4e],1-23", 7, [1, 2, 5, 15, 52, 202, 861])):
+        for method in ("tree", "brute"):
+            code, out, err = run(capsys, "count", "--avoid", text, "--max-n",
+                                 str(max_n), "--method", method)
+            assert (code, err) == (0, ""), (text, method)
+            assert out.splitlines() == [f"{n} {c}" for n, c in enumerate(counts, 1)]
 
 
 def test_count_skips_the_closure_check_where_it_cannot_fail(capsys, monkeypatch):
-    # [2]-31 has its bar first, so it is closed: the tree's own avoids
-    # calls are the only ones.
+    # The count command checks nothing beyond its route: the tree's own
+    # avoids calls are the only ones.
     calls = []
 
     def counted(perm, pats):
@@ -149,21 +152,6 @@ def test_count_skips_the_closure_check_where_it_cannot_fail(capsys, monkeypatch)
     assert code == 0
     assert out.splitlines() == ["1 1", "2 1", "3 2", "4 6", "5 24", "6 120"]
     assert len(calls) == tree_calls
-
-
-def test_count_notes_the_reach_of_the_closure_check(capsys):
-    # 12-[3] has its bar last and is closed; the check covers n <= 6 only.
-    code, out, err = run(capsys, "count", "--avoid", "12-[3]", "--max-n", "7")
-    assert code == 0
-    assert out.splitlines() == [f"{n} 1" for n in range(1, 8)]
-    assert len(err.splitlines()) == 1
-    assert "checked exhaustively only to n = 6" in err
-    for argv in (["--avoid", "12-[3]", "--max-n", "6"],
-                 ["--avoid", "[2]-31", "--max-n", "7"],
-                 ["--avoid", "12-[3]", "--max-n", "7", "--method", "brute"],
-                 ["--class", "C3", "--max-n", "7"]):
-        code, _, err = run(capsys, "count", *argv)
-        assert (code, err) == (0, ""), argv
 
 
 def test_verify(capsys):
@@ -303,7 +291,9 @@ def test_runtime_imports_only_the_standard_library():
             "import patavoid, patavoid.cli\n"
             "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
             "print(sorted(added - set(sys.stdlib_module_names)))")
-    proc = subprocess.run([sys.executable, "-I", "-c", code],
+    # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps the tree under test
+    # free of bytecode.
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['patavoid']\n"
@@ -335,7 +325,8 @@ def cli_argv(draw):
         target = draw(st.one_of(
             st.sampled_from(CLASS_IDS).map(lambda c: ["--class", c]),
             st.sampled_from(["2-1-3", "13-[2]", "21-[3]", "[2o]-31", "12-3,34-21",
-                             "1-2-", "[4]", ""]).map(lambda a: ["--avoid", a])))
+                             "1-23,13-[2o]", "1-2-", "[4]", ""]).map(
+                                 lambda a: ["--avoid", a])))
         sizes = wide if method in ("rule", "gf") else small
         return [command, *target, "--method", method,
                 "--max-n", str(draw(sizes))]
@@ -368,3 +359,8 @@ def test_cli_fuzz_exits_cleanly(argv):
             code = exc.code
             assert code == 2, argv
     assert code in (0, 1, 2), argv
+    if code == 0 and argv[1] == "--avoid" and argv[4] == "tree":
+        pats = parse_pattern_set(argv[2])
+        assert out.getvalue().splitlines() == [
+            f"{n} {enumeration.count_brute(pats, n)}"
+            for n in range(1, int(argv[6]) + 1)], argv

@@ -50,19 +50,24 @@ def test_closure_check_counterexample():
         closure_check(parse_pattern_set("21-[3]"), 4)
 
 
-def _bar_first_patterns():
-    # Every single barred pattern of length 2-3 with the bar first: letters,
-    # the adjacency of the unbarred gap, and the mode (42 in all).
+def _barred_patterns(last=False):
+    # Every single barred pattern of length 2-3 with the bar first (or
+    # last): letters, the adjacency of the unbarred gap, and the mode (42
+    # in all).
     for k in (2, 3):
         for letters in permutations("123"[:k]):
             for glued in product(("-", ""), repeat=k - 2):
                 for mode in ("", "o", "e"):
-                    rest = letters[1] + "".join(g + x for g, x in zip(glued, letters[2:]))
-                    yield f"[{letters[0]}{mode}]-{rest}"
+                    if last:
+                        rest = letters[0] + "".join(g + x for g, x in zip(glued, letters[1:-1]))
+                        yield f"{rest}-[{letters[-1]}{mode}]"
+                    else:
+                        rest = letters[1] + "".join(g + x for g, x in zip(glued, letters[2:]))
+                        yield f"[{letters[0]}{mode}]-{rest}"
 
 
 def test_bar_first_patterns_are_closed():
-    texts = list(_bar_first_patterns())
+    texts = list(_barred_patterns())
     assert len(set(texts)) == 42
     for text in texts:
         pats = parse_pattern_set(text)
@@ -85,3 +90,30 @@ def test_closure_check_skips_sets_that_cannot_fail(monkeypatch):
     with pytest.raises(ClosureError):
         closure_check(parse_pattern_set("2-1-3,13-[2]"), 6)
     assert calls
+
+
+# Sets with a bar-last member that pass closure_check to n = 6 and are not
+# closed at n = 7, where a tree pruned by every member undercounted them.
+UNCLOSED_FROM_7 = ["12-3-[4e],1-23", "1-2-3-[4e],12-3", "1-2-3-[4e],1-23",
+                   "12-4-[3e],1-23", "1-2-4-[3e],1-23", "3-2-1-[4e],21-3",
+                   "41-2-[3e],3-12", "4-1-2-[3e],3-12", "41-3-[2e],3-12",
+                   "4-1-3-[2e],3-12"]
+
+
+def test_tree_counts_sets_closed_only_to_n_6():
+    for text in UNCLOSED_FROM_7:
+        pats = parse_pattern_set(text)
+        closure_check(pats, 6)
+        with pytest.raises(ClosureError):
+            closure_check(pats, 7)
+        assert count_tree(pats, 7) == [count_brute(pats, n) for n in range(1, 8)], text
+
+
+def test_tree_counts_every_bar_last_set():
+    # Each bar-last pattern of length 2-3, alone or with a vincular one.
+    texts = [f"{bar}{other}" for bar in _barred_patterns(last=True)
+             for other in ("", ",2-1-3", ",12-3", ",1-23", ",3-12")]
+    assert len(set(texts)) == 210
+    for text in texts:
+        pats = parse_pattern_set(text)
+        assert count_tree(pats, 6) == [count_brute(pats, n) for n in range(1, 7)], text

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patavoid import patterns
-from patavoid.enumerate import count_tree, iter_tree_levels, kept_children
+from patavoid.enumerate import (count_tree, iter_avoiders_brute,
+                                iter_tree_levels, kept_children)
 from patavoid.patterns import (BarredPattern, GeneralizedPattern,
-                               PatternSyntaxError, SearchForm, at_end,
-                               avoids, parse_pattern, parse_pattern_set)
+                               PatternSyntaxError, SearchForm, always_closed,
+                               at_end, avoids, parse_pattern, parse_pattern_set)
 from patavoid.perms import append_child
 from patavoid.rules import CLASS_IDS, REGISTRY
 
@@ -180,7 +181,7 @@ def _single_patterns(kmax):
 
 def _anchored_mismatches(pats, nmax):
     """Children of length <= nmax, of every avoiding parent, on which the
-    anchored items and the full check disagree."""
+    anchored forms and the full check disagree."""
     items = at_end(pats)
     bad = []
     for n in range(nmax):
@@ -194,25 +195,35 @@ def _anchored_mismatches(pats, nmax):
 
 
 def test_anchored_items_decide_every_single_pattern():
+    # The 42 bar-last patterns have no anchored form: no tree prunes by one.
     texts = list(_single_patterns(3))
     assert len(set(texts)) == len(texts) == 113
-    for text in texts:
+    closed = [text for text in texts if always_closed(parse_pattern(text))]
+    assert len(closed) == 71
+    for text in closed:
         assert _anchored_mismatches(parse_pattern_set(text), 6) == [], text
+    for text in set(texts) - set(closed):
+        with pytest.raises(ValueError, match="bar last"):
+            at_end(parse_pattern_set(text))
 
 
 @st.composite
-def _pattern_texts(draw, kmin=1):
+def _pattern_texts(draw, kmin=1, bars=(None, "first", "last")):
     k = draw(st.integers(kmin, 5))
     letters = draw(st.permutations(list(range(1, k + 1))))
     glued = draw(st.lists(st.booleans(), min_size=k - 1, max_size=k - 1))
-    bar = draw(st.sampled_from([None, "first", "last"])) if k >= 2 else None
+    bar = draw(st.sampled_from(bars)) if k >= 2 else None
     if bar is not None:
         glued[0 if bar == "first" else -1] = False
     return _pattern_text(letters, glued, bar, draw(st.sampled_from(["", "o", "e"])))
 
 
+# Sets of patterns that are always closed, the only ones at_end compiles.
+_closed_sets = st.lists(_pattern_texts(bars=(None, "first")), min_size=1, max_size=3)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_pattern_texts(), min_size=1, max_size=3))
+@given(_closed_sets)
 def test_anchored_items_decide_random_sets(texts):
     pats = parse_pattern_set(",".join(texts))
     assert _anchored_mismatches(pats, 6) == []
@@ -222,7 +233,7 @@ _PERMS_TO_6 = [p for n in range(7) for p in permutations(range(1, n + 1))]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_pattern_texts(), min_size=1, max_size=3))
+@given(_closed_sets)
 def test_half_entry_children_match_built_children(texts):
     # The tree tests the child that appends v as perm + (v - 0.5,): the
     # kernels only compare entries, so it is the child append_child builds.
@@ -318,9 +329,22 @@ def _reference_levels(pats, nmax):
 
 @pytest.mark.parametrize("text", ["13-[2]", "12-[3o]", "1-3-[2e]", *CLASS_IDS])
 def test_tree_levels_match_the_full_check(text):
-    # 13-[2] and 1-3-[2e] are not closed, so both trees undercount them
-    # alike; 12-[3o] compiles to two items.
-    pats = REGISTRY[text].patterns if text in REGISTRY else parse_pattern_set(text)
-    assert list(iter_tree_levels(pats, 7)) == _reference_levels(pats, 7)
-    if text == "13-[2]":
-        assert [len(level) for level in iter_tree_levels(pats, 7)] == [1] * 7
+    # A class's tree grows in the reference's order.  The other three have
+    # their bar last (13-[2] and 1-3-[2e] are not closed), so the tree
+    # grows without them and filters each level: it holds the brute-force
+    # avoiders, in another order.
+    if text in REGISTRY:
+        pats = REGISTRY[text].patterns
+        assert list(iter_tree_levels(pats, 7)) == _reference_levels(pats, 7)
+    else:
+        pats = parse_pattern_set(text)
+        assert [sorted(level) for level in iter_tree_levels(pats, 7)] == [
+            list(iter_avoiders_brute(pats, n)) for n in range(1, 8)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_pattern_texts(), min_size=1, max_size=3))
+def test_tree_levels_are_the_avoiders_of_every_set(texts):
+    pats = parse_pattern_set(",".join(texts))
+    assert [sorted(level) for level in iter_tree_levels(pats, 6)] == [
+        list(iter_avoiders_brute(pats, n)) for n in range(1, 7)]
