@@ -22,16 +22,25 @@ the already-placed letters just below and just above it in value, and for
 a barred pattern a test on the extension count of each reduced
 occurrence.  On its first search a form generates the Python source of
 one function and compiles it once: a ``for`` loop per block over the
-position of the block's first letter, bounded by the positions the later
-blocks need, each letter checked by exactly the comparison it needs, and
-the bar's extension count taken at the innermost level.  That source
+position of the block's first letter, bounded by the blocks placed before
+it and the room the others need, each letter checked by exactly the
+comparison it needs, and the bar's extension count taken at the
+innermost level.  That source
 holds only integers taken from the form (letter indices and block
-lengths) and fixed operators; pattern text never reaches it.  There are
-two placement orders.  The full form, which every pattern builds at
-construction, places the blocks left to right; ``avoids(perm, pats)``
-uses it.  The anchored form, which a pattern builds on its first
-``at_end`` and then keeps, reads the last block straight from the last
-entries before any loop and then places the other blocks left to right.
+lengths) and fixed operators; pattern text never reaches it.
+
+Each form plans its kernel by three rules (``SearchForm``).  The full
+form, which every pattern builds at construction and ``avoids(perm,
+pats)`` uses, places its longest block first when it has no bar (the
+leftmost on a tie), then the other blocks left to right; a barred full
+form goes left to right.  The anchored form, which a pattern builds on
+its first ``at_end`` and then keeps, reads the last block straight from
+the last entries before any loop and then places the other blocks left
+to right.  A block's loop ends after its first placement when no letter
+placed after it has one of its letters as a bound, and the bar neither
+has one as a bound nor takes its slot from the block: later placements
+only narrow what follows.  And in a form without a bar, a last block of
+one letter is no index loop but one scan of a slice of values.
 
 A generating tree grows a permutation by appending a last entry, so each
 child's parent (the child with its last entry deleted and the rest
@@ -253,51 +262,93 @@ class SearchForm:
     letter is checked against every letter placed before it by the one
     comparison ``v[lo] < v[j] < v[hi]``, or by one side of it, or by none.
     ``pinned`` is the last block when the form is anchored (it is placed
-    first, on the last entries) and empty otherwise; ``blocks`` are the
-    remaining blocks, placed left to right, and ``need[b]`` counts the
-    positions that blocks b, b + 1, ... and the pinned block take.
-    ``bar`` is ``(lo, hi, mode, first)`` for the reduced pattern of a
-    barred one: an occurrence then counts only if its extension count
-    breaks the mode.
+    first, on the last entries) and empty otherwise.  ``blocks`` are the
+    other blocks in placement order, each ``(letters, start, stop, once)``:
+    the loop over the position of its first letter j (``i{j}``) runs from
+    ``start`` up to ``stop``, each ``(base, offset)`` with base the first
+    letter of another block (its position) or None (0 for a start, the
+    length n for a stop), and ``once`` says the loop ends after its first
+    placement.  ``bar`` is ``(lo, hi, mode, first)`` for the reduced
+    pattern of a barred one: an occurrence then counts only if its
+    extension count breaks the mode.
+
+    The placement order is the plan of the kernel:
+
+    * A full form without a bar places its longest block first (the
+      leftmost on a tie), from the length of the blocks to its left up to
+      n less its own length and that of the blocks to its right; then the
+      others left to right.  A block left of the lead stops where it
+      leaves room for the blocks between it and the lead.  Anchored forms
+      lead with the pinned block, and barred forms go left to right, so
+      that the slot of the bar stays ``p[:i0]`` or ``p[end:]``.
+    * A later position of a block only shrinks the ranges of the blocks
+      placed after it, unless it is a lead with blocks to its left.  So
+      when no later letter has one of its letters as a bound, and the
+      bar neither has one as a bound nor takes its slot from the block
+      (the first block of a bar-first form, the last of a bar-last one),
+      the first placement finds an occurrence if any later one does:
+      ``once``.  A lead always bounds some later letter next to it in
+      value, and the innermost block of a form without a bar returns on
+      its first placement anyway, so neither is ``once``.
 
     ``kernel`` is the search itself, ``kernel(perm) -> bool``, compiled
     from the fields above on the form's first search (``_compile``).  It
     is held on the form, so it lives and dies with it.
     """
 
-    __slots__ = ("k", "pinned", "blocks", "need", "bar", "kernel")
+    __slots__ = ("k", "pinned", "blocks", "bar", "kernel")
 
     def __init__(self, pat: GeneralizedPattern, anchored: bool = False,
                  barred: BarredPattern | None = None):
         k, letters = pat.k, pat.letters
         # Maximal runs of adjacent letters, as index ranges.
-        blocks, start = [], 0
+        runs, start = [], 0
         for j, glued in enumerate(pat.adjacency):
             if not glued:
-                blocks.append(range(start, j + 1))
+                runs.append(range(start, j + 1))
                 start = j + 1
-        blocks.append(range(start, k))
-        pinned = blocks.pop() if anchored else range(0)
-        order = [*pinned, *(j for block in blocks for j in block)]
+        runs.append(range(start, k))
+        pinned = runs.pop() if anchored else range(0)
+        lead = 0
+        if not anchored and barred is None:
+            lead = max(range(len(runs)), key=lambda b: (len(runs[b]), -b))
+        order = sorted(range(len(runs)), key=lambda b: b != lead)
         item = {}
-        for m, j in enumerate(order):
-            placed = order[:m]
+        placed = []
+        for j in [*pinned, *(j for b in order for j in runs[b])]:
             below = [i for i in placed if letters[i] < letters[j]]
             above = [i for i in placed if letters[i] > letters[j]]
             item[j] = (j, max(below, key=letters.__getitem__, default=None),
                        min(above, key=letters.__getitem__, default=None))
-        self.k = k
-        self.pinned = tuple(item[j] for j in pinned)
-        self.blocks = tuple(tuple(item[j] for j in block) for block in blocks)
-        self.need = tuple(len(pinned) + sum(map(len, blocks[b:]))
-                          for b in range(len(blocks)))
+            placed.append(j)
         self.bar = None
+        # The letters whose values or positions the bar's test reads.
+        read = set()
         if barred is not None:
             # The reduced letters next below and next above the barred one.
             x = barred.full.letters[barred.barred_index]
+            first = barred.barred_index == 0
             self.bar = (letters.index(x - 1) if x > 1 else None,
                         letters.index(x) if x <= k else None,
-                        barred.mode, barred.barred_index == 0)
+                        barred.mode, first)
+            read = {*self.bar[:2], 0 if first else k - 1}
+        blocks = []
+        for m in reversed(range(len(order))):
+            b, run = order[m], runs[order[m]]
+            if b in (0, lead):
+                start = (None, sum(map(len, runs[:b])))
+            else:
+                start = (runs[b - 1][0], len(runs[b - 1]))
+            if b < lead:
+                stop = (runs[lead][0], 1 - sum(map(len, runs[b:lead])))
+            else:
+                stop = (None, 1 - len(pinned) - sum(map(len, runs[b:])))
+            once = read.isdisjoint(run) and (barred is not None or m < len(order) - 1)
+            blocks.append((tuple(item[j] for j in run), start, stop, once))
+            read.update(i for j in run for i in item[j][1:])
+        self.k = k
+        self.pinned = tuple(item[j] for j in pinned)
+        self.blocks = tuple(reversed(blocks))
         self.kernel = None
 
 
@@ -314,19 +365,37 @@ def _between(lo: int | None, hi: int | None, x: str) -> str | None:
     return f"v{lo} < {x}" if hi is None else f"v{lo} < {x} < v{hi}"
 
 
+def _plus(base: str, offset: int) -> str:
+    """Source of ``base + offset``."""
+    if not offset:
+        return base
+    return f"{base} + {offset}" if offset > 0 else f"{base} - {-offset}"
+
+
+def _bounds(start: tuple, stop: tuple) -> tuple[str, str]:
+    """Source of a block's ``start`` and ``stop`` (``SearchForm``)."""
+    (a, da), (b, db) = start, stop
+    return (str(da) if a is None else _plus(f"i{a}", da),
+            _plus("n" if b is None else f"i{b}", db))
+
+
 def _kernel_source(form: SearchForm) -> str:
     """Python source of ``kernel(p)``, built from the form's integers.
 
     The pinned letters are read straight from the last entries, and each
     block gets one loop over the position of its first letter, nested in
-    placement order; a letter that breaks its comparison ends the search
-    (pinned) or its block's current position.  At the innermost level an
-    occurrence is found: it counts at once, or, for a barred form, when
-    the entries of its barred slot (left of its first entry, or right of
-    its last) that lie between the bar's bounds number what breaks the
-    mode.
+    placement order (the lead block first); a letter that breaks its
+    comparison ends the search (pinned) or its block's current position,
+    and a ``once`` block ends its loop after the first placement it tries
+    to extend.  At the innermost level an occurrence is found: it counts
+    at once, or, for a barred form, when the entries of its barred slot
+    (left of its first entry, or right of its last) that lie between the
+    bar's bounds number what breaks the mode.  In a form without a bar, an
+    innermost block of one letter is no index loop but one scan of its
+    slice of values for its comparison, or, with no comparison, one test
+    that the slice is not empty.
     """
-    k, pinned, blocks, need = form.k, form.pinned, form.blocks, form.need
+    k, pinned, blocks = form.k, form.pinned, form.blocks
     lines = ["def kernel(p):", " n = len(p)", f" if n < {k}:", "  return False"]
 
     def read(letter: tuple, at: str, pad: str, miss: str) -> None:
@@ -339,23 +408,38 @@ def _kernel_source(form: SearchForm) -> str:
     pad = " "
     for t, letter in enumerate(pinned):
         read(letter, f"{t - len(pinned)}", pad, "return False")
-    start = "0"
-    for b, block in enumerate(blocks):
-        stop = f"n - {need[b] - 1}" if need[b] > 1 else "n"
-        lines.append(f"{pad}for i{b} in range({start}, {stop}):")
+    # A last block of one letter in a form without a bar is a slice scan.
+    scan = bool(blocks) and form.bar is None and len(blocks[-1][0]) == 1
+    ends = []
+    for block, start, stop, once in blocks[:len(blocks) - scan]:
+        start, stop = _bounds(start, stop)
+        i = f"i{block[0][0]}"
+        lines.append(f"{pad}for {i} in range({start}, {stop}):")
         pad += " "
         for t, letter in enumerate(block):
-            read(letter, f"i{b} + {t}" if t else f"i{b}", pad, "continue")
-        start = f"i{b} + {len(block)}"
-    if form.bar is None:
+            read(letter, _plus(i, t), pad, "continue")
+        ends.append((pad, once))
+    if scan:
+        ((_, lo, hi),), start, stop, _ = blocks[-1]
+        start, stop = _bounds(start, stop)
+        test = _between(lo, hi, "x")
+        if test is None:
+            lines.extend([f"{pad}if {start} < {stop}:", f"{pad} return True"])
+        else:
+            cut = f"{'' if start == '0' else start}:{'' if stop == 'n' else stop}"
+            lines.extend([f"{pad}for x in p[{cut}]:", f"{pad} if {test}:",
+                          f"{pad}  return True"])
+    elif form.bar is None:
         lines.append(f"{pad}return True")
     else:
         lo, hi, mode, bar_first = form.bar
         if bar_first:
             slot = f"p[:{'i0' if blocks else -len(pinned)}]"
         else:
-            # Only a full form has its bar last (``_anchored``).
-            slot = f"p[{start}:]"
+            # Only a full form has its bar last (``_anchored``), and it
+            # places its last block last.
+            last = blocks[-1][0]
+            slot = f"p[{_plus(f'i{last[0][0]}', len(last))}:]"
         # The barred letter has a bound among the k >= 1 reduced letters.
         test = _between(lo, hi, "x")
         if mode == EXISTS:
@@ -366,6 +450,9 @@ def _kernel_source(form: SearchForm) -> str:
                           f"{pad} if {test}:", f"{pad}  c += 1",
                           f"{pad}if c % 2 == {1 if mode == EVEN else 0}:",
                           f"{pad} return True"])
+    for pad, once in reversed(ends):
+        if once:
+            lines.append(f"{pad}break")
     lines.append(" return False")
     return "\n".join(lines) + "\n"
 

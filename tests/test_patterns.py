@@ -1,6 +1,7 @@
 """Pattern DSL parsing and occurrence matching, against a naive matcher."""
 
 import gc
+import random
 from collections import Counter
 from itertools import combinations, permutations, product
 from types import FunctionType, SimpleNamespace
@@ -247,10 +248,10 @@ def test_half_entry_children_match_built_children(texts):
             assert kept_children(perm, forms) == [c for c in built if avoids(c, pats)], perm
 
 
-def test_avoids_matches_naive_for_every_single_pattern():
-    # The oracle is memoised on (perm, letters, adjacency), so the three
-    # modes of a barred pattern share one search of its full pattern and
-    # one of its reduced pattern.
+def _memo_occurrences():
+    """``naive_occurrences`` memoised on (perm, letters, adjacency), so the
+    three modes of a barred pattern share one search of its full pattern
+    and one of its reduced pattern."""
     memo = {}
 
     def occurrences(perm, pat):
@@ -259,6 +260,11 @@ def test_avoids_matches_naive_for_every_single_pattern():
             memo[key] = naive_occurrences(perm, pat)
         return memo[key]
 
+    return occurrences
+
+
+def test_avoids_matches_naive_for_every_single_pattern():
+    occurrences = _memo_occurrences()
     for text in _single_patterns(3):
         pat = parse_pattern(text)
         for perm in _PERMS_TO_6:
@@ -271,6 +277,72 @@ def test_avoids_matches_naive_for_random_patterns(text):
     pat = parse_pattern(text)
     for perm in _PERMS_TO_6:
         assert avoids(perm, (pat,)) == naive_avoids(perm, pat), perm
+
+
+def _plan(form):
+    """Each block of ``form`` in placement order, as its letter indices and
+    whether its loop ends after the first placement."""
+    return [(tuple(j for j, _, _ in letters), once)
+            for letters, _, _, once in form.blocks]
+
+
+@pytest.mark.parametrize("text, full, anchored", [
+    # The 1 of 2-1-3 bounds no later letter; anchored, it is bounded by
+    # the 2, which the pinned 3 bounds.
+    ("2-1-3", [((0,), False), ((1,), True), ((2,), False)],
+     [((0,), False), ((1,), False)]),
+    ("1-23", [((1, 2), False), ((0,), False)], [((0,), False)]),
+    ("1-2-34", [((2, 3), False), ((0,), False), ((1,), False)],
+     [((0,), False), ((1,), False)]),
+    # A tie goes to the leftmost block, so the order stays.
+    ("12-34", [((0, 1), False), ((2, 3), False)], [((0, 1), False)]),
+    # The 1 bounds no later letter: the 4 is bounded by the 3 of the lead.
+    ("1-23-4", [((1, 2), False), ((0,), True), ((3,), False)],
+     [((0,), False), ((1, 2), False)]),
+    # Barred forms go left to right.  The first block of a bar-first form
+    # and the last of a bar-last one give the bar its slot, and the 2 of
+    # [1]-2-3 bounds the bar; its 3 is read by nothing after it.
+    ("[2]-31", [((0, 1), False)], []),
+    ("21-[3]", [((0, 1), False)], None),
+    ("[1]-2-3", [((0,), False), ((1,), True)], [((0,), False)]),
+])
+def test_kernel_plan(text, full, anchored):
+    pat = parse_pattern(text)
+    assert _plan(pat._form) == full
+    if anchored is None:
+        assert not always_closed(pat)
+    else:
+        assert _plan(at_end((pat,))[0]) == anchored
+
+
+@pytest.mark.parametrize("text, scan", [
+    ("2-1-3", "for x in p[i1 + 1:]:\n    if v0 < x:"),
+    ("1-23", "for x in p[:i1]:\n   if x < v1:"),
+    ("1-2-34", "for x in p[i0 + 1:i2]:\n    if v0 < x < v2:"),
+    ("1", "if 0 < n:"),
+])
+def test_last_single_letter_is_a_slice_scan(text, scan):
+    assert scan in patterns._kernel_source(parse_pattern(text)._form)
+
+
+def test_avoids_matches_naive_where_the_plan_is_not_left_to_right():
+    # Every pattern of length 4 whose full form leads with a later block or
+    # ends a loop after its first placement, on permutations of length 8,
+    # where a block has room for more placements than at length 6.
+    rng = random.Random(8)
+    perms = [tuple(rng.sample(range(1, 9), 8)) for _ in range(100)]
+    occurrences = _memo_occurrences()
+    checked = 0
+    for text in _single_patterns(4):
+        pat = parse_pattern(text)
+        plan = _plan(pat._form)
+        if sum(map(str.isdigit, text)) < 4 or (
+                plan[0][0][0] == 0 and not any(once for _, once in plan)):
+            continue
+        checked += 1
+        for perm in perms:
+            assert avoids(perm, (pat,)) == naive_avoids(perm, pat, occurrences), (text, perm)
+    assert checked == 208
 
 
 def _live_forms_and_kernels():
