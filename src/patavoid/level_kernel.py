@@ -5,11 +5,12 @@ A rule table generates the Python source of one function,
 of (a, b) for b = 0, 1, ...]} to the next level's rows (``kernel_source``).
 ``kernel_for`` compiles it on the table's first use and keeps it for that
 table, never for a class id, so two specs share a kernel exactly when they
-share a table.  The source holds only integers from the table and fixed
-operators, and the class id reaches the kernel only as an argument, for
-its error message.  ``rules._dp_levels`` imports this module when it
-first runs, so importing the package compiles neither this generator nor
-a kernel.
+share a table.  Each shape of span has one way into the next level, which
+``kernel_source`` describes.  The source holds only integers from the
+table and fixed operators, and the class id reaches the kernel only as an
+argument, for its error message.  ``rules._dp_levels`` imports this
+module when it first runs, so importing the package compiles neither
+this generator nor a kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from .rules import Affine, Rows, Rule, Span
 
 
 def _shift(d: list[int], at: int, cells: list[int], stride: int, op) -> None:
-    """d[at + stride·i] = op(d[at + stride·i], cells[i]) for every i, growing ``d``."""
+    """d[at + stride·i] = op(d[at + stride·i], cells[i]) for every i, growing ``d``.
+
+    The cells that would land below index 0 are dropped: the kernel has
+    checked that they are zero.
+    """
+    if at < 0:
+        k = (stride - 1 - at) // stride
+        cells, at = cells[k:], at + k * stride
     if len(d) <= at and stride == 1 and op is add:
         d += [0] * (at - len(d))
         d += cells
@@ -53,7 +61,7 @@ def _negative(cid: str) -> None:
 # kernel and its globals form no reference cycle.
 _KERNEL_GLOBALS: dict = {
     "__builtins__": {"any": any, "enumerate": enumerate, "len": len, "list": list,
-                     "map": map, "range": range, "sorted": sorted, "sum": sum},
+                     "range": range, "sorted": sorted, "sum": sum},
     "accumulate": accumulate, "add": add, "sub": sub, "defaultdict": defaultdict,
     "_fill": _fill, "_shift": _shift, "_negative": _negative,
 }
@@ -92,53 +100,57 @@ def kernel_source(rule: Rule) -> str:
 
     The kernel loops once over the rows of a level.  For each row, a
     case's guard on a is one comparison, and the b range it guards is cut
-    to the row; a span narrows that range further only where its own
-    bounds can cut it (b >= lo - hi when only hi reads b, b <= hi - lo
-    when only lo does).  The spans that read one range share one slice of
-    the row and one sum of it, and a one-cell range is read as that cell.
-    A span adds the cells straight into the next level where it can: a
-    one-child-per-cell point on a row adds the cells shifted, and a span
-    whose bounds do not read b adds the sum along its range when one row
-    only reaches its target row (its row reads a, the guard pins a, or the
-    class has one component) and no span that reads b keeps row
-    difference lists of its step.  Every other span adds into the
-    difference list of its kind, ``r<step>`` (a dict of lists by target
-    row) or ``g<diag>_<step>`` (a list by j for the diagonal (j, j +
-    diag)), as ``rules._dp_levels`` describes; a one-child-per-cell point
-    on a diagonal adds into ``g<diag>_0``.  The lists are summed into the
-    next level after the row loop.  A single child adds the sum to one cell,
-    straight away, or after the row lists are summed when the table keeps
-    any (``late``), so that a summed list fills a fresh row and is not
-    added cell by cell.  Rows are cut at their last nonzero cell and come
-    out in increasing order of a, so that most writes of the next level
-    start rows.  Every test for a negative component calls
-    ``_negative(cid)``; one is left out only where its affine form is >= 0
-    for every a >= 0, b >= 0 and n >= 1.
+    to the row; a range whose hi reads b (hi = b + h) cuts it further to
+    b >= lo - h, from where each cell has a child.  The spans that read
+    one range share one slice of the row, c, and one sum of it, m, and a
+    one-cell range is read as that cell; where m is 0, they write nothing.
+    Each span shape has one way into the next level:
+
+    - onto a row, straight into the next level's row: a range whose bounds
+      do not read b adds m along it (``_fill``); a range whose hi reads b
+      adds m from lo up to the first cell's end, and from there the cells'
+      running sum from the right, ``accumulate(c[:-1], sub, initial=m)``,
+      since the child at the end of cell i comes from cells i, i + 1, ...;
+      a point whose child reads b adds the cells shifted (``_shift``), and
+      any other point adds m to one cell;
+    - onto the diagonal (j, j + diag), into that diagonal's one list of
+      values by j, ``g<diag>_0``: a point as on a row, and a range through
+      the diagonal's difference list of its step, ``g<diag>_<step>``: m at
+      lo, and minus the cells, or m, one step past hi.  After the row loop
+      each difference list is summed into its diagonal's values, and the
+      values are scattered into the next level once per diagonal.
+
+    Rows are cut at their last nonzero cell and come out in increasing
+    order of a.  Every test for a negative component calls
+    ``_negative(cid)``, and it fails only on a cell of nonzero
+    multiplicity, so the kernel refuses a table exactly where reading it
+    label by label (``ClassSpec.children``) meets a negative component.  A
+    test is left out where its affine form is >= 0 for every a >= 0,
+    b >= 0 and n >= 1.
     """
     body: list[str] = []
-    row_steps: set[int] = set()
-    diag_kinds: set[tuple[int, int]] = set()
+    diags: dict[int, set[int]] = {}  # each diagonal and the steps of its lists, 0 for values
 
     def emit(depth: int, *lines: str) -> None:
         body.extend(" " * depth + line for line in lines)
 
-    def negative_if(depth: int, x: Affine, b: Union[str, int] = 0) -> None:
+    def negative_if(depth: int, x: Affine, b: Union[str, int] = 0, cells: str = "") -> None:
+        """Raise if x < 0 at b and, where ``cells`` names some, one of them is nonzero."""
+        if isinstance(b, int):
+            x = x._replace(c=x.c + x.b * b, b=0)
         if not _nonneg(x):
-            emit(depth, f"if {_src(x, b)} < 0:", " _negative(cid)")
+            emit(depth, f"if {_src(x, b)} < 0{cells and f' and any({cells})'}:",
+                 " _negative(cid)")
 
     def bump(depth: int, d: str, x: Affine, op: str) -> None:
         """d[x] op= m, growing d."""
-        if _constant(x):
-            j = int(x.c)
-            emit(depth, f"if len({d}) <= {j}:", f" {d} += [0] * ({j + 1} - len({d}))",
-                 f"{d}[{j}] {op}= m")
-        else:
-            emit(depth, f"j = {_src(x)}", f"if len({d}) <= j:",
-                 f" {d} += [0] * (j + 1 - len({d}))", f"{d}[j] {op}= m")
+        emit(depth, f"j = {_src(x)}", f"if len({d}) <= j:", f" {d} += [0] * (j + 1 - len({d}))",
+             f"{d}[j] {op}= m")
 
-    def diag_list(diag: int, step: int) -> str:
+    def diag_list(diag: int, step: int = 0) -> str:
+        """The values of a diagonal (step 0), or its difference list of a step."""
         diag, step = int(diag), int(step)
-        diag_kinds.add((diag, step))
+        diags.setdefault(diag, {0}).add(step)
         return f"g{'m' if diag < 0 else ''}{abs(diag)}_{step}"
 
     def up_to_parity(depth: int, s0: Union[str, int], parity: int | None) -> Union[str, int]:
@@ -149,61 +161,47 @@ def kernel_source(rule: Rule) -> str:
         emit(depth, f"if {s0} % 2 != {int(parity)}:", f" {s0} += 1")
         return s0
 
-    # The steps of the row difference lists that b-reading spans need.
-    listed = {s.step for c in rule for s in c.body
-              if s.diag is None and s.lo != s.hi and (s.lo.b or s.hi.b)}
-
-    def fills(s: Span, pinned: bool) -> bool:
-        """Whether the span adds its cells' sum straight along its target row."""
-        return (s.lo != s.hi and s.diag is None and not (s.lo.b or s.hi.b)
-                and (pinned or s.row is None or s.row.a != 0) and s.step not in listed)
-
-    def actions(depth: int, s: Span, s0: Union[str, int], stride: int, pinned: bool) -> None:
-        lo_ab, hi_ab = s.lo._replace(b=0), s.hi._replace(b=0)
-        if s.lo != s.hi and s.lo.b == s.hi.b and not _nonneg(hi_ab - lo_ab):
-            emit(depth, f"if {_src(lo_ab)} <= {_src(hi_ab)}:")
+    def actions(depth: int, s: Span, s0: Union[str, int], form: Affine | None,
+                stride: int) -> None:
+        """Emit the span's writes for the cells from b = s0, whose affine form is
+        ``form`` where the generator knows it."""
+        if s.lo != s.hi and not s.hi.b and not _nonneg(s.hi - s.lo):
+            emit(depth, f"if {_src(s.lo)} <= {_src(s.hi)}:")
             depth += 1
         row = s.row if s.row is not None else Affine()
         if s.diag is None:
-            negative_if(depth, row)
-        negative_if(depth, s.lo, s0)
-        target = _src(row)
-        if fills(s, pinned):
-            emit(depth, f"_fill(nxt[{target}], {_src(lo_ab)}, {_src(hi_ab + 1)}, "
-                        f"{int(s.step)}, m)")
-        elif s.lo != s.hi:  # differences: + at lo, - one step past hi
-            if s.diag is None:
-                row_steps.add(s.step)
-                emit(depth, f"d = r{int(s.step)}[{target}]")
-                d = "d"
-            else:
-                d = diag_list(s.diag, s.step)
-            if s.lo.b:
-                emit(depth, f"_shift({d}, {_src(s.lo, s0)}, c, {stride}, add)")
-            else:
-                bump(depth, d, lo_ab, "+")
+            negative_if(depth, row, cells="c" if s.lo.b else "")
+            emit(depth, f"d = nxt[{_src(row)}]")
+        # A point that reads b has j < 0 for the first -lo(s0) / stride cells,
+        # which must be zero.
+        below = f"c[:({_src(s.lo * -1 + stride - 1, s0)}) // {stride}]" if s.lo.b else ""
+        negative_if(depth, s.lo, s0, below)
+        d = "d" if s.diag is None else diag_list(s.diag, s.step if s.lo != s.hi else 0)
+        if s.lo.b:  # one child per cell: the cells, shifted
+            emit(depth, f"_shift({d}, {_src(s.lo, s0)}, c, {stride}, add)")
+        elif s.lo == s.hi:  # one child: the cells' sum
+            bump(depth, d, s.lo, "+")
+        elif s.diag is not None:  # differences: + at lo, - one step past hi
+            # Every row of C5 writes into the same diagonal, so one sum of a
+            # difference list per level costs less than a running sum per row.
+            bump(depth, d, s.lo, "+")
             end = s.hi + s.step
             if s.hi.b:
                 emit(depth, f"_shift({d}, {_src(end, s0)}, c, {stride}, sub)")
             else:
                 bump(depth, d, end, "-")
-        elif s.lo.b:  # one child per cell: the cells, shifted
-            d = f"nxt[{target}]" if s.diag is None else diag_list(s.diag, 0)
-            emit(depth, f"_shift({d}, {_src(s.lo, s0)}, c, {stride}, add)")
-        else:  # one child, (t, j): the cells' sum
-            t, j = (row, s.lo) if s.diag is None else (s.lo, s.lo + s.diag)
-            if s.diag is not None:
-                negative_if(depth, j)
-            if listed:
-                emit(depth, f"late.append(({_src(t)}, {_src(j)}, m))")
-            else:
-                emit(depth, f"d = nxt[{_src(t)}]")
-                bump(depth, "d", j, "+")
+        elif s.hi.b:  # m up to the first cell's end, then the running sum
+            first = _src(s.hi, s0)
+            if form is None or s.hi._replace(b=0) + form != s.lo:
+                emit(depth, f"_fill(d, {_src(s.lo)}, {first}, {int(s.step)}, m)")
+            emit(depth, f"_shift(d, {first}, list(accumulate(c[:-1], sub, initial=m)), "
+                        f"{stride}, add)")
+        else:
+            emit(depth, f"_fill(d, {_src(s.lo)}, {_src(s.hi + 1)}, {int(s.step)}, m)")
 
     for c in rule:
         depth, mark, acted = 2, len(body), False
-        pinned = c.a_lo is not None and c.a_lo == c.a_hi
-        if pinned:
+        if c.a_lo is not None and c.a_lo == c.a_hi:
             emit(depth, f"if a == {_src(c.a_lo)}:")
             depth += 1
         elif c.a_lo is not None or c.a_hi is not None:
@@ -233,96 +231,74 @@ def kernel_source(rule: Rule) -> str:
         else:
             s1 = "b1"
             emit(depth, f"b1 = {_src(c.b_hi)}")
-        # The spans by the range they read.
-        groups: dict[tuple, list[Span]] = {}
+        # The spans by the first cell they read: a range whose hi reads b
+        # reads from b = lo - h on.
+        groups: dict[Union[Affine, int, None], list[Span]] = {}
         for s in c.body:
-            floor = cap = None
-            lo_ab, hi_ab = s.lo._replace(b=0), s.hi._replace(b=0)
+            floor = None
             if s.hi.b and not s.lo.b:
-                floor = lo_ab - hi_ab  # b >= lo - hi
+                floor = s.lo - s.hi._replace(b=0)
                 if _nonneg(floor * -1) or (c.b_lo is not None and _nonneg(c.b_lo - floor)):
                     floor = None
                 elif isinstance(s0, int) and _constant(floor):
                     floor = up_to_parity(depth, max(s0, int(floor.c)), c.parity)
-            elif s.lo.b and not s.hi.b:
-                cap = hi_ab - lo_ab  # b <= hi - lo
-                if c.b_hi is not None and _nonneg(cap - c.b_hi):
-                    cap = None
-                elif isinstance(s1, int) and _constant(cap):
-                    cap = min(s1, int(cap.c))
-            groups.setdefault((floor, cap), []).append(s)
-        for (floor, cap), spans in groups.items():
-            at = depth
-            g0, g1 = s0, s1
+            groups.setdefault(floor, []).append(s)
+        for floor, spans in groups.items():
+            at, g0 = depth, s0
             if isinstance(floor, int):
                 g0 = floor
             elif floor is not None:
                 g0 = "s0"
                 emit(at, f"s0 = {_src(floor)}", f"if s0 < {s0}:", f" s0 = {s0}")
                 up_to_parity(at, "s0", c.parity)
-            if isinstance(cap, int):
-                g1 = cap
-            elif cap is not None:
-                g1 = "s1"
-                emit(at, f"s1 = {_src(cap)}")
-                if s1 is not None:
-                    emit(at, f"if s1 > {s1}:", f" s1 = {s1}")
             tests = []
-            if g1 is not None and g1 != g0:
-                if isinstance(g0, int) and isinstance(g1, int):
-                    if g0 > g1:
+            if s1 is not None and s1 != g0:
+                if isinstance(g0, int) and isinstance(s1, int):
+                    if g0 > s1:
                         continue
                 else:
-                    tests.append(f"{g0} <= {g1}")
+                    tests.append(f"{g0} <= {s1}")
             if g0 != 0:
                 tests.append(f"{g0} <= top")
             if tests:
                 emit(at, f"if {' and '.join(tests)}:")
                 at += 1
-            cells = any(s.lo.b or s.hi.b for s in spans)
-            total = any(not (s.lo.b and s.hi.b) for s in spans)
-            if g0 == g1:
+            cells = any(s.hi.b for s in spans)
+            total = any(not s.lo.b for s in spans)
+            if g0 == s1:
                 if total:
                     emit(at, f"m = row[{g0}]")
                 if cells:
                     emit(at, f"c = row[{g0}:{g0} + 1]")
             else:
-                end = "" if g1 is None else f"{g1} + 1"
+                end = "" if s1 is None else f"{s1} + 1"
                 step = "" if stride == 1 else ":2"
                 emit(at, "c = row" if g0 == 0 and end == step == "" else
                      f"c = row[{g0 or ''}:{end}{step}]")
                 if total:
                     emit(at, "m = sum(c)")
+            if total:
+                emit(at, "if m:")
+                at += 1
+            form = Affine(g0) if isinstance(g0, int) else c.b_lo \
+                if g0 == "b0" and c.parity is None and _nonneg(c.b_lo) else None
             for s in spans:
-                actions(at, s, g0, stride, pinned)
+                actions(at, s, g0, form, stride)
             acted = True
         if not acted:
             del body[mark:]
 
     head = ["def kernel(level, n, cid):", " nxt = defaultdict(list)"]
-    head += [f" r{k} = defaultdict(list)" for k in sorted(row_steps)]
-    head += [f" {diag_list(d, k)} = []" for d, k in sorted(diag_kinds)]
-    if listed:
-        head.append(" late = []")
+    head += [f" {diag_list(d, k)} = []" for d in sorted(diags) for k in sorted(diags[d])]
     head += [" for a, row in level.items():", "  top = len(row) - 1"]
     body[:0] = head
-    for k in sorted(row_steps):
-        emit(1, f"for t, d in r{k}.items():")
-        if k > 1:
-            emit(2, f"for f in range({k}):", f" d[f::{k}] = accumulate(d[f::{k}])")
-        values = "accumulate(d)" if k == 1 else "d"
-        emit(2, "r = nxt.get(t)", "if r is None:", f" nxt[t] = list({values})", " continue",
-             "if len(r) < len(d):", " r += [0] * (len(d) - len(r))",
-             f"r[:len(d)] = map(add, r, {values})")
-    if listed:
-        emit(1, "for t, j, m in late:", " d = nxt[t]", " if len(d) <= j:",
-             "  d += [0] * (j + 1 - len(d))", " d[j] += m")
-    for d, k in sorted(diag_kinds):
-        g = diag_list(d, k)
-        if k == 1:
-            emit(1, f"{g} = list(accumulate({g}))")
-        elif k > 1:
-            emit(1, f"for f in range({k}):", f" {g}[f::{k}] = accumulate({g}[f::{k}])")
+    for d in sorted(diags):
+        g = diag_list(d)
+        for k in sorted(diags[d] - {0}):
+            gk = diag_list(d, k)
+            if k > 1:
+                emit(1, f"for f in range({k}):", f" {gk}[f::{k}] = accumulate({gk}[f::{k}])")
+            emit(1, f"_shift({g}, 0, {f'list(accumulate({gk}))' if k == 1 else gk}, 1, add)")
         if d < 0:
             emit(1, f"if any({g}[:{-d}]):", " _negative(cid)")
         column = _src(Affine(c=d, b=1), "j")

@@ -14,28 +14,21 @@ spans, each standing for the child labels (row, j), or (j, j + diag) on a
 diagonal, or (j,) for a one-component class, for lo <= j <= hi in steps of
 ``step``.  The row is affine in a and n, and lo and hi are affine in a, b
 and n with a b-coefficient of 0 or 1; a fixed child is a one-point span.
-The builder raises ``ValueError`` on any other shape.  A node's children
-are the bodies of the cases it meets, and the cases of a table are
-disjoint on the labels that occur.  This is the form of Banderier,
-Bousquet-Mélou, Denise, Flajolet, Gardy and Gouyou-Beauchamps
-("Generating functions for generating trees", 2002).
+Only a one-point span's lo may read b, and a span whose hi reads b steps
+by 1, or by 2 under a parity guard.  The builder raises ``ValueError`` on
+any other shape.  A node's children are the bodies of the cases it meets,
+and the cases of a table are disjoint on the labels that occur.  This is
+the form of Banderier, Bousquet-Mélou, Denise, Flajolet, Gardy and
+Gouyou-Beauchamps ("Generating functions for generating trees", 2002).
 
 ``ClassSpec.children`` reads the table one label at a time, and
 ``verify_rule`` compares that reading with the tree, whose nodes' children
 it reads from ``enumerate.kept_children``.  ``count_by_rule`` and
 ``refined_by_rule`` read one dynamic program, which holds a level as rows
 {a: [multiplicity of (a, b) for b = 0, 1, ...]}, the single row 0 for a
-one-component class.  Each table
-generates the Python source of one level kernel (``level_kernel``), which
-maps a level's rows to the next level's rows; it is compiled on the
-table's first use and kept for that table.  The source holds only
-integers from the table and fixed operators: every guard and span bound
-is an integer expression in a and n, and the class id reaches the kernel
-only as an argument, for its error message.  The kernel moves the cells
-of a row that a case guards together: a span adds the cells' sum along a
-range, or at one index of a difference list, or the cells as a shifted
-slice.  So C6's chain (s, r) -> (s + 1, r + 1) moves each row in one
-slice operation, and no rule is evaluated label by label.
+one-component class.  Each table generates one level kernel, compiled on
+the table's first use, which maps a level's rows to the next level's rows
+and evaluates no rule label by label; ``level_kernel`` describes it.
 """
 
 from __future__ import annotations
@@ -145,6 +138,8 @@ def span(lo: Union[Affine, int], hi: Union[Affine, int], *, row: Union[Affine, i
     for x in (lo, hi):
         if x.b not in (0, 1):
             raise ValueError(f"span bound {x!r}: the coefficient of B must be 0 or 1")
+    if lo.b and lo != hi:
+        raise ValueError(f"span {lo!r}..{hi!r}: only a one-point span's lo may read B")
     if row is not None and diag is not None:
         raise ValueError("a span targets a row or a diagonal, not both")
     if row is not None:
@@ -182,12 +177,16 @@ def case(*body: Span, a: Union[Bound, tuple[Bound, Bound]] = None,
     for s in body:
         if not isinstance(s, Span):
             raise ValueError(f"{s!r} is not a span")
-        # The dynamic program ends a span one step past hi, so hi - lo must
-        # be a multiple of the step on every label the case guards; the
-        # parity fixes b mod 2 for a step of 2.
+        # A span whose hi reads B steps as the cells it reads do, by 1 or,
+        # under a parity guard, by 2: the child at the end of each cell is
+        # then one step past the last one.  Its hi - lo, and that of every
+        # other span, must be a multiple of the step on every label the
+        # case guards; the parity fixes b mod 2.
         d = s.hi - s.lo
-        b_known = d.b % s.step == 0 or (s.step == 2 and parity is not None)
-        if not b_known or d.a % s.step or d.n % s.step or (d.b * (parity or 0) + d.c) % s.step:
+        if d.b and s.step != (1 if parity is None else 2):
+            raise ValueError(f"span {s.lo!r}..{s.hi!r} in steps of {s.step}: a span whose "
+                             "hi reads B steps by 1, or by 2 under a parity guard")
+        if d.a % s.step or d.n % s.step or (d.b * (parity or 0) + d.c) % s.step:
             raise ValueError(f"span {s.lo!r}..{s.hi!r} in steps of {s.step} "
                              "does not end on a step in every guarded label")
     return Case(tuple(body), a_lo, a_hi, b_lo, b_hi, parity)
@@ -292,19 +291,8 @@ def _dp_levels(spec: ClassSpec, nmax: int) -> Iterator[Rows]:
     Row a of a level is the list of multiplicities of the labels (a, b),
     b = 0, 1, ..., with no trailing zeros; a one-component class has the
     single row 0 for its labels (b,).  Each level comes from the one
-    before by the level kernel of the rule table (``level_kernel``,
-    compiled once per table): for each row and each case that guards some
-    of its cells, every span of the case reads those cells:
-
-    - a span of several children adds the cells' sum along its range of
-      the target row, or adds into the difference list of its target (a
-      row, or a diagonal indexed by j) kept per step: at lo the cells'
-      sum, or the cells shifted if lo reads b, and at hi plus the step
-      minus the same;
-    - a one-point span whose child reads b adds the cells, shifted, to
-      the next level's row, or to a diagonal's list of values;
-    - a one-point span whose child does not read b adds the cells' sum
-      to one cell of the next level.
+    before by the level kernel of the rule table, compiled once per table;
+    ``level_kernel`` describes how it moves each row's cells.
     """
     if nmax < 1:
         return

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import random
 import time
 import tokenize
 from pathlib import Path
@@ -74,26 +75,99 @@ def test_counts_match_formulas():
         assert count_by_rule(REGISTRY["C9"], n)[-1] == formula_value("b_rec", n)
 
 
-@pytest.mark.parametrize("cid", CLASS_IDS)
-def test_span_sweep_matches_plain_expansion(cid):
-    # A reference DP that adds every child label one at a time; the label
-    # DP adds each span as a range, step-2 spans (C2, C2e) and the diagonal
-    # span of C5 included.
-    spec = REGISTRY[cid]
+def _expanded(spec, nmax):
+    """Levels 1..nmax as {label: multiplicity}, from a reference DP that adds
+    every child label of ``spec.children`` one at a time."""
     level = {spec.root_label: 1}
-    expected = []
-    for n in range(1, 41):
-        terms = {}
-        for label, mult in level.items():
-            key = label if len(label) == 2 else (label[0], 0)
-            terms[key] = terms.get(key, 0) + mult
-        expected.append((n, Poly(terms)))
+    levels = [level]
+    for n in range(1, nmax):
         nxt = {}
         for label, mult in level.items():
             for child in spec.children(label, n):
                 nxt[child] = nxt.get(child, 0) + mult
         level = nxt
+        levels.append(level)
+    return levels
+
+
+def _as_refined(spec, levels):
+    pad = (0,) * (2 - len(spec.root_label))
+    return [(n, Poly({label + pad: mult for label, mult in level.items()}))
+            for n, level in enumerate(levels, start=1)]
+
+
+@pytest.mark.parametrize("cid", CLASS_IDS)
+def test_span_sweep_matches_plain_expansion(cid):
+    # The label DP adds each span as a range, step-2 spans (C2, C2e) and
+    # the diagonal span of C5 included.
+    spec = REGISTRY[cid]
+    expected = _as_refined(spec, _expanded(spec, 40))
     assert [(rc.n, rc.poly) for rc in refined_by_rule(spec, 40)] == expected
+
+
+def _random_table(rng, width):
+    """A table of one to three cases, each of one to three spans drawn from
+    every shape the builder takes, under random guards."""
+    two = width == 2
+    starts = [0, 1, 2] + ([A, A + 1] if two else [N])
+
+    def target():
+        if not two:
+            return {}
+        if rng.random() < 0.5:
+            return {"row": rng.choice([A, A + 1, A - 1, 0, 1, N - 1])}
+        return {"diag": rng.choice([-2, -1, 0, 1, 2])}
+
+    cases = []
+    for _ in range(rng.randint(1, 3)):
+        parity = rng.choice([None, None, 0, 1])
+        body = []
+        for _ in range(rng.randint(1, 3)):
+            shape = rng.randrange(4)
+            if shape == 0:  # bounds that do not read B, in steps of 1 or 2
+                step, lo = rng.choice([1, 2]), rng.choice(starts)
+                length = rng.choice([1, 2, N - 1] + ([A, A - 2] if two else []))
+                body.append(span(lo, rules.Affine() + lo + step * length, step=step,
+                                 **target()))
+            elif shape == 1:  # a tail: hi = B + h, stepping as the cells do
+                h = rng.choice([-2, -1, 0, 1, 2])
+                if parity is None:
+                    body.append(span(rng.choice(starts), B + h, **target()))
+                else:  # hi - lo = b + h - lo is even for b of the parity
+                    lo = rng.choice([x for x in range(4) if (x - h - parity) % 2 == 0])
+                    body.append(span(lo, B + h, step=2, **target()))
+            elif shape == 2:
+                body.append(point(B + rng.choice([-1, 0, 1, 2]), **target()))
+            else:
+                body.append(point(rng.choice(starts + ([A - 1] if two else [N + 1])),
+                                  **target()))
+        guard = {"parity": parity,
+                 "b": rng.choice([None, None, (1, None), 2, (None, 3), (N - 2, None)]
+                                 + ([(None, A), (A + 1, None), (A - 1, None)] if two else []))}
+        if two:
+            guard["a"] = rng.choice([None, None, 0, (1, None), (None, N), (2, 3)])
+        cases.append(case(*body, **guard))
+    root = (rng.randint(0, 2), rng.randint(0, 2)) if two else (rng.randint(0, 2),)
+    return rules._spec("T", "2-1-3", ("l", "r") if two else ("r",), root, *cases)
+
+
+def test_random_tables_match_plain_expansion():
+    # Small tables of every shape the builder takes, most of which no class
+    # uses: the kernel must give the label-by-label levels, or refuse the
+    # table exactly where that reading meets a negative component.
+    rng = random.Random(2002)
+    refused = 0
+    for i in range(500):
+        spec = _random_table(rng, 1 + i % 2)
+        levels = _expanded(spec, 7)
+        if any(min(label) < 0 for level in levels for label in level):
+            refused += 1
+            with pytest.raises(ValueError, match="^the rule of T gives a negative component$"):
+                refined_by_rule(spec, 7)
+        else:
+            assert [(rc.n, rc.poly) for rc in refined_by_rule(spec, 7)] \
+                == _as_refined(spec, levels), spec.rule
+    assert 0 < refused < 250
 
 
 def test_deep_counts_within_a_time_gate():
@@ -109,7 +183,7 @@ def test_deep_counts_within_a_time_gate():
 
 def test_deep_rule_counts_within_a_time_gate():
     # The row DP moves whole rows: C6's one-child chain is one slice per
-    # row, and the C10/C11 spans are difference-list updates per row.
+    # row, and a C10/C11 span onto row A is one running sum of the row.
     deep = {"C6": 240, "C10": 200, "C11": 200}
     start = time.perf_counter()
     counts = {cid: count_by_rule(REGISTRY[cid], n) for cid, n in deep.items()}
@@ -215,6 +289,20 @@ def test_table_builder_refuses_other_shapes():
         rules._spec("X", "2-1-3", ("r",), (1,), case(span(1, A + B)))
     with pytest.raises(ValueError, match="row or a diagonal"):
         rules._spec("X", "2-1-3", ("l", "r"), (2, 1), case(span(1, B)))
+    # Only a one-point span's lo reads B.
+    for lo, hi in ((B, B + 2), (B - 1, A), (B, N)):
+        with pytest.raises(ValueError, match="one-point"):
+            span(lo, hi, row=A)
+    with pytest.raises(ValueError, match="one-point"):
+        span(B + 1, B + 3, diag=0, step=2)
+    assert point(B - 1, row=A).lo == B - 1
+    # A span whose hi reads B steps as the cells do: by 1, or by 2 under a
+    # parity guard.
+    for body in (span(1, B, row=A), span(2, B + 1, diag=-1)):
+        with pytest.raises(ValueError, match="parity guard"):
+            case(body, parity=1)
+        assert case(body).parity is None
+    assert case(span(1, A, row=A + 1), parity=0).parity == 0
 
 
 @pytest.mark.parametrize("cid", CLASS_IDS)
