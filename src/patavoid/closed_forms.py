@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import count, takewhile
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .rules import REGISTRY as CLASSES, RefinedCount, refined_by_rule
@@ -329,12 +329,6 @@ def verify_identity(name: str, candidate: TruncatedSeries,
     return _first_residual(residual)
 
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 # The first index of each count formula; Motzkin numbers start at M_0 = 1.
 _FORMULA_START = {"motzkin": 0, "cat3": 1, "even_formula": 1, "pow2": 1,
                   "west": 1, "fib_odd": 1, "b_rec": 1}
@@ -355,18 +349,28 @@ def formula_value(name: str, n: int) -> int:
     if name == "cat3":
         if n % 2 == 0:
             k = n // 2
-            val = Fraction(_binom(3 * k, k), 2 * k + 1)
+            val = Fraction(math.comb(3 * k, k), 2 * k + 1)
         else:
             k = (n - 1) // 2
-            val = Fraction(_binom(3 * k + 1, k + 1), 2 * k + 1)
+            val = Fraction(math.comb(3 * k + 1, k + 1), 2 * k + 1)
         if val.denominator != 1:
             raise ArithmeticError(f"cat3({n}) = {val} is not an integer")
         return val.numerator
     if name == "even_formula":
-        # n/(n-k) C(n-k, k) = C(n-k, k) + C(n-k-1, k-1), so every term is an integer
-        total = sum(2 * _binom(n, 2 * k) * _binom(n - k, k - 1)
-                    + _binom(n, 2 * k + 1) * (_binom(n - k, k) + _binom(n - k - 1, k - 1))
-                    for k in range(n // 2 + 1))
+        # The sum over k <= n/2 of 2 C(n, 2k) C(n-k, k-1)
+        # + C(n, 2k+1) (C(n-k, k) + C(n-k-1, k-1)), where
+        # n/(n-k) C(n-k, k) = C(n-k, k) + C(n-k-1, k-1), so every term is an
+        # integer.  C(n, 2k), C(n, 2k+1) and C(n-k, k) step in k by exact
+        # integer ratios, and C(n-k, k-1) = C(n-k, k) k/(n-2k+1) and
+        # C(n-k-1, k-1) = C(n-k, k) k/(n-k) are read off C(n-k, k).
+        total = 0
+        even, diag = 1, 1  # C(n, 2k), C(n-k, k) at k = 0
+        for k in range(n // 2 + 1):
+            odd = even * (n - 2 * k) // (2 * k + 1)
+            total += (2 * even * (diag * k // (n - 2 * k + 1))
+                      + odd * (diag + diag * k // (n - k)))
+            even = odd * (n - 2 * k - 1) // (2 * k + 2)
+            diag = diag * (n - 2 * k) * (n - 2 * k - 1) // ((n - k) * (k + 1))
         val, rem = divmod(total, n)
         if rem:
             raise ArithmeticError(f"even_formula({n}) = {total}/{n} is not an integer")
@@ -380,7 +384,10 @@ def formula_value(name: str, n: int) -> int:
         for _ in range(2 * n - 2):
             a, b = b, a + b
         return a
-    b = [1, 1]  # b_rec
+    # b_rec: b_(i+2) = b_(i+1) + sum_k C(i, k) b_k, with the row C(i, .)
+    # kept and stepped by Pascal's rule
+    b, row = [1, 1], [1]
     for i in range(n - 1):
-        b.append(b[i + 1] + sum(_binom(i, k) * b[k] for k in range(i + 1)))
+        b.append(b[i + 1] + sum(map(mul, row, b)))
+        row = [1, *map(add, row, row[1:]), 1]
     return b[n]

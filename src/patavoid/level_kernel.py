@@ -20,7 +20,7 @@ from itertools import accumulate
 from operator import add, sub
 from typing import Callable, Union
 
-from .rules import Affine, Rows, Rule, Span
+from .rules import Affine, Case, Rows, Rule, Span
 
 
 def _shift(d: list[int], at: int, cells: list[int], stride: int, op) -> None:
@@ -78,6 +78,18 @@ def _constant(x: Affine) -> bool:
     return not (x.a or x.b or x.n)
 
 
+def _pinned(c: Case) -> Case:
+    """The case with a = a_lo, the value its guard pins, read into the forms
+    of its b bounds and spans, and with the spans that are then empty
+    (lo > hi, neither reading b) left out."""
+    def at(x: Affine | None) -> Affine | None:
+        return None if x is None else x._replace(a=0) + c.a_lo * x.a
+
+    body = [s._replace(lo=at(s.lo), hi=at(s.hi), row=at(s.row)) for s in c.body]
+    return c._replace(body=tuple(s for s in body if s.hi.b or not _nonneg(s.lo - s.hi - 1)),
+                      b_lo=at(c.b_lo), b_hi=at(c.b_hi))
+
+
 def _src(x: Affine, b: Union[str, int] = 0) -> str:
     """``x`` as source in ``a`` and ``n``, with B read as ``b``: a name, or
     an int that is folded into the constant."""
@@ -125,11 +137,19 @@ def kernel_source(rule: Rule) -> str:
     ``_negative(cid)``, and it fails only on a cell of nonzero
     multiplicity, so the kernel refuses a table exactly where reading it
     label by label (``ClassSpec.children``) meets a negative component.  A
-    test is left out where its affine form is >= 0 for every a >= 0,
-    b >= 0 and n >= 1.
+    test is left out where its affine form is >= 0 for every b >= 0,
+    n >= 1 and a at least the case's least a (or 0), and one that is
+    constant is folded.  A case that pins a reads that value into the
+    forms of its b bounds and spans before anything is written, and a span
+    that is then empty (lo > hi, neither reading b) writes nothing.
     """
     body: list[str] = []
     diags: dict[int, set[int]] = {}  # each diagonal and the steps of its lists, 0 for values
+    a_lo = Affine()  # the least a the case being written reads, where that is >= 0
+
+    def nonneg(x: Affine) -> bool:
+        """Whether x >= 0 on every label the case reads, as far as a >= a_lo tells."""
+        return _nonneg(x + a_lo * x.a)
 
     def emit(depth: int, *lines: str) -> None:
         body.extend(" " * depth + line for line in lines)
@@ -138,9 +158,15 @@ def kernel_source(rule: Rule) -> str:
         """Raise if x < 0 at b and, where ``cells`` names some, one of them is nonzero."""
         if isinstance(b, int):
             x = x._replace(c=x.c + x.b * b, b=0)
-        if not _nonneg(x):
-            emit(depth, f"if {_src(x, b)} < 0{cells and f' and any({cells})'}:",
-                 " _negative(cid)")
+        if nonneg(x):
+            return
+        tests = [] if _constant(x) else [f"{_src(x, b)} < 0"]
+        if cells:
+            tests.append(f"any({cells})")
+        if tests:
+            emit(depth, f"if {' and '.join(tests)}:", " _negative(cid)")
+        else:
+            emit(depth, "_negative(cid)")
 
     def bump(depth: int, d: str, x: Affine, op: str) -> None:
         """d[x] op= m, growing d."""
@@ -165,7 +191,7 @@ def kernel_source(rule: Rule) -> str:
                 stride: int) -> None:
         """Emit the span's writes for the cells from b = s0, whose affine form is
         ``form`` where the generator knows it."""
-        if s.lo != s.hi and not s.hi.b and not _nonneg(s.hi - s.lo):
+        if s.lo != s.hi and not s.hi.b and not nonneg(s.hi - s.lo):
             emit(depth, f"if {_src(s.lo)} <= {_src(s.hi)}:")
             depth += 1
         row = s.row if s.row is not None else Affine()
@@ -200,11 +226,14 @@ def kernel_source(rule: Rule) -> str:
             emit(depth, f"_fill(d, {_src(s.lo)}, {_src(s.hi + 1)}, {int(s.step)}, m)")
 
     for c in rule:
-        depth, mark, acted = 2, len(body), False
+        depth, mark, acted, a_lo = 2, len(body), False, Affine()
         if c.a_lo is not None and c.a_lo == c.a_hi:
             emit(depth, f"if a == {_src(c.a_lo)}:")
             depth += 1
+            c = _pinned(c)
         elif c.a_lo is not None or c.a_hi is not None:
+            if c.a_lo is not None and _nonneg(c.a_lo):
+                a_lo = c.a_lo
             chain = ([_src(c.a_lo)] if c.a_lo is not None else []) + ["a"] \
                 + ([_src(c.a_hi)] if c.a_hi is not None else [])
             emit(depth, f"if {' <= '.join(chain)}:")
@@ -213,13 +242,13 @@ def kernel_source(rule: Rule) -> str:
         # None for the row's end.  s1 may pass the row's end, so each read
         # tests s0 <= top as well.
         one_cell = c.parity is None and c.b_lo is not None and c.b_lo == c.b_hi \
-            and _nonneg(c.b_lo)
+            and nonneg(c.b_lo)
         if c.b_lo is None or _constant(c.b_lo):
             s0: Union[str, int] = max(0, 0 if c.b_lo is None else int(c.b_lo.c))
         else:
             s0 = "b0"
             emit(depth, f"b0 = {_src(c.b_lo)}")
-            if not _nonneg(c.b_lo):
+            if not nonneg(c.b_lo):
                 emit(depth, "if b0 < 0:", " b0 = 0")
         s0 = up_to_parity(depth, s0, c.parity)
         stride = 1 if c.parity is None else 2
@@ -238,7 +267,7 @@ def kernel_source(rule: Rule) -> str:
             floor = None
             if s.hi.b and not s.lo.b:
                 floor = s.lo - s.hi._replace(b=0)
-                if _nonneg(floor * -1) or (c.b_lo is not None and _nonneg(c.b_lo - floor)):
+                if nonneg(floor * -1) or (c.b_lo is not None and nonneg(c.b_lo - floor)):
                     floor = None
                 elif isinstance(s0, int) and _constant(floor):
                     floor = up_to_parity(depth, max(s0, int(floor.c)), c.parity)
@@ -249,7 +278,9 @@ def kernel_source(rule: Rule) -> str:
                 g0 = floor
             elif floor is not None:
                 g0 = "s0"
-                emit(at, f"s0 = {_src(floor)}", f"if s0 < {s0}:", f" s0 = {s0}")
+                emit(at, f"s0 = {_src(floor)}")
+                if not (isinstance(s0, int) and nonneg(floor - s0)):
+                    emit(at, f"if s0 < {s0}:", f" s0 = {s0}")
                 up_to_parity(at, "s0", c.parity)
             tests = []
             if s1 is not None and s1 != g0:
@@ -281,7 +312,7 @@ def kernel_source(rule: Rule) -> str:
                 emit(at, "if m:")
                 at += 1
             form = Affine(g0) if isinstance(g0, int) else c.b_lo \
-                if g0 == "b0" and c.parity is None and _nonneg(c.b_lo) else None
+                if g0 == "b0" and c.parity is None and nonneg(c.b_lo) else None
             for s in spans:
                 actions(at, s, g0, form, stride)
             acted = True

@@ -72,8 +72,14 @@ def statistic(perm: Perm, which: str) -> int:
         bottoms = [perm[i] for i in range(n - 1) if perm[i] < perm[i + 1]]
         return max(bottoms) if bottoms else 0
     if which == "m":
-        later = [perm[i] for i in range(1, n) if min(perm[:i]) < perm[i]]
-        return min(later) if later else n + 1
+        # the least entry exceeding some entry to its left, by a running minimum
+        low = best = n + 1
+        for x in perm:
+            if x < low:
+                low = x
+            elif x < best:
+                best = x
+        return best
     raise ValueError(f"unknown statistic {which!r}")
 
 

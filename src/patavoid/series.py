@@ -13,16 +13,20 @@ coefficient is read as a plain ``int``/``Fraction`` and any other as its
 ``Poly``, so each product or sum is scalar or ``Poly`` arithmetic as its two
 operands are, and two u,v-free series make no ``Poly`` at all; results are
 still ``Poly``-wrapped series.  Any operation combining two series works to
-the smaller of their orders, and an order is never negative.  Algebraic
-roots come from Newton iteration, which doubles the correct precision each
-step and stops as soon as that precision covers the order; the equation and
-its derivative are evaluated by Horner's rule (``horner``, which
+the smaller of their orders, and an order is never negative.  A square
+root sums each convolution by symmetry, once over half its terms.
+Algebraic roots come from Newton iteration, which doubles the correct
+precision each step and stops as soon as that precision covers the order;
+each step evaluates and inverts the derivative only to the precision
+already correct, which is all the step needs.  The equation and its
+derivative are evaluated by Horner's rule (``horner``, which
 ``closed_forms.verify_identity`` uses too).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -273,7 +277,13 @@ class TruncatedSeries:
         return TruncatedSeries(out, order)
 
     def sqrt(self) -> TruncatedSeries:
-        """Square root with constant term 1; radicand must be u,v-free."""
+        """Square root with constant term 1; radicand must be u,v-free.
+
+        Solves r_n = (s_n - sum_{0<i<n} r_i r_(n-i)) / 2 term by term; the
+        sum pairs r_i r_(n-i) with r_(n-i) r_i, so it is twice the sum over
+        0 < i < n/2, plus r_(n/2)^2 when n is even.  Integral halves are
+        held as ``int``.
+        """
         s = _elements(self.coeffs)
         if any(isinstance(c, Poly) for c in s):
             raise ValueError("sqrt requires a u,v-free radicand")
@@ -281,8 +291,11 @@ class TruncatedSeries:
             raise ValueError("sqrt requires constant term 1")
         r: list[Scalar] = [1]
         for n in range(1, self.order + 1):
-            half = Fraction(s[n] - sum(r[i] * r[n - i] for i in range(1, n)), 2)
-            r.append(_exact(half))
+            h = (n + 1) // 2
+            cross = 2 * sum(map(mul, r[1:h], r[n - 1:n - h:-1]))
+            if n % 2 == 0:
+                cross += r[h] * r[h]
+            r.append(_exact(Fraction(s[n] - cross, 2)))
         return TruncatedSeries(r, self.order)
 
     def subs_one(self, u: bool = False, v: bool = False) -> TruncatedSeries:
@@ -331,7 +344,11 @@ def algebraic_root(eq_coeffs: Sequence[TruncatedSeries], order: int) -> Truncate
     """The unique power-series root Y with Y(0) = 0 of sum_i c_i(t) Y^i = 0.
 
     Requires c_0(0) = 0 and c_1(0) invertible; solved by Newton iteration
-    with doubling precision.
+    with doubling precision, y <- y - f(y)/f'(y) mod t^(2 prec) from
+    y = Y mod t^prec.  Since f(y) = O(t^prec), 1/f'(y) is needed only mod
+    t^prec: each step evaluates f' on y cut there and inverts it once at
+    order prec - 1, so ceil(log2(order + 1)) steps (at least one) reach the
+    order, and the root is checked in the equation at the end.
     """
     coeffs = [TruncatedSeries(c.coeffs, order) for c in eq_coeffs]
     c0 = coeffs[0].coeffs[0]
@@ -346,7 +363,9 @@ def algebraic_root(eq_coeffs: Sequence[TruncatedSeries], order: int) -> Truncate
     prec = 1  # y is Y mod t^prec; one step makes it Y mod t^(2 prec)
     while True:
         y = TruncatedSeries(y.coeffs, min(order, 2 * prec))
-        y = y - horner(coeffs, y) * horner(derivs, y).inverse()
+        # 1/f'(y) mod t^prec, padded with zeros to the order of y
+        inv = horner(derivs, y.truncate(prec - 1)).inverse()
+        y = y - horner(coeffs, y) * TruncatedSeries(inv.coeffs, y.order)
         if 2 * prec > order:
             break
         prec *= 2

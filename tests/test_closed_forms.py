@@ -204,6 +204,14 @@ def test_even_formula_matches_the_fraction_form():
         assert type(value) is int and value == fraction_form(n), n
 
 
+def test_b_rec_matches_its_recurrence():
+    # b_0 = b_1 = 1 and b_(i+2) = b_(i+1) + sum_k C(i, k) b_k
+    b = [1, 1]
+    for i in range(149):
+        b.append(b[i + 1] + sum(math.comb(i, k) * b[k] for k in range(i + 1)))
+    assert [formula_value("b_rec", n) for n in range(1, 151)] == b[1:]
+
+
 def test_series_from_refined():
     refined = refined_by_rule(CLASSES["C5"], 4)
     s = series_from_refined(refined, 4)

@@ -1,5 +1,7 @@
 """Permutation values, the appending construction, and label statistics."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +72,19 @@ def test_statistics_degenerate():
     assert statistic(inc, "h") == 0
     with pytest.raises(ValueError):
         statistic(inc, "x")
+
+
+def test_m_matches_its_definition():
+    # m is the least entry with a smaller entry somewhere to its left, and
+    # n + 1 where there is none (the decreasing permutation)
+    def definition(perm):
+        n = len(perm)
+        later = [perm[i] for i in range(1, n) if min(perm[:i]) < perm[i]]
+        return min(later) if later else n + 1
+
+    for n in range(8):
+        for perm in permutations(range(1, n + 1)):
+            assert statistic(perm, "m") == definition(perm), perm
 
 
 def test_right_to_left_maxima():

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import time
 import tokenize
 from pathlib import Path
@@ -225,6 +226,29 @@ def test_kernel_sources_hold_no_text():
         assert all(t.string.isdigit() for t in tokens if t.type == tokenize.NUMBER), cid
 
 
+def test_kernels_test_nothing_their_case_settles():
+    # A case that pins a reads it into its forms, so no line under its guard
+    # reads a (C10 and C11 write nothing for span(1, A) at a = 0, where it is
+    # empty); a span guard K <= a under a case guard K' <= a with K <= K' is
+    # left out (C10, C11), and so is C5's clamp of s0 = a + 1 at 0.
+    settled = 0
+    for cid in CLASS_IDS:
+        guards = []  # (indent, pinned, least a) of each enclosing case guard
+        for line in level_kernel.kernel_source(REGISTRY[cid].rule).splitlines():
+            depth, text = len(line) - len(line.lstrip()), line.strip()
+            guards = [g for g in guards if g[0] < depth]
+            for _, pinned, least in guards:
+                assert not (pinned and re.search(r"\ba\b", text)), (cid, line)
+                bound = re.fullmatch(r"if (\d+) <= a:", text)
+                assert not (bound and int(bound[1]) <= least), (cid, line)
+                settled += 1
+            guard = re.fullmatch(r"if a == (\d+):|if (\d+) <= a(?: <= [^:]*)?:", text)
+            if guard:
+                guards.append((depth, guard[1] is not None, int(guard[1] or guard[2])))
+    assert settled
+    assert "if s0 < 0:" not in level_kernel.kernel_source(REGISTRY["C5"].rule)
+
+
 @pytest.mark.parametrize("spec", [
     rules._spec("X1", "2-1-3", ("r",), (1,), case(point(B - 2))),
     rules._spec("X3", "2-1-3", ("l", "r"), (2, 1), case(point(1, row=A - 3))),
@@ -232,10 +256,12 @@ def test_kernel_sources_hold_no_text():
     rules._spec("X6", "2-1-3", ("l", "r"), (2, 1), case(span(1, B, diag=-3))),
     rules._spec("X7", "2-1-3", ("l", "r"), (2, 1), case(point(1, diag=-3))),
     rules._spec("X8", "2-1-3", ("l", "r"), (2, 1), case(span(A - 3, B, row=A))),
+    rules._spec("X9", "2-1-3", ("l", "r"), (2, 1), case(point(1, row=A - 3), a=2)),
 ], ids=lambda spec: spec.id)
 def test_a_negative_component_is_refused(spec):
     # A point, a row, a diagonal's cells, a diagonal span, a diagonal's
-    # single child and a span start, each negative from the root on.
+    # single child and a span start, each negative from the root on, and a
+    # row that is negative at the a its case pins.
     with pytest.raises(ValueError, match=f"^the rule of {spec.id} gives a negative component$"):
         count_by_rule(spec, 6)
 

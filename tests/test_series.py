@@ -1,5 +1,6 @@
 """Exact truncated series arithmetic: inversion, roots, radicals."""
 
+import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -15,6 +16,10 @@ from patavoid.series import Poly, TruncatedSeries, algebraic_root, divide_cancel
 
 def S(terms, order):
     return TruncatedSeries.from_terms(order, terms)
+
+
+def _fractions(rng, count):
+    return [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(count)]
 
 
 def test_poly_arithmetic():
@@ -63,6 +68,19 @@ def test_sqrt_catalan():
         == [1, 1, 2, 5, 14, 42]
 
 
+def test_sqrt_matches_the_full_convolution():
+    # r_n = (s_n - sum_{0<i<n} r_i r_(n-i)) / 2 with every term of the sum
+    rng = random.Random(11)
+    order = 60
+    for _ in range(8):
+        s = [1, *_fractions(rng, rng.randint(1, 5))]
+        s += [0] * (order + 1 - len(s))
+        r = [Fraction(1)]
+        for n in range(1, order + 1):
+            r.append((s[n] - sum(r[i] * r[n - i] for i in range(1, n))) / 2)
+        assert [c.constant_value() for c in TruncatedSeries(s).sqrt().coeffs] == r, s
+
+
 def test_sqrt_requires_unit_constant():
     with pytest.raises(ValueError):
         S({(0, 0, 0): 4}, 3).sqrt()
@@ -105,6 +123,37 @@ def test_algebraic_root_catalan():
         == cats[1:]
 
 
+def _naive_root(eq, order):
+    """Y's coefficients one at a time: [t^n] of sum_i c_i Y^i is c_1(0) y_n
+    plus terms in y_1..y_(n-1) only, so y_n is read off that coefficient
+    evaluated with y_n = 0."""
+    def product(p, q):
+        return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(order + 1)]
+
+    y = [Fraction(0)] * (order + 1)
+    for n in range(1, order + 1):
+        power, total = [1] + [0] * order, [0] * (order + 1)
+        for c in eq:
+            total = [s + x for s, x in zip(total, product(c, power))]
+            power = product(power, y)
+        y[n] = -total[n] / eq[1][0]
+    return y
+
+
+def test_algebraic_root_matches_a_naive_solver():
+    # random equations of degree 1 to 3 in Y with Fraction coefficients,
+    # c_0(0) = 0 and c_1(0) neither 1 nor -1
+    rng = random.Random(7)
+    for _ in range(40):
+        order = rng.randint(0, 20)
+        eq = [_fractions(rng, 4) + [0] * order for _ in range(rng.randint(2, 4))]
+        eq[0][0] = 0
+        eq[1][0] = rng.choice([2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)])
+        eq = [c[:order + 1] for c in eq]
+        y = algebraic_root([TruncatedSeries(c) for c in eq], order)
+        assert [c.constant_value() for c in y.coeffs] == _naive_root(eq, order), eq
+
+
 def test_algebraic_root_preconditions():
     order = 5
     with pytest.raises(ValueError):
@@ -130,13 +179,14 @@ def test_negative_order_is_refused():
 def test_newton_stops_when_precision_covers_order(monkeypatch, order):
     # each Newton step inverts the derivative once and doubles the precision
     # from t^1, so t^(order+1) takes ceil(log2(order + 1)) steps, at least
-    # one; for order >= 1 that is the bit length of order
+    # one; for order >= 1 that is the bit length of order.  The step from
+    # Y mod t^prec inverts f' only mod t^prec, at order prec - 1.
     calls = []
     inverse = TruncatedSeries.inverse
     monkeypatch.setattr(TruncatedSeries, "inverse",
                         lambda self: calls.append(self.order) or inverse(self))
     closed_form("J", order)
-    assert len(calls) == max(1, order.bit_length())
+    assert calls == [2 ** i - 1 for i in range(max(1, order.bit_length()))]
 
 
 def test_str_formatting():
