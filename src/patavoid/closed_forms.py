@@ -206,7 +206,7 @@ GF_FOR_CLASS = {spec.class_id: spec.name for spec in REGISTRY.values()}
 def series_from_refined(refined: Sequence[RefinedCount],
                         order: int) -> TruncatedSeries:
     """Assemble per-length refined polynomials into a series in t."""
-    coeffs = [Poly()] * (order + 1)
+    coeffs: list[Poly | int] = [0] * (order + 1)
     for rc in refined:
         if rc.n <= order:
             coeffs[rc.n] = rc.poly
@@ -271,7 +271,7 @@ def closed_form(name: str, order: int,
     subs = dict(u=at_u == 1, v=at_v == 1)
 
     def lift(p: TruncatedSeries, work: int = order) -> TruncatedSeries:
-        return TruncatedSeries(p.subs_one(**subs).coeffs, work)
+        return p.subs_one(**subs).to_order(work)
 
     if spec.kind == "algebraic":
         return algebraic_root([lift(c) for c in spec.parts["eq"]], order)
@@ -285,7 +285,7 @@ def closed_form(name: str, order: int,
     parts = {key: lift(p, order + k) for key, p in spec.parts.items()}
     num, den = parts["num"], parts["den"]
     if spec.kind == "radical":
-        if not den.coeffs[k].is_constant():
+        if not den.coefficient(k).is_constant():
             return rule_series(spec.class_id, order).subs_one(**subs)
         num = num + parts["coef"] * parts["radicand"].sqrt()
     return divide_cancel(num, den)
@@ -295,11 +295,11 @@ def _first_residual(residual: TruncatedSeries) -> tuple[bool, tuple[int, Poly] |
     n = residual.first_nonzero()
     if n is None:
         return True, None
-    return False, (n, residual.coeffs[n])
+    return False, (n, residual.coefficient(n))
 
 
 def _lifted(spec: GFSpec, order: int) -> dict[str, TruncatedSeries]:
-    return {key: TruncatedSeries(p.coeffs, order) for key, p in spec.parts.items()}
+    return {key: p.to_order(order) for key, p in spec.parts.items()}
 
 
 def verify_identity(name: str, candidate: TruncatedSeries,
@@ -320,7 +320,7 @@ def verify_identity(name: str, candidate: TruncatedSeries,
     if spec.kind == "sum":
         return _first_residual(cand - closed_form(name, order))
     if spec.kind == "algebraic":
-        eq = [TruncatedSeries(c.coeffs, order) for c in spec.parts["eq"]]
+        eq = [c.to_order(order) for c in spec.parts["eq"]]
         return _first_residual(horner(eq, cand))
     parts = _lifted(spec, order)
     residual = parts["den"] * cand - parts["num"]

@@ -1,33 +1,38 @@
 """Exact truncated power series in t with rational-polynomial coefficients.
 
 Coefficients are polynomials in two formal variables u and v over the
-rationals; plain rationals are degree-0 polynomials.  All arithmetic is
-exact.  Division requires the denominator's t^0 coefficient d_0 to be a
-nonzero u,v-free rational; it solves c_n = (b_n - sum_k d_k c_(n-k)) / d_0
-term by term, summing over the denominator's nonzero coefficients only, and
-the reciprocal is one division.  Square roots require a u,v-free radicand
-with constant term 1 and halve exactly.  Quotients and halves that are
-integers are held as ``int``, so integer series stay integer.  Multiply and
-divide each run one recurrence over coefficient elements: a u,v-free
-coefficient is read as a plain ``int``/``Fraction`` and any other as its
-``Poly``, so each product or sum is scalar or ``Poly`` arithmetic as its two
-operands are, and two u,v-free series make no ``Poly`` at all; results are
-still ``Poly``-wrapped series.  Any operation combining two series works to
-the smaller of their orders, and an order is never negative.  A square
-root sums each convolution by symmetry, once over half its terms.
-Algebraic roots come from Newton iteration, which doubles the correct
-precision each step and stops as soon as that precision covers the order;
-each step evaluates and inverts the derivative only to the precision
-already correct, which is all the step needs.  The equation and its
-derivative are evaluated by Horner's rule (``horner``, which
+rationals.  A series holds each coefficient as a ring element: a plain
+``int``/``Fraction`` when it is u,v-free and its ``Poly`` otherwise, so no
+stored ``Poly`` is u,v-free.  The constructor normalises its coefficients
+once; every operation then reads and writes elements directly, each product
+or sum is scalar or ``Poly`` arithmetic as its two operands are, and a
+``Poly`` is made only where a coefficient has u or v in it, so u,v-free
+series make none at all.  ``coefficient(n)`` and ``coeffs`` read the
+elements back as ``Poly``.  Series are never mutated, so a substitution of
+nothing, or a series brought to its own order, is the series itself.
+
+All arithmetic is exact.  Division requires the denominator's t^0
+coefficient d_0 to be a nonzero u,v-free rational; it solves
+c_n = (b_n - sum_k d_k c_(n-k)) / d_0 term by term, summing over the
+denominator's nonzero coefficients only, and the reciprocal is one
+division.  Square roots require a u,v-free radicand with constant term 1
+and halve exactly.  Quotients and halves that are integers are held as
+``int``, so integer series stay integer.  Any operation combining two
+series works to the smaller of their orders, and an order is never
+negative.  A square root sums each convolution by symmetry, once over half
+its terms.  Algebraic roots come from Newton iteration, which doubles the
+correct precision each step and stops as soon as that precision covers the
+order; each step evaluates and inverts the derivative only to the
+precision already correct, which is all the step needs.  The equation and
+its derivative are evaluated by Horner's rule (``horner``, which
 ``closed_forms.verify_identity`` uses too).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
-from typing import Mapping, Sequence, Union
+from operator import add, eq, mul, sub
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -47,11 +52,6 @@ def _term(c: Scalar | Poly, powers: Sequence[tuple[str, int]]) -> str:
     if c == 1:
         return mono
     return f"-{mono}" if c == -1 else f"{c}{mono}"
-
-
-def _elements(coeffs: Sequence[Poly]) -> list[Scalar | Poly]:
-    """Each coefficient as a plain number if it is u,v-free, else the Poly."""
-    return [c.terms.get((0, 0), 0) if c.is_constant() else c for c in coeffs]
 
 
 def _signed_sum(terms: Sequence[str]) -> str:
@@ -113,6 +113,9 @@ class Poly:
     def __sub__(self, other: Poly | Scalar) -> Poly:
         return self + (-other)
 
+    def __rsub__(self, other: Scalar) -> Poly:
+        return -self + other
+
     def __mul__(self, other: Poly | Scalar) -> Poly:
         if not isinstance(other, Poly):
             res = Poly.__new__(Poly)
@@ -162,92 +165,118 @@ class Poly:
     __repr__ = __str__
 
 
-_ZERO = Poly()
-
-
-def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
+def _element(x: Poly | Scalar) -> Poly | Scalar:
+    """x as a ring element: a u,v-free ``Poly`` as its plain number."""
+    if type(x) is not Poly:
         return x
-    return Poly.const(x) if x else _ZERO
+    terms = x.terms
+    if not terms:
+        return 0
+    if len(terms) == 1 and (0, 0) in terms:
+        return terms[(0, 0)]
+    return x
+
+
+def _normed(xs: Iterable[Poly | Scalar]) -> list[Poly | Scalar]:
+    """The elements of xs, each u,v-free ``Poly`` read as its number."""
+    return [_element(x) if type(x) is Poly else x for x in xs]
+
+
+def _as_poly(x: Poly | Scalar) -> Poly:
+    return x if type(x) is Poly else Poly.const(x)
 
 
 class TruncatedSeries:
-    """A power series in t modulo t^(order+1), with Poly coefficients."""
+    """A power series in t modulo t^(order+1), with coefficients in Q[u, v].
 
-    __slots__ = ("order", "coeffs")
+    Each coefficient is held as a ring element: a plain ``int``/``Fraction``
+    when it is u,v-free, its ``Poly`` otherwise.  ``coefficient(n)`` and
+    ``coeffs`` read them as ``Poly``.  A series is never mutated.
+    """
+
+    __slots__ = ("order", "_coeffs")
 
     def __init__(self, coeffs: Sequence[Poly | Scalar], order: int | None = None):
-        coeffs = [_as_poly(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
+        self._fill(_normed(coeffs[: order + 1]), order)
+
+    def _fill(self, elements: list[Poly | Scalar], order: int) -> TruncatedSeries:
         if order < 0:
             raise ValueError(f"order must be non-negative, got {order}")
-        if len(coeffs) < order + 1:
-            coeffs += [_ZERO] * (order + 1 - len(coeffs))
         self.order = order
-        self.coeffs = coeffs[: order + 1]
+        self._coeffs = elements[: order + 1] + [0] * (order + 1 - len(elements))
+        return self
 
     @classmethod
     def zero(cls, order: int) -> TruncatedSeries:
-        return cls([], order)
+        return _series([], order)
 
     @classmethod
     def from_terms(cls, order: int,
                    terms: Mapping[tuple[int, int, int], Scalar]) -> TruncatedSeries:
         """Build from {(deg_t, deg_u, deg_v): coefficient}."""
-        coeffs = [dict() for _ in range(order + 1)]
+        out: list[Poly | Scalar] = [0] * (order + 1)
         for (i, a, b), c in terms.items():
             if i <= order and c:
-                coeffs[i][(a, b)] = coeffs[i].get((a, b), 0) + c
-        return cls([Poly(d) for d in coeffs], order)
+                out[i] += Poly({(a, b): c}) if a or b else c
+        return _series(_normed(out), order)
+
+    @property
+    def coeffs(self) -> list[Poly]:
+        """The coefficients as a new list of ``Poly``."""
+        return [_as_poly(c) for c in self._coeffs]
 
     def coefficient(self, n: int) -> Poly:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond order {self.order}")
-        return self.coeffs[n]
+        return _as_poly(self._coeffs[n])
+
+    def to_order(self, order: int) -> TruncatedSeries:
+        """This series at the given order: cut, or padded with zero terms."""
+        return self if order == self.order else _series(self._coeffs, order)
 
     def truncate(self, order: int) -> TruncatedSeries:
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[: order + 1], order)
+        return self.to_order(order)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self._coeffs)
 
     def first_nonzero(self) -> int | None:
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
+        for i, c in enumerate(self._coeffs):
+            if c:
                 return i
         return None
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(order + 1)], order)
+        return _series(_normed(map(add, self._coeffs, other._coeffs)),
+                       min(self.order, other.order))
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(order + 1)], order)
+        return _series(_normed(map(sub, self._coeffs, other._coeffs)),
+                       min(self.order, other.order))
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         order = min(self.order, other.order)
-        nonzero = [(j, y) for j, y in enumerate(_elements(other.coeffs[: order + 1])) if y]
+        nonzero = [(j, y) for j, y in enumerate(other._coeffs[: order + 1]) if y]
         out: list[Scalar | Poly] = [0] * (order + 1)
-        for i, x in enumerate(_elements(self.coeffs[: order + 1])):
+        for i, x in enumerate(self._coeffs[: order + 1]):
             if x:
                 for j, y in nonzero:
                     if i + j > order:
                         break
                     out[i + j] += x * y
-        return TruncatedSeries(out, order)
+        return _series(_normed(out), order)
 
     def scale(self, p: Poly | Scalar) -> TruncatedSeries:
-        return TruncatedSeries([c * p for c in self.coeffs], self.order)
+        p = _element(p)
+        return _series(_normed(_exact(c * p) for c in self._coeffs), self.order)
 
     def inverse(self) -> TruncatedSeries:
         """Reciprocal; requires an invertible rational constant term."""
-        return TruncatedSeries([1], self.order) / self
+        return _series([1], self.order) / self
 
     def __truediv__(self, other: TruncatedSeries) -> TruncatedSeries:
         """Quotient by c_n = (b_n - sum_{k>=1} d_k c_(n-k)) / d_0.
@@ -258,23 +287,24 @@ class TruncatedSeries:
         quotient coefficients are held as ``int``.
         """
         order = min(self.order, other.order)
-        d0 = other.coeffs[0]
-        if not d0.is_constant() or not d0.constant_value():
+        d0 = other._coeffs[0]
+        if type(d0) is Poly or not d0:
             raise ValueError(
                 f"series not invertible: constant term {d0} is not a nonzero rational")
-        inv0 = _exact(1 / Fraction(d0.constant_value()))
-        negated = [(k, -d) for k, d in enumerate(_elements(other.coeffs[1: order + 1]), 1)
-                   if d]
+        inv0 = _exact(1 / Fraction(d0))
+        negated = [(k, -d) for k, d in enumerate(other._coeffs[1: order + 1], 1) if d]
         out: list[Scalar | Poly] = []
-        for n, acc in enumerate(_elements(self.coeffs[: order + 1])):
+        for n, acc in enumerate(self._coeffs[: order + 1]):
             for k, d in negated:
                 if k > n:
                     break
                 c = out[n - k]
                 if c:
                     acc += d * c
-            out.append(acc if inv0 == 1 else _exact(acc * inv0))
-        return TruncatedSeries(out, order)
+            if inv0 != 1:
+                acc = _exact(acc * inv0)
+            out.append(_element(acc) if type(acc) is Poly else acc)
+        return _series(out, order)
 
     def sqrt(self) -> TruncatedSeries:
         """Square root with constant term 1; radicand must be u,v-free.
@@ -284,8 +314,8 @@ class TruncatedSeries:
         0 < i < n/2, plus r_(n/2)^2 when n is even.  Integral halves are
         held as ``int``.
         """
-        s = _elements(self.coeffs)
-        if any(isinstance(c, Poly) for c in s):
+        s = self._coeffs
+        if any(type(c) is Poly for c in s):
             raise ValueError("sqrt requires a u,v-free radicand")
         if s[0] != 1:
             raise ValueError("sqrt requires constant term 1")
@@ -296,22 +326,29 @@ class TruncatedSeries:
             if n % 2 == 0:
                 cross += r[h] * r[h]
             r.append(_exact(Fraction(s[n] - cross, 2)))
-        return TruncatedSeries(r, self.order)
+        return _series(r, self.order)
 
     def subs_one(self, u: bool = False, v: bool = False) -> TruncatedSeries:
-        return TruncatedSeries([c.subs_one(u, v) for c in self.coeffs], self.order)
+        """Substitute 1 for u and/or v; with neither, the series itself."""
+        if not (u or v):
+            return self
+        return _series([_element(c.subs_one(u, v)) if type(c) is Poly else c
+                        for c in self._coeffs], self.order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(order + 1))
+        return all(map(eq, self._coeffs, other._coeffs))
 
     def __str__(self) -> str:
-        return _signed_sum([_term(c.constant_value() if c.is_constant() else c, (("t", n),))
-                            for n, c in enumerate(self.coeffs) if not c.is_zero()])
+        return _signed_sum([_term(c, (("t", n),)) for n, c in enumerate(self._coeffs) if c])
 
     __repr__ = __str__
+
+
+def _series(elements: list[Poly | Scalar], order: int) -> TruncatedSeries:
+    """The series of ring elements, none a u,v-free ``Poly``, at the order."""
+    return TruncatedSeries.__new__(TruncatedSeries)._fill(elements, order)
 
 
 def divide_cancel(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
@@ -325,10 +362,10 @@ def divide_cancel(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries
     if k is None:
         raise ZeroDivisionError("division by the zero series")
     if k:
-        if any(not c.is_zero() for c in num.coeffs[:k]):
+        if any(num._coeffs[:k]):
             raise ValueError(f"series not divisible by t^{k}")
-        num = TruncatedSeries(num.coeffs[k:], num.order - k)
-        den = TruncatedSeries(den.coeffs[k:], den.order - k)
+        num = _series(num._coeffs[k:], num.order - k)
+        den = _series(den._coeffs[k:], den.order - k)
     return num / den
 
 
@@ -350,22 +387,22 @@ def algebraic_root(eq_coeffs: Sequence[TruncatedSeries], order: int) -> Truncate
     order prec - 1, so ceil(log2(order + 1)) steps (at least one) reach the
     order, and the root is checked in the equation at the end.
     """
-    coeffs = [TruncatedSeries(c.coeffs, order) for c in eq_coeffs]
-    c0 = coeffs[0].coeffs[0]
-    c1 = coeffs[1].coeffs[0]
-    if not c0.is_zero():
+    coeffs = [c.to_order(order) for c in eq_coeffs]
+    c0 = coeffs[0]._coeffs[0]
+    c1 = coeffs[1]._coeffs[0]
+    if c0:
         raise ValueError("no power-series branch: equation does not vanish at Y=0, t=0")
-    if not c1.is_constant() or not c1.constant_value():
+    if type(c1) is Poly or not c1:
         raise ValueError("branch not unique: linear coefficient not invertible at t=0")
     derivs = [coeffs[i].scale(i) for i in range(1, len(coeffs))]
 
     y = TruncatedSeries.zero(0)
     prec = 1  # y is Y mod t^prec; one step makes it Y mod t^(2 prec)
     while True:
-        y = TruncatedSeries(y.coeffs, min(order, 2 * prec))
+        y = y.to_order(min(order, 2 * prec))
         # 1/f'(y) mod t^prec, padded with zeros to the order of y
         inv = horner(derivs, y.truncate(prec - 1)).inverse()
-        y = y - horner(coeffs, y) * TruncatedSeries(inv.coeffs, y.order)
+        y = y - horner(coeffs, y) * inv.to_order(y.order)
         if 2 * prec > order:
             break
         prec *= 2

@@ -1,5 +1,6 @@
 """Generating-function registry: expansion, identities, count formulas."""
 
+import hashlib
 import math
 import signal
 import time
@@ -32,6 +33,35 @@ def test_known_expansions():
     assert gf_counts("C7", 8) == [formula_value("fib_odd", n) for n in range(1, 9)]
     assert gf_counts("C8", 6) == [1, 2, 5, 13, 35, 97]
     assert gf_counts("C3", 6) == [1, 2, 5, 13, 35, 96]
+
+
+# sha256 of _closed_form_dump(): pins every expansion and the type of each term
+CLOSED_FORM_DIGEST = "b9d32540f9fcdf8f69e4999382154dba65dc2a8dfc0a43940ce576bc37a8521d"
+
+
+def _closed_form_dump():
+    """Every term of every closed form under each allowed substitution at
+    orders 0, 1, 7 and 25, and of J and Q at 200, one line per term with
+    the type of its coefficient."""
+    lines = []
+    cases = [(name, order) for name in sorted(GFS) for order in (0, 1, 7, 25)]
+    cases += [("J", 200), ("Q", 200)]
+    for name, order in cases:
+        variables = GFS[name].variables
+        for at_u in ((None, 1) if "u" in variables else (None,)):
+            for at_v in ((None, 1) if "v" in variables else (None,)):
+                s = closed_form(name, order, at_u=at_u, at_v=at_v)
+                lines.append(f"{name} {order} {at_u} {at_v} {s.order}")
+                for n in range(s.order + 1):
+                    for (a, b), c in sorted(s.coefficient(n).terms.items()):
+                        lines.append(f"{n} {a} {b} {type(c).__name__} {c}")
+    return "\n".join(lines)
+
+
+def test_closed_forms_match_the_recorded_digest():
+    dump = _closed_form_dump()
+    assert len(dump.splitlines()) == 14088
+    assert hashlib.sha256(dump.encode()).hexdigest() == CLOSED_FORM_DIGEST
 
 
 def test_sum_expansions():

@@ -32,6 +32,9 @@ def test_poly_arithmetic():
     # a plain number is a constant polynomial on either side of + and *
     assert (p + 3).terms == (3 + p).terms == {(1, 0): 1, (0, 0): 5}
     assert (p + -2).terms == {(1, 0): 1}
+    assert (3 - p).terms == {(1, 0): -1, (0, 0): 1}
+    assert (Fraction(1, 2) - p).terms == {(1, 0): -1, (0, 0): Fraction(-3, 2)}
+    assert (2 - Poly.const(2)).is_zero()
     assert (2 * p).terms == {(1, 0): 2, (0, 0): 4}
     half = p * Fraction(1, 2)
     assert half.terms == {(1, 0): Fraction(1, 2), (0, 0): 1}
@@ -207,6 +210,43 @@ def poly_products():
         Poly.__mul__ = mul
 
 
+POLY_METHODS = ("__init__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                "__mul__", "__rmul__", "subs_one")
+
+
+@pytest.fixture
+def poly_calls(monkeypatch):
+    """Record the name of each ``Poly`` construction or arithmetic call."""
+    calls = []
+    for name in POLY_METHODS:
+        method = Poly.__dict__[name]
+        monkeypatch.setattr(Poly, name, lambda *args, _name=name, _method=method:
+                            calls.append(_name) or _method(*args))
+    return calls
+
+
+def test_uv_free_series_make_no_poly(poly_calls):
+    rng = random.Random(5)
+    a = TruncatedSeries([1, *_fractions(rng, 40)])
+    b = TruncatedSeries([2, *_fractions(rng, 30)], 40)
+    results = [a + b, a - b, b - a, a.scale(3), a.scale(Fraction(-2, 3)),
+               a.subs_one(u=True), b.subs_one(u=True, v=True), a.truncate(10), a.sqrt(),
+               closed_form("J", 60)]
+    assert not poly_calls
+    assert all(type(c) in (int, Fraction) for r in results for c in r._coeffs)
+    assert (a - b).coeffs == [x - y for x, y in zip(a.coeffs, b.coeffs)]
+
+
+def test_an_empty_substitution_is_the_series_itself():
+    s = S({(1, 1, 0): 1, (2, 0, 0): 3}, 4)
+    assert s.subs_one() is s
+    assert s.subs_one(u=True).coefficient(1) == Poly.const(1)
+    assert s.truncate(4) is s and s.to_order(4) is s
+    assert s.to_order(6).order == 6 and s.to_order(6) == s
+    with pytest.raises(ValueError, match="order must be non-negative, got -1"):
+        s.to_order(-1)
+
+
 small_series = st.lists(
     st.integers(-3, 3), min_size=7, max_size=7).map(
         lambda cs: TruncatedSeries([Poly.const(c) for c in cs], 6))
@@ -376,6 +416,9 @@ def test_dense_path_matches_the_oracles(operands):
     assert product.coeffs == convolve(a, d)
     assert convolve(ratio.coeffs, d) == a
     assert den * num == product
+    # no stored coefficient is a u,v-free Poly
+    for s in (num, den, product, ratio, num - den, num + den):
+        assert not any(isinstance(c, Poly) and c.is_constant() for c in s._coeffs)
     symbolic = any(isinstance(c, Poly) for c in a + d)
     if not symbolic:
         assert not calls  # two u,v-free operands make no Poly at all
