@@ -11,13 +11,17 @@ Each entry is order-free data of one of four kinds:
                     num_k / (own_k * new_1 * ... * new_k); the entry yields
                     the term factors (num_k, own_k, new_k) in order of k.
 
-Every polynomial is an exact series whose order is its t-degree, built as a
-product of factors at import, except a sum's term factors, which its
-generator builds on each ``closed_form`` call.  ``closed_form`` is the only
-code that knows about orders.  It substitutes u = v = 1 as asked, lifts
-each part to the requested order plus the t-power k the denominator
-cancels, and divides once.  A sum takes the terms whose numerator reaches
-the order and nests them from the top down,
+Every polynomial is an exact series whose order is its t-degree, built once
+at import, except a sum's term factors, which its generator builds on each
+``closed_form`` call.  A numerator, radical coefficient or radicand is held
+as one product of its factors; a denominator is held as the tuple of its
+factors, and is applied factor by factor, never multiplied out.
+``closed_form`` is the only code that knows about orders.  It substitutes
+u = v = 1 as asked, lifts each part to the requested order plus the t-power
+k the denominator cancels (the sum of its factors' t-valuations), and
+divides by one factor after another.  ``verify_identity`` multiplies the
+candidate by one factor after another.  A sum takes the terms whose
+numerator reaches the order and nests them from the top down,
 acc = (acc + num_k / own_k) / new_k, so each division is by a polynomial of
 two or three terms.
 
@@ -52,6 +56,11 @@ def _poly(*factors: dict[tuple[int, int, int], int]) -> TruncatedSeries:
     return reduce(mul, (TruncatedSeries.from_terms(order, f) for f in factors))
 
 
+def _factors(*factors: dict[tuple[int, int, int], int]) -> tuple[TruncatedSeries, ...]:
+    """Each factor {(deg_t, deg_u, deg_v): coefficient} as its own exact series."""
+    return tuple(map(_poly, factors))
+
+
 def _lin(j: int) -> dict[tuple[int, int, int], int]:
     """1 - jt."""
     return {(0, 0, 0): 1, (1, 0, 0): -j}
@@ -63,7 +72,9 @@ class GFSpec:
     kind: str  # rational | radical | algebraic | sum
     variables: tuple[str, ...]  # formal variables beyond t
     class_id: str  # paired succession-rule class
-    parts: dict  # exact polynomials by role; a sum's "terms" yields its term factors
+    # exact polynomials by role, "den" as the tuple of its factors; a sum's
+    # "terms" yields its term factors
+    parts: dict
 
 
 _ONE = _poly({(0, 0, 0): 1})
@@ -74,14 +85,14 @@ _D = {
     "num": _poly({(0, 0, 0): 1, (1, 0, 0): -1}),
     "coef": _poly({(0, 0, 0): -1}),
     "radicand": _RADICAND_MOTZKIN,
-    "den": _poly({(1, 0, 0): 2}),
+    "den": _factors({(1, 0, 0): 2}),
 }
 
 _K1 = {
     "num": _poly({(0, 1, 0): 1, (1, 1, 0): -1, (1, 2, 0): -2}),
     "coef": _poly({(0, 1, 0): -1}),
     "radicand": _RADICAND_MOTZKIN,
-    "den": _poly({(0, 1, 0): -2, (1, 0, 0): 2, (1, 1, 0): 2, (1, 2, 0): 2}),
+    "den": _factors({(0, 1, 0): -2, (1, 0, 0): 2, (1, 1, 0): 2, (1, 2, 0): 2}),
 }
 
 _M = {
@@ -94,16 +105,16 @@ _M = {
     "coef": _poly({(0, 2, 1): -1},
                   {(0, 0, 1): 1, (0, 1, 1): -1, (1, 1, 0): 1, (2, 2, 1): 1}),
     "radicand": _RADICAND_MOTZKIN,
-    "den": _poly({(0, 0, 0): 2},
-                 {(0, 0, 0): 1, (0, 1, 0): -1, (1, 1, 0): -1, (1, 2, 0): 1, (2, 2, 0): 1},
-                 {(0, 0, 0): 1, (0, 1, 1): -1, (1, 1, 1): 1, (2, 2, 2): 1}),
+    "den": _factors({(0, 0, 0): 2},
+                    {(0, 0, 0): 1, (0, 1, 0): -1, (1, 1, 0): -1, (1, 2, 0): 1, (2, 2, 0): 1},
+                    {(0, 0, 0): 1, (0, 1, 1): -1, (1, 1, 1): 1, (2, 2, 2): 1}),
 }
 
 _N = {
     "num": _poly({(1, 0, 1): 1},
                  {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 0): 1, (1, 1, 1): -1}),
-    "den": _poly({(0, 0, 0): 1, (1, 0, 1): -1},
-                 {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 1): -1}),
+    "den": _factors({(0, 0, 0): 1, (1, 0, 1): -1},
+                    {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 1): -1}),
 }
 
 _K2 = {
@@ -111,9 +122,9 @@ _K2 = {
                  {(0, 0, 0): 1,
                   (1, 0, 0): -1, (1, 1, 0): -1, (1, 1, 1): -1,
                   (2, 2, 0): 1, (2, 1, 1): 1, (2, 2, 1): 1}),
-    "den": _poly({(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 0): -1},
-                 {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 1): -1},
-                 {(0, 0, 0): 1, (1, 1, 1): -1}),
+    "den": _factors({(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 0): -1},
+                    {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 1): -1},
+                    {(0, 0, 0): 1, (1, 1, 1): -1}),
 }
 
 _H = {
@@ -123,8 +134,8 @@ _H = {
                   (2, 0, 0): 1, (2, 1, 0): 1, (2, 0, 1): -1, (2, 1, 1): -1,
                   (2, 0, 2): 1,
                   (3, 1, 1): 1, (3, 1, 2): -1}),
-    "den": _poly({(0, 0, 0): 1, (1, 0, 0): -3, (2, 0, 0): 1},
-                 {(0, 0, 0): 1, (1, 1, 0): -1}),
+    "den": _factors({(0, 0, 0): 1, (1, 0, 0): -3, (2, 0, 0): 1},
+                    {(0, 0, 0): 1, (1, 1, 0): -1}),
 }
 
 _F = {
@@ -146,10 +157,10 @@ _F = {
                    (2, 1, 0): 1, (2, 0, 1): -1, (2, 0, 2): 1, (2, 2, 2): -1,
                    (3, 1, 1): 1, (3, 1, 2): -1}),
     "radicand": _poly({(0, 0, 0): 1, (1, 0, 0): -4, (2, 0, 0): 2, (4, 0, 0): 1}),
-    "den": _poly({(0, 0, 0): 2},
-                 {(0, 0, 0): 1, (1, 1, 1): 2, (2, 2, 2): 1,
-                  (0, 1, 1): -1, (1, 0, 0): -1, (2, 1, 1): -1},
-                 {(0, 0, 0): 1, (1, 2, 0): 1, (0, 1, 0): -1, (2, 1, 0): 1, (1, 0, 0): -1}),
+    "den": _factors({(0, 0, 0): 2},
+                    {(0, 0, 0): 1, (1, 1, 1): 2, (2, 2, 2): 1,
+                     (0, 1, 1): -1, (1, 0, 0): -1, (2, 1, 1): -1},
+                    {(0, 0, 0): 1, (1, 2, 0): 1, (0, 1, 0): -1, (2, 1, 0): 1, (1, 0, 0): -1}),
 }
 
 _J = {"eq": [_poly({(1, 0, 0): 1}),
@@ -255,8 +266,11 @@ def closed_form(name: str, order: int,
     """Expand the named generating function to the given t-order.
 
     ``at_u`` / ``at_v`` may be 1 to substitute, or None to stay symbolic.
-    Radical entries whose denominator is not invertible at symbolic u, v
-    (K1, M, F) return the succession-rule series, which is the defined value
+    A rational or radical entry is divided by its denominator one factor at
+    a time, each through ``divide_cancel``.  Radical entries whose
+    denominator is not invertible at symbolic u, v (K1, M, F: some factor's
+    lowest nonzero coefficient is not a constant, so neither is the
+    product's) return the succession-rule series, which is the defined value
     of the closed form there; ``verify_identity`` is the cross-check.
     """
     if name not in REGISTRY:
@@ -281,14 +295,18 @@ def closed_form(name: str, order: int,
         for num, own, new in reversed(list(reach)):
             acc = (acc + lift(num) / lift(own)) / lift(new)
         return acc
-    k = spec.parts["den"].subs_one(**subs).first_nonzero()
-    parts = {key: lift(p, order + k) for key, p in spec.parts.items()}
-    num, den = parts["num"], parts["den"]
+    dens = [f.subs_one(**subs) for f in spec.parts["den"]]
+    lows = [f.first_nonzero() for f in dens]
+    if spec.kind == "radical" and not all(
+            f.coefficient(k).is_constant() for f, k in zip(dens, lows)):
+        return rule_series(spec.class_id, order).subs_one(**subs)
+    work = order + sum(lows)
+    num = lift(spec.parts["num"], work)
     if spec.kind == "radical":
-        if not den.coefficient(k).is_constant():
-            return rule_series(spec.class_id, order).subs_one(**subs)
-        num = num + parts["coef"] * parts["radicand"].sqrt()
-    return divide_cancel(num, den)
+        num = num + lift(spec.parts["coef"], work) * lift(spec.parts["radicand"], work).sqrt()
+    for den in dens:
+        num = divide_cancel(num, den.to_order(work))
+    return num
 
 
 def _first_residual(residual: TruncatedSeries) -> tuple[bool, tuple[int, Poly] | None]:
@@ -298,16 +316,13 @@ def _first_residual(residual: TruncatedSeries) -> tuple[bool, tuple[int, Poly] |
     return False, (n, residual.coefficient(n))
 
 
-def _lifted(spec: GFSpec, order: int) -> dict[str, TruncatedSeries]:
-    return {key: p.to_order(order) for key, p in spec.parts.items()}
-
-
 def verify_identity(name: str, candidate: TruncatedSeries,
                     order: int) -> tuple[bool, tuple[int, Poly] | None]:
     """Check the named closed form against an independently computed series.
 
-    Rational kinds are cross-multiplied, radical kinds compared after
-    isolating the radical (the radicand is u,v-free, so its square root is a
+    Rational kinds are cross-multiplied, the candidate times one denominator
+    factor after another, and radical kinds likewise after isolating the
+    radical (the radicand is u,v-free, so its square root is a
     t-series scalar), algebraic kinds substituted into their equation by
     ``horner``, sum kinds compared with their expansion.  Returns (ok, first
     nonzero residual).
@@ -322,8 +337,10 @@ def verify_identity(name: str, candidate: TruncatedSeries,
     if spec.kind == "algebraic":
         eq = [c.to_order(order) for c in spec.parts["eq"]]
         return _first_residual(horner(eq, cand))
-    parts = _lifted(spec, order)
-    residual = parts["den"] * cand - parts["num"]
+    parts = {key: p.to_order(order) for key, p in spec.parts.items() if key != "den"}
+    for den in spec.parts["den"]:
+        cand = den.to_order(order) * cand
+    residual = cand - parts["num"]
     if spec.kind == "radical":
         residual = residual - parts["coef"] * parts["radicand"].sqrt()
     return _first_residual(residual)

@@ -5,6 +5,8 @@ import math
 import signal
 import time
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -12,7 +14,7 @@ from patavoid.closed_forms import (GF_FOR_CLASS, REGISTRY as GFS, closed_form,
                                    formula_value, gf_counts, rule_series,
                                    series_from_refined, verify_identity)
 from patavoid.rules import REGISTRY as CLASSES, count_by_rule, refined_by_rule
-from patavoid.series import Poly, TruncatedSeries
+from patavoid.series import Poly, TruncatedSeries, divide_cancel
 
 
 def test_pairing_covers_all_classes():
@@ -159,9 +161,12 @@ def squared_radical_residual(name, candidate, order):
     """First nonzero index of (den y - num)^2 - coef^2 radicand, the radical
     identity with its isolated radical term squared: an oracle that never
     expands a square root, as ``verify_identity`` does."""
-    parts = {key: TruncatedSeries(p.coeffs, order)
-             for key, p in GFS[name].parts.items()}
-    iso = parts["den"] * candidate.truncate(order) - parts["num"]
+    def lift(p):
+        return TruncatedSeries(p.coeffs, order)
+
+    parts = {key: lift(p) for key, p in GFS[name].parts.items() if key != "den"}
+    den = reduce(mul, map(lift, GFS[name].parts["den"]))
+    iso = den * candidate.truncate(order) - parts["num"]
     return (iso * iso - parts["coef"] * parts["coef"] * parts["radicand"]).first_nonzero()
 
 
@@ -178,12 +183,41 @@ def test_squared_radical_check_agrees(name):
 
 @pytest.mark.parametrize("name", sorted(GFS))
 def test_identity_detects_perturbations(name):
-    order = 9
-    cand = rule_series(GFS[name].class_id, order)
-    for j in (2, 5, 8):
+    # A bump of t^j first shows at t^(j + s) with coefficient c, where s and
+    # c are the t-valuation and lowest coefficient of what the candidate is
+    # multiplied by: the denominator (its factors multiplied out here), the
+    # equation's linear coefficient for an algebraic kind, 1 for a sum.
+    spec = GFS[name]
+    order = 25
+    if spec.kind in ("rational", "radical"):
+        den = reduce(mul, (f.to_order(order) for f in spec.parts["den"]))
+        shift = den.first_nonzero()
+        lead = den.coefficient(shift)
+    else:
+        shift = 0
+        lead = spec.parts["eq"][1].coefficient(0) if spec.kind == "algebraic" else Poly.const(1)
+    assert shift == (1 if name == "D" else 0)
+    cand = rule_series(spec.class_id, order)
+    for j in (1, 2, 5, 8, 17, order - shift):
         bump = TruncatedSeries.from_terms(order, {(j, 0, 0): 1})
         ok, residual = verify_identity(name, cand + bump, order)
-        assert not ok and residual is not None, (name, j)
+        assert not ok and residual == (j + shift, lead), (name, j)
+
+
+@pytest.mark.parametrize("name", ["N", "K2", "H"])
+def test_factor_by_factor_division_matches_the_product(name):
+    # The product route as the oracle: multiply the denominator's factors
+    # out into one exact series, then divide once.
+    spec = GFS[name]
+    degree = sum(f.order for f in spec.parts["den"])
+    product = reduce(mul, (f.to_order(degree) for f in spec.parts["den"]))
+    for at in (None, 1):
+        den = product.subs_one(u=at == 1, v=at == 1)
+        k = den.first_nonzero()
+        for order in (0, 1, 2, 3, 25):
+            num = spec.parts["num"].subs_one(u=at == 1, v=at == 1).to_order(order + k)
+            expected = divide_cancel(num, den.to_order(order + k))
+            assert closed_form(name, order, at_u=at, at_v=at) == expected, (at, order)
 
 
 def test_identity_rejects_short_candidate():
