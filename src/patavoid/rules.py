@@ -309,15 +309,6 @@ def _dp_levels(spec: ClassSpec, nmax: int) -> Iterator[Rows]:
         yield level
 
 
-def _cells(spec: ClassSpec, rows: Rows) -> Iterator[tuple[Label, int]]:
-    """The (label, multiplicity) pairs of one DP level with a nonzero multiplicity."""
-    two = len(spec.root_label) == 2
-    for a, row in rows.items():
-        for b, mult in enumerate(row):
-            if mult:
-                yield ((a, b) if two else (b,)), mult
-
-
 def iter_rule_counts(spec: ClassSpec, nmax: int) -> Iterator[int]:
     """Level totals 1..nmax from the label dynamic program, each yielded
     as soon as its level is computed."""
@@ -340,12 +331,18 @@ class RefinedCount:
 def refined_by_rule(spec: ClassSpec, nmax: int) -> list[RefinedCount]:
     """Per-level polynomials in which a label (a,) or (a, b) is u^a v^b.
 
-    A label is exactly its monomial's exponents, so each DP level is the
-    polynomial's term map once a 0 is appended to one-component labels.
+    A label is exactly its monomial's exponents, so each level's term map
+    is read straight off its DP rows: cell b of row a is the term (a, b),
+    or (b, 0) for a one-component label (b,), for each nonzero cell.
     """
-    pad = (0,) * (2 - len(spec.root_label))
-    return [RefinedCount(n, Poly({label + pad: mult for label, mult in _cells(spec, rows)}))
-            for n, rows in enumerate(_dp_levels(spec, nmax), start=1)]
+    two = len(spec.root_label) == 2
+    out = []
+    for n, rows in enumerate(_dp_levels(spec, nmax), start=1):
+        poly = Poly.__new__(Poly)
+        poly.terms = {(a, b) if two else (b, 0): m
+                      for a, row in rows.items() for b, m in enumerate(row) if m}
+        out.append(RefinedCount(n, poly))
+    return out
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ or sum is scalar or ``Poly`` arithmetic as its two operands are, and a
 series make none at all.  ``coefficient(n)`` and ``coeffs`` read the
 elements back as ``Poly``.  Series are never mutated, so a substitution of
 nothing, or a series brought to its own order, is the series itself.
+Neither is a ``Poly``, so ``x + 0`` and ``x * 1`` are ``x`` itself, and a
+sum copies only the term map of its larger side.
 
 All arithmetic is exact.  Division requires the denominator's t^0
 coefficient d_0 to be a nonzero u,v-free rational; it solves
@@ -65,7 +67,14 @@ def _signed_sum(terms: Sequence[str]) -> str:
 
 
 class Poly:
-    """A polynomial in u and v, stored as {(deg_u, deg_v): coefficient}."""
+    """A polynomial in u and v, stored as {(deg_u, deg_v): coefficient}.
+
+    No coefficient stored is 0.  A ``Poly`` is never mutated after it is
+    built, so a result may share an operand's ``Poly``: adding 0 or an empty
+    ``Poly`` returns the other side, and multiplying by 1 returns ``self``.
+    A sum copies the larger term map and folds the smaller one into it; a
+    product loops over the operand with fewer terms on the outside.
+    """
 
     __slots__ = ("terms",)
 
@@ -91,9 +100,20 @@ class Poly:
         return bool(self.terms)
 
     def __add__(self, other: Poly | Scalar) -> Poly:
-        out = dict(self.terms)
-        terms = other.terms if isinstance(other, Poly) else {(0, 0): other}
-        for k, c in terms.items():
+        if type(other) is Poly:
+            small, big = other.terms, self.terms
+            if not small:
+                return self
+            if not big:
+                return other
+            if len(small) > len(big):
+                small, big = big, small
+        elif other:
+            small, big = {(0, 0): other}, self.terms
+        else:
+            return self
+        out = dict(big)
+        for k, c in small.items():
             s = out.get(k, 0) + c
             if s:
                 out[k] = s
@@ -117,19 +137,30 @@ class Poly:
         return -self + other
 
     def __mul__(self, other: Poly | Scalar) -> Poly:
-        if not isinstance(other, Poly):
-            res = Poly.__new__(Poly)
-            res.terms = {k: _exact(c * other) for k, c in self.terms.items()} if other else {}
-            return res
-        out: dict[tuple[int, int], Scalar] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+        if type(other) is not Poly:
+            if other == 1:
+                return self
+            out = {k: _exact(c * other) for k, c in self.terms.items()} if other else {}
+        else:
+            outer, inner = self.terms, other.terms
+            if len(outer) > len(inner):
+                outer, inner = inner, outer
+            out = {}
+            terms = iter(outer.items())
+            for (a1, b1), c1 in terms:
+                # The first outer term seeds the output: distinct inner keys
+                # shift to distinct keys, and nonzero rationals multiply to
+                # a nonzero product.
+                out = {(a1 + a2, b1 + b2): c1 * c2 for (a2, b2), c2 in inner.items()}
+                break
+            for (a1, b1), c1 in terms:
+                for (a2, b2), c2 in inner.items():
+                    k = (a1 + a2, b1 + b2)
+                    s = out.get(k, 0) + c1 * c2
+                    if s:
+                        out[k] = s
+                    else:
+                        out.pop(k, None)
         res = Poly.__new__(Poly)
         res.terms = out
         return res

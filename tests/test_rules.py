@@ -26,6 +26,15 @@ _PINNED_LEVELS = json.loads(
     (Path(__file__).parent / "data" / "dp_levels_n120.json").read_text())
 
 
+def _cells(spec, rows):
+    """The (label, multiplicity) pairs of one DP level with a nonzero multiplicity."""
+    two = len(spec.root_label) == 2
+    for a, row in rows.items():
+        for b, mult in enumerate(row):
+            if mult:
+                yield ((a, b) if two else (b,)), mult
+
+
 def test_registry_shape():
     assert len(CLASS_IDS) == 12
     for spec in REGISTRY.values():
@@ -199,7 +208,7 @@ def test_dp_levels_match_the_pinned_levels(cid):
     spec = REGISTRY[cid]
     digests = []
     for rows in rules._dp_levels(spec, _PINNED_LEVELS["nmax"]):
-        cells = sorted(rules._cells(spec, rows))
+        cells = sorted(_cells(spec, rows))
         text = ";".join(",".join(map(str, label)) + f":{mult}" for label, mult in cells)
         digests.append(hashlib.sha256(text.encode()).hexdigest())
     assert digests == _PINNED_LEVELS["classes"][cid]
@@ -275,7 +284,7 @@ def _matching_cases(spec, label, n):
 def test_cases_are_disjoint_on_the_labels_that_occur(cid):
     spec = REGISTRY[cid]
     for n, rows in enumerate(rules._dp_levels(spec, 40), start=1):
-        for label, _ in rules._cells(spec, rows):
+        for label, _ in _cells(spec, rows):
             assert len(_matching_cases(spec, label, n)) <= 1, (label, n)
     for n, level in enumerate(iter_tree_levels(spec.patterns, 8), start=1):
         for label in {spec.label_of(perm) for perm in level}:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patavoid.closed_forms import REGISTRY as GFS, closed_form, formula_value, gf_counts
+from patavoid.closed_forms import (REGISTRY as GFS, closed_form, formula_value, gf_counts,
+                                   rule_series, verify_identity)
 from patavoid.series import Poly, TruncatedSeries, algebraic_root, divide_cancel
 
 
@@ -48,6 +49,96 @@ def test_poly_constants():
     assert Poly.const(Fraction(1, 2)).constant_value() == Fraction(1, 2)
     with pytest.raises(ValueError):
         Poly({(1, 0): 1}).constant_value()
+
+
+def _random_poly(rng, max_terms=6):
+    coeff = (lambda: rng.choice([-3, -1, 1, 2, 5])) if rng.random() < 0.5 else (
+        lambda: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)))
+    return Poly({(rng.randint(0, 3), rng.randint(0, 3)): coeff()
+                 for _ in range(rng.randint(0, max_terms))})
+
+
+def _oracle_sum(p, q, sign=1):
+    out = {}
+    for terms, s in ((p.terms, 1), (q.terms, sign)):
+        for k, c in terms.items():
+            out[k] = out.get(k, 0) + s * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _oracle_product(p, q):
+    out = {}
+    for (a1, b1), c1 in p.terms.items():
+        for (a2, b2), c2 in q.terms.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def test_poly_arithmetic_matches_a_dict_of_sums():
+    rng = random.Random(27)
+    for _ in range(400):
+        p = _random_poly(rng)
+        kind = rng.randrange(5)
+        if kind == 0:
+            q = Poly()
+        elif kind == 1:
+            q = _random_poly(rng, max_terms=1) or Poly({(1, 2): Fraction(-1, 3)})
+        elif kind == 2:
+            q = -p  # cancels every term of a sum
+        elif kind == 3:
+            # cancels some of p's terms and adds others
+            q = Poly({k: -c for k, c in p.terms.items() if rng.random() < 0.5})
+            q = q + _random_poly(rng, max_terms=3)
+        else:
+            q = _random_poly(rng)
+        cases = [(p + q, _oracle_sum(p, q)), (q + p, _oracle_sum(q, p)),
+                 (p - q, _oracle_sum(p, q, -1)),
+                 (p * q, _oracle_product(p, q)), (q * p, _oracle_product(q, p))]
+        for result, expected in cases:
+            assert result.terms == expected, (p, q)
+            assert all(result.terms.values()), (p, q)
+
+
+def test_adding_zero_and_multiplying_by_one_return_the_operand():
+    p = Poly({(1, 0): Fraction(1, 2), (0, 2): -3})
+    for q in (p + 0, 0 + p, p + Poly(), Poly() + p, p * 1, 1 * p, p * Fraction(1)):
+        assert q is p
+
+
+def _polys_of(*items):
+    """Every ``Poly`` held by the given series, tuples and lists of series,
+    and polys."""
+    found = []
+    for x in items:
+        if isinstance(x, Poly):
+            found.append(x)
+        elif isinstance(x, TruncatedSeries):
+            found += [c for c in x._coeffs if isinstance(c, Poly)]
+        elif isinstance(x, (list, tuple)):
+            found += _polys_of(*x)
+    return found
+
+
+def test_no_operation_mutates_an_operand():
+    # Results may share an operand's Poly (x + 0 and x * 1 are x), which is
+    # sound only while no operation writes into an operand's term map.
+    rng = random.Random(11)
+    a = TruncatedSeries([_random_poly(rng) for _ in range(9)])
+    b = TruncatedSeries([1, *(_random_poly(rng) for _ in range(8))])
+    p = _random_poly(rng) + Poly({(1, 1): 2})
+    candidate = rule_series("C4", 25)
+    parts = [part for name in ("K2", "M") for part in GFS[name].parts.values()]
+    polys = _polys_of(a, b, p, candidate, parts)
+    assert len(polys) > 20
+    before = [dict(x.terms) for x in polys]
+    assert a * b == b * a and (a * b) / b == a
+    assert a + b == b + a and (a - b + (b - a)).is_zero()
+    assert a.scale(1) == a and a.scale(p) != a
+    assert a.subs_one(u=True) != a.subs_one(v=True)
+    closed_form("K2", 25)
+    assert verify_identity("M", candidate, 25) == (True, None)
+    assert [dict(x.terms) for x in polys] == before
 
 
 def test_geometric_series():
