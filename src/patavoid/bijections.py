@@ -63,20 +63,32 @@ def path_is(path: str, kind: str) -> bool:
 
 def _walks(kind: str, length: int) -> Iterator[str]:
     """The family's paths with ``length`` steps, in step order.  A prefix is
-    cut once it is too high to come back down to the end height in time."""
+    cut once it is too high to come back down to the end height in time.
+
+    A depth-first walk on one explicit stack, so no length is too long for
+    the recursion limit.  A stack entry ``(d, step, h)`` is a prefix whose
+    last step, its d-th, is ``step`` and whose height is h.  Popping it
+    writes ``step`` into ``path[d]``; ``path[:d]`` already holds its
+    ancestors' steps, as every entry popped since its parent lies at
+    depth d or deeper.  A prefix pushes its children in reverse step
+    order, so they pop in step order.
+    """
     steps, top = _WALKS[kind]
     fall = -min(steps.values())
-
-    def rec(path: str, left: int, h: int) -> Iterator[str]:
-        if not left:
+    moves = tuple(reversed(steps.items()))
+    path = [""] * (length + 1)  # path[0] is the empty step of the root
+    stack = [(0, "", 0)]
+    while stack:
+        d, step, h = stack.pop()
+        path[d] = step
+        if d == length:
             if h <= top:
-                yield path
-            return
-        ceiling = top + fall * (left - 1)
-        for step, dh in steps.items():
+                yield "".join(path)
+            continue
+        ceiling = top + fall * (length - d - 1)
+        for step, dh in moves:
             if 0 <= h + dh <= ceiling:
-                yield from rec(path + step, left - 1, h + dh)
-    return rec("", length, 0)
+                stack.append((d + 1, step, h + dh))
 
 
 def dyck_paths(n: int) -> Iterator[str]:

@@ -1,7 +1,9 @@
 """Ground-truth counting of pattern-avoiding permutations.
 
 Two routes: brute force over S_n and pruned rightward-tree expansion.  The
-brute force is the oracle; everything faster is checked against it.  The
+brute force is the oracle; everything faster is checked against it.  It
+runs every permutation of S_n, in lexicographic order, through the full
+kernel of every member (``patterns.avoiders``), never an anchored one.  The
 tree prunes only by the patterns that are always closed under last-entry
 deletion (``patterns.always_closed``), so it is sound for every set and
 has no precondition; ``closure_check`` looks for a counterexample to that
@@ -13,7 +15,8 @@ from __future__ import annotations
 from itertools import permutations as _all_perms
 from typing import Iterator
 
-from .patterns import PatternSet, SearchForm, always_closed, at_end, avoids
+from .patterns import (PatternSet, SearchForm, always_closed, at_end, avoiders,
+                       avoids)
 from .perms import Perm, append_child, reduce_to_perm
 
 BRUTE_GUARD = 10
@@ -24,9 +27,9 @@ class ClosureError(ValueError):
 
 
 def iter_avoiders_brute(pats: PatternSet, n: int) -> Iterator[Perm]:
-    for perm in _all_perms(range(1, n + 1)):
-        if avoids(perm, pats):
-            yield perm
+    """The avoiders of ``pats`` in S_n, in lexicographic order: every
+    permutation filtered by every member's full kernel."""
+    return avoiders(_all_perms(range(1, n + 1)), pats)
 
 
 def count_brute(pats: PatternSet, n: int) -> int:
@@ -58,9 +61,9 @@ def iter_tree_levels(pats: PatternSet, nmax: int) -> Iterator[list[Perm]]:
     so a child is searched only for occurrences that end at its new last
     entry (``patterns.at_end``), which decides avoidance exactly.  Each
     level is yielded filtered by the other members, those with the bar
-    last, under the full check, so it holds the avoiders of ``pats``.  The
-    tree grows from the empty permutation, so there are no levels when
-    nmax < 1.
+    last, under the full check (``patterns.avoiders``), so it holds the
+    avoiders of ``pats``.  The tree grows from the empty permutation, so
+    there are no levels when nmax < 1.
     """
     closed = tuple(p for p in pats if always_closed(p))
     rest = tuple(p for p in pats if not always_closed(p))
@@ -68,7 +71,7 @@ def iter_tree_levels(pats: PatternSet, nmax: int) -> Iterator[list[Perm]]:
     level: list[Perm] = [()]
     for _ in range(nmax):
         level = [child for perm in level for child in kept_children(perm, forms)]
-        yield [perm for perm in level if avoids(perm, rest)] if rest else level
+        yield list(avoiders(level, rest)) if rest else level
 
 
 def closure_check(pats: PatternSet, nmax: int) -> None:

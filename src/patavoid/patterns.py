@@ -29,9 +29,13 @@ innermost level.  That source
 holds only integers taken from the form (letter indices and block
 lengths) and fixed operators; pattern text never reaches it.
 
+``avoids(perm, pats)`` checks one permutation; ``avoiders(perms,
+pats)`` filters a stream of them, with one C-level ``filterfalse`` per
+member's kernel, shortest member first.
+
 Each form plans its kernel by three rules (``SearchForm``).  The full
-form, which every pattern builds at construction and ``avoids(perm,
-pats)`` uses, places its longest block first when it has no bar (the
+form, which every pattern builds at construction and ``avoids`` and
+``avoiders`` use, places its longest block first when it has no bar (the
 leftmost on a tie), then the other blocks left to right; a barred full
 form goes left to right.  The anchored form, which a pattern builds on
 its first ``at_end`` and then keeps, reads the last block straight from
@@ -67,7 +71,8 @@ by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from itertools import filterfalse
+from typing import Iterable, Iterator, Union
 
 Perm = tuple[int, ...]
 
@@ -511,3 +516,22 @@ def avoids(perm: Perm, pats: PatternSet | tuple[SearchForm, ...]) -> bool:
         if (form.kernel or _compile(form))(perm):
             return False
     return True
+
+
+def avoiders(perms: Iterable[Perm], pats: PatternSet) -> Iterator[Perm]:
+    """The permutations of ``perms`` that avoid every pattern in ``pats``,
+    in their input order.
+
+    The stream passes one ``filterfalse`` per member's full kernel, so the
+    loop over it runs in C.  The shortest member filters first (a barred
+    one counts its full length; ties keep their order in ``pats``), as a
+    short pattern is the likelier to occur and so to reject early.  A
+    permutation avoids a set iff it avoids each member, so the order
+    cannot change the answer.
+    """
+    out = iter(perms)
+    for pat in sorted(pats, key=lambda pat: (
+            pat.k if isinstance(pat, GeneralizedPattern) else pat.full.k)):
+        form = pat._form
+        out = filterfalse(form.kernel or _compile(form), out)
+    return out

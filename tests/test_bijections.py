@@ -1,5 +1,6 @@
 """Lattice-path bijections: worked examples, round trips, image sets."""
 
+import inspect
 import time
 from itertools import permutations, product
 
@@ -66,6 +67,16 @@ def test_generators_have_known_sizes():
     for n, count in enumerate([1, 1, 1, 2, 3, 7, 12, 30], start=0):
         if n:
             assert len(list(B.subdiagonal_paths(n))) == count, n
+
+
+def test_generators_walk_long_paths_without_recursion():
+    # One explicit stack: the first path of a length far past the
+    # recursion limit comes at once, from a generator.
+    assert next(B.dyck_paths(5000)) == "UD" * 5000
+    assert next(B.motzkin_paths(5000)) == "H" * 5000
+    assert B.path_is(next(B.subdiagonal_paths(5000)), "subdiagonal")
+    for paths in (B.dyck_paths, B.motzkin_paths, B.subdiagonal_paths):
+        assert inspect.isgenerator(paths(5000))
 
 
 def test_phi_examples():

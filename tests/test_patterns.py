@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from patavoid import patterns
 from patavoid.enumerate import (count_tree, iter_avoiders_brute,
                                 iter_tree_levels, kept_children)
-from patavoid.patterns import (BarredPattern, GeneralizedPattern,
-                               PatternSyntaxError, SearchForm, always_closed,
-                               at_end, avoids, parse_pattern, parse_pattern_set)
+from patavoid.patterns import (EVEN, EXISTS, ODD, BarredPattern,
+                               GeneralizedPattern, PatternSyntaxError,
+                               SearchForm, always_closed, at_end, avoiders,
+                               avoids, parse_pattern, parse_pattern_set)
 from patavoid.perms import append_child
 from patavoid.rules import CLASS_IDS, REGISTRY
 
@@ -343,6 +344,46 @@ def test_avoids_matches_naive_where_the_plan_is_not_left_to_right():
         for perm in perms:
             assert avoids(perm, (pat,)) == naive_avoids(perm, pat, occurrences), (text, perm)
     assert checked == 208
+
+
+def _kind(pat):
+    if isinstance(pat, GeneralizedPattern):
+        return "vincular"
+    return ("first" if pat.barred_index == 0 else "last", pat.mode)
+
+
+def test_avoiders_match_the_per_permutation_check():
+    # Seeded sets of one to three patterns of every kind, half of them
+    # listed longest first: avoiders filters the shortest member first,
+    # and must keep both the avoiders and their lexicographic order.
+    rng = random.Random(28)
+    by_length = {}
+    for text in _single_patterns(4):
+        by_length.setdefault(sum(map(str.isdigit, text)), []).append(text)
+    kinds, longest_first = set(), 0
+    for _ in range(200):
+        lengths = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            lengths.sort(reverse=True)
+        longest_first += lengths[0] > lengths[-1]
+        members = [rng.choice(by_length[k]) for k in lengths]
+        pats = parse_pattern_set(",".join(members))
+        kinds.update(map(_kind, pats))
+        for n in range(7):
+            assert list(avoiders(permutations(range(1, n + 1)), pats)) == [
+                p for p in permutations(range(1, n + 1)) if avoids(p, pats)], (members, n)
+    assert kinds == {"vincular", *product(("first", "last"), (EXISTS, ODD, EVEN))}
+    assert longest_first >= 50
+
+
+def test_avoiders_keep_the_input_order():
+    perms = list(_PERMS_TO_6)
+    random.Random(6).shuffle(perms)
+    pats = parse_pattern_set("12-3-[4e],1-23,[2o]-31")
+    kept = list(avoiders(perms, pats))
+    assert kept == [p for p in perms if avoids(p, pats)]
+    assert 0 < len(kept) < len(perms)
+    assert list(avoiders(perms, ())) == perms
 
 
 def _live_forms_and_kernels():
