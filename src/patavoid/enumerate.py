@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .patterns import (PatternSet, SearchForm, always_closed, at_end, avoiders,
                        avoids)
-from .perms import Perm, append_child, reduce_to_perm
+from .perms import Perm, reduce_to_perm
 
 BRUTE_GUARD = 10
 
@@ -42,13 +42,27 @@ def count_brute(pats: PatternSet, n: int) -> int:
 def kept_children(perm: Perm, forms: tuple[SearchForm, ...]) -> list[Perm]:
     """The children of tree node ``perm`` that avoid, in order of the appended value.
 
-    ``forms`` is ``at_end(pats)``, and ``perm`` must avoid ``pats``.  The
-    child with appended value v is tested as ``perm + (v - 0.5,)``, which
-    has the relative order of ``append_child(perm, v)``; a kernel only
-    compares entries and takes lengths, so only the kept children are built.
+    ``forms`` is ``at_end(pats)``, and ``perm`` must avoid ``pats``.  Every
+    candidate is tested in one integer buffer, ``perm`` doubled with one
+    slot after it: the child that appends v writes 2v - 1 there.  Doubling
+    keeps the order of ``perm``, and 2v - 1 lies strictly between 2(v - 1)
+    and 2v, so the buffer has the relative order of ``append_child(perm,
+    v)``; a kernel only compares entries and takes lengths, so it reads the
+    buffer as that child.  Only the kept children are built, each through
+    one relabel table of the parent: ``shift[x]`` is x below v and x + 1
+    from v up, and it is lowered one entry per candidate.
     """
-    return [append_child(perm, v) for v in range(1, len(perm) + 2)
-            if avoids(perm + (v - 0.5,), forms)]
+    n = len(perm)
+    test = [2 * x for x in perm] + [0]
+    shift = list(range(1, n + 2))
+    relabel = shift.__getitem__
+    kept = []
+    for v in range(1, n + 2):
+        shift[v - 1] = v - 1
+        test[n] = 2 * v - 1
+        if avoids(test, forms):
+            kept.append((*map(relabel, perm), v))
+    return kept
 
 
 def iter_tree_levels(pats: PatternSet, nmax: int) -> Iterator[list[Perm]]:

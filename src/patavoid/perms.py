@@ -3,11 +3,25 @@
 Permutations are tuples of the integers 1..n.  The textual format is a
 compact digit string for n <= 9 ("24135") and comma-separated values for
 longer permutations ("10,2,1,...").
+
+``STATISTICS`` maps the name of each label statistic to its function of a
+permutation of length n:
+
+- r, the last entry;
+- l, the least ascent top, and n + 1 on the decreasing permutation;
+- h, the greatest descent bottom, and 0 on the increasing permutation;
+- s, the greatest ascent bottom, and 0 on the decreasing permutation;
+- m, the least entry exceeding some entry to its left, and n + 1 on the
+  decreasing permutation.
+
+These degenerate values are the conventions the succession rules consume.
+``statistic(perm, which)`` looks ``which`` up in the table.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 Perm = tuple[int, ...]
 
@@ -52,35 +66,60 @@ def append_child(perm: Perm, v: int) -> Perm:
     return (*[x + 1 if x >= v else x for x in perm], v)
 
 
-def statistic(perm: Perm, which: str) -> int:
-    """One of the five label statistics r, l, h, s, m.
+def _least_ascent_top(perm: Perm) -> int:
+    best = prev = len(perm) + 1
+    for x in perm:
+        if prev < x < best:
+            best = x
+        prev = x
+    return best
 
-    Degenerate cases follow the conventions the succession rules consume:
-    l = n+1 and m = n+1 on the decreasing permutation, h = 0 on the
-    increasing permutation, s = 0 on the decreasing permutation.
-    """
-    n = len(perm)
-    if which == "r":
-        return perm[-1]
-    if which == "l":
-        tops = [perm[i] for i in range(1, n) if perm[i - 1] < perm[i]]
-        return min(tops) if tops else n + 1
-    if which == "h":
-        bottoms = [perm[i] for i in range(1, n) if perm[i - 1] > perm[i]]
-        return max(bottoms) if bottoms else 0
-    if which == "s":
-        bottoms = [perm[i] for i in range(n - 1) if perm[i] < perm[i + 1]]
-        return max(bottoms) if bottoms else 0
-    if which == "m":
-        # the least entry exceeding some entry to its left, by a running minimum
-        low = best = n + 1
-        for x in perm:
-            if x < low:
-                low = x
-            elif x < best:
-                best = x
-        return best
-    raise ValueError(f"unknown statistic {which!r}")
+
+def _greatest_descent_bottom(perm: Perm) -> int:
+    best = prev = 0
+    for x in perm:
+        if best < x < prev:
+            best = x
+        prev = x
+    return best
+
+
+def _greatest_ascent_bottom(perm: Perm) -> int:
+    best, prev = 0, len(perm) + 1
+    for x in perm:
+        if best < prev < x:
+            best = prev
+        prev = x
+    return best
+
+
+def _least_entry_above_an_earlier(perm: Perm) -> int:
+    # a running minimum: x exceeds an earlier entry iff it exceeds their least
+    low = best = len(perm) + 1
+    for x in perm:
+        if x < low:
+            low = x
+        elif x < best:
+            best = x
+    return best
+
+
+STATISTICS: dict[str, Callable[[Perm], int]] = {
+    "r": itemgetter(-1),
+    "l": _least_ascent_top,
+    "h": _greatest_descent_bottom,
+    "s": _greatest_ascent_bottom,
+    "m": _least_entry_above_an_earlier,
+}
+
+
+def statistic(perm: Perm, which: str) -> int:
+    """The label statistic ``which`` of ``perm``: ``STATISTICS[which](perm)``."""
+    try:
+        fn = STATISTICS[which]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown statistic {which!r}") from None
+    return fn(perm)
 
 
 def right_to_left_maxima(perm: Perm) -> list[tuple[int, int]]:

@@ -1,7 +1,7 @@
 """The registry of succession rules for the twelve studied classes.
 
 Each class couples a pattern set with labels drawn from the statistics of
-``perms.statistic`` and a rule: the label of a length-n node, with n,
+``perms.STATISTICS`` and a rule: the label of a length-n node, with n,
 determines the multiset of its children's labels.  The paper's third label
 for C9-C11 is the length, which the rule reads as n.
 
@@ -23,7 +23,11 @@ Gouyou-Beauchamps ("Generating functions for generating trees", 2002).
 
 ``ClassSpec.children`` reads the table one label at a time, and
 ``verify_rule`` compares that reading with the tree, whose nodes' children
-it reads from ``enumerate.kept_children``.  ``count_by_rule`` and
+it reads from ``enumerate.kept_children``.  A spec binds the function of
+each of its statistics once (``ClassSpec.label_fns``), and
+``ClassSpec.labels_of`` labels a list of nodes by mapping each function
+over it; ``verify_rule`` holds a level as its nodes and their labels, in
+two parallel lists.  ``count_by_rule`` and
 ``refined_by_rule`` read one dynamic program, which holds a level as rows
 {a: [multiplicity of (a, b) for b = 0, 1, ...]}, the single row 0 for a
 one-component class.  Each table generates one level kernel, compiled on
@@ -33,14 +37,14 @@ and evaluates no rule label by label; ``level_kernel`` describes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .enumerate import kept_children
 from .enumerate import iter_tree_levels  # unused; bench/tracing.py checks rules.iter_tree_levels
 from .patterns import PatternSet, at_end, parse_pattern_set
 from .patterns import avoids  # unused; bench/tracing.py rebinds and checks rules.avoids
-from .perms import Perm, statistic
+from .perms import STATISTICS, Perm
 from .series import Poly
 
 Label = tuple[int, ...]
@@ -208,12 +212,22 @@ def _check_width(width: int, rule: Rule) -> None:
 class ClassSpec:
     id: str
     patterns: PatternSet
-    label_stats: tuple[str, ...]  # the perms.statistic name of each component
+    label_stats: tuple[str, ...]  # the perms.STATISTICS name of each component
     root_label: Label
     rule: Rule
+    label_fns: tuple[Callable[[Perm], int], ...] = field(init=False, repr=False,
+                                                         compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "label_fns",
+                           tuple(STATISTICS[w] for w in self.label_stats))
+
+    def labels_of(self, perms: list[Perm]) -> list[Label]:
+        """The label of each of ``perms``, in order: its statistics as one tuple."""
+        return list(zip(*[map(f, perms) for f in self.label_fns]))
 
     def label_of(self, perm: Perm) -> Label:
-        return tuple(statistic(perm, w) for w in self.label_stats)
+        return self.labels_of([perm])[0]
 
     def children(self, label: Label, n: int) -> list[Label]:
         """The child labels of a length-n node: the spans of each case it meets, in order."""
@@ -368,6 +382,8 @@ def verify_rule(spec: ClassSpec, nmax: int) -> RuleReport:
     Grows the tree parent by parent from the empty permutation, reading each
     parent's children from ``kept_children``, so it tests the same children
     as ``iter_tree_levels``; a level's rule is read once per distinct label.
+    A level is held as two parallel lists, its nodes and their labels, and
+    each parent's children are labelled together by ``ClassSpec.labels_of``.
     """
     seen: set[Label] = set()
     root = (1,)
@@ -375,24 +391,24 @@ def verify_rule(spec: ClassSpec, nmax: int) -> RuleReport:
         return RuleReport(spec.id, nmax, False, frozenset(),
                           (root, (spec.root_label,), (spec.label_of(root),)))
     forms = at_end(spec.patterns)
-
-    def grow(perm: Perm) -> list[tuple[Perm, Label]]:
-        return [(child, spec.label_of(child)) for child in kept_children(perm, forms)]
-
-    level = grow(()) if nmax >= 1 else []
+    level = kept_children((), forms) if nmax >= 1 else []
+    labels = spec.labels_of(level)
     for n in range(1, nmax):
         predicted: dict[Label, list[Label]] = {}
-        nxt: list[tuple[Perm, Label]] = []
-        for perm, label in level:
+        nxt: list[Perm] = []
+        nxt_labels: list[Label] = []
+        for perm, label in zip(level, labels):
             seen.add(label)
-            nodes = grow(perm)
-            actual = sorted(lab for _, lab in nodes)
+            kids = kept_children(perm, forms)
+            kid_labels = spec.labels_of(kids)
+            actual = sorted(kid_labels)
             if label not in predicted:
                 predicted[label] = sorted(spec.children(label, n))
             if actual != predicted[label]:
                 return RuleReport(spec.id, nmax, False, frozenset(seen),
                                   (perm, tuple(predicted[label]), tuple(actual)))
-            nxt += nodes
-        level = nxt
-    seen.update(label for _, label in level)
+            nxt += kids
+            nxt_labels += kid_labels
+        level, labels = nxt, nxt_labels
+    seen.update(labels)
     return RuleReport(spec.id, nmax, True, frozenset(seen), None)

@@ -236,15 +236,18 @@ _PERMS_TO_6 = [p for n in range(7) for p in permutations(range(1, n + 1))]
 
 @settings(max_examples=100, deadline=None)
 @given(_closed_sets)
-def test_half_entry_children_match_built_children(texts):
-    # The tree tests the child that appends v as perm + (v - 0.5,): the
-    # kernels only compare entries, so it is the child append_child builds.
+def test_doubled_buffer_children_match_built_children(texts):
+    # The tree tests the child that appends v as the integer list
+    # [2x for x in perm] + [2v - 1]: doubling keeps the parent's order and
+    # 2v - 1 lies between 2(v - 1) and 2v, and the kernels only compare
+    # entries, so it is the child append_child builds.
     pats = parse_pattern_set(",".join(texts))
     forms = at_end(pats)
     for perm in (p for p in _PERMS_TO_6 if len(p) <= 5):
         built = [append_child(perm, v) for v in range(1, len(perm) + 2)]
         for v, child in enumerate(built, start=1):
-            assert avoids(perm + (v - 0.5,), forms) == avoids(child, forms), (perm, v)
+            test = [2 * x for x in perm] + [2 * v - 1]
+            assert avoids(test, forms) == avoids(child, forms), (perm, v)
         if avoids(perm, pats):
             assert kept_children(perm, forms) == [c for c in built if avoids(c, pats)], perm
 

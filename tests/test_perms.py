@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patavoid.perms import (append_child, format_perm, parse_perm,
+from patavoid.perms import (STATISTICS, append_child, format_perm, parse_perm,
                             reduce_to_perm, right_to_left_maxima, statistic)
 
 perms = st.integers(1, 8).flatmap(
@@ -85,6 +85,45 @@ def test_m_matches_its_definition():
     for n in range(8):
         for perm in permutations(range(1, n + 1)):
             assert statistic(perm, "m") == definition(perm), perm
+
+
+def test_l_h_s_match_their_definitions():
+    # l is the least ascent top, and n + 1 where there is none (the
+    # decreasing permutation); h is the greatest descent bottom, and 0 where
+    # there is none (the increasing permutation); s is the greatest ascent
+    # bottom, and 0 where there is none (the decreasing permutation)
+    def l_definition(perm):
+        n = len(perm)
+        tops = [perm[i] for i in range(1, n) if perm[i - 1] < perm[i]]
+        return min(tops) if tops else n + 1
+
+    def h_definition(perm):
+        n = len(perm)
+        bottoms = [perm[i] for i in range(1, n) if perm[i - 1] > perm[i]]
+        return max(bottoms) if bottoms else 0
+
+    def s_definition(perm):
+        n = len(perm)
+        bottoms = [perm[i] for i in range(n - 1) if perm[i] < perm[i + 1]]
+        return max(bottoms) if bottoms else 0
+
+    definitions = {"l": l_definition, "h": h_definition, "s": s_definition}
+    for n in range(1, 8):
+        for perm in permutations(range(1, n + 1)):
+            for w, definition in definitions.items():
+                expected = definition(perm)
+                assert STATISTICS[w](perm) == expected, (perm, w)
+                assert statistic(perm, w) == expected, (perm, w)
+
+
+def test_statistic_reads_the_table():
+    assert sorted(STATISTICS) == sorted("rlhsm")
+    perm = parse_perm("251463")
+    for w, fn in STATISTICS.items():
+        assert statistic(perm, w) == fn(perm)
+    for bad in ["x", "", "R", "rl", " r", None, ["r"]]:
+        with pytest.raises(ValueError, match="unknown statistic"):
+            statistic(perm, bad)
 
 
 def test_right_to_left_maxima():
