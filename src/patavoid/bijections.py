@@ -15,10 +15,12 @@ table and one pruned generator enumerates it.  The four maps:
 
 ``phi`` and ``subdiag`` are one run codec with different letters and step:
 up runs from the positions of the right-to-left maxima, down runs from the
-drops between their values.  ``callan`` and its inverse are each one
-left-to-right scan with a stack, and ``udu_uuu`` is the ``callan`` image
-read backwards with U and D exchanged, then spelled H -> UD, U -> UUD,
-D -> D; its inverse parses that prefix code.  Each map has an explicit
+drops between their values.  Each direction is one right-to-left scan,
+over the permutation to encode and over the path to decode.  ``callan``
+and its inverse are each one left-to-right scan with a stack, and
+``udu_uuu`` is the ``callan`` image read backwards with U and D
+exchanged, then spelled H -> UD, U -> UUD, D -> D by one translate table;
+its inverse parses that prefix code.  Each map has an explicit
 inverse, exercised by exhaustive round-trip tests.
 """
 
@@ -28,7 +30,7 @@ import re
 from typing import Iterator
 
 from .patterns import avoids, parse_pattern_set
-from .perms import Perm, right_to_left_maxima
+from .perms import Perm
 
 _P213 = parse_pattern_set("2-1-3")
 _P213_ODD = parse_pattern_set("2-1-3,[2o]-31")
@@ -107,45 +109,52 @@ def subdiagonal_paths(n: int) -> Iterator[str]:
 
 
 def _encode(perm: Perm, up: str, down: str, step: int) -> str:
-    """Up runs from the gaps between the right-to-left maxima positions, down
-    runs from the drops between their values over ``step``; the last maximum
-    drops to n mod step."""
-    maxima = right_to_left_maxima(perm)
-    floors = [v for _, v in maxima[1:]] + [len(perm) % step]
-    out = []
-    prev_pos = 0
-    for (pos, val), floor in zip(maxima, floors):
-        drops, rest = divmod(val - floor, step)
-        if rest:
-            raise AssertionError(f"maxima gap not a multiple of {step} in {perm}")
-        out.append(up * (pos - prev_pos) + down * drops)
-        prev_pos = pos
-    return "".join(out)
+    """One scan of ``perm`` from the right.  Every entry gives an up step; a
+    new right-to-left maximum x first gives (x - floor) / ``step`` down
+    steps, where floor is n mod ``step`` for the first maximum and the
+    previous maximum after that.  The pieces come out in reverse, so they
+    are joined once, backwards."""
+    pieces = []
+    floor, top = len(perm) % step, 0
+    for x in reversed(perm):
+        if x > top:
+            drops, rest = divmod(x - floor, step)
+            if rest:
+                raise AssertionError(f"maxima gap not a multiple of {step} in {perm}")
+            pieces.append(down * drops)
+            floor = top = x
+        pieces.append(up)
+    pieces.reverse()
+    return "".join(pieces)
 
 
 def _decode(path: str, up: str, down: str, step: int) -> Perm:
-    """Inverse of ``_encode`` on a path of the family: place the maxima, then
-    fill the other positions right to left, each with the largest unused
-    value below the value of the nearest maximum to its right."""
-    runs = re.findall(f"({up}+)({down}*)", path)
-    n = sum(len(ups) for ups, _ in runs)
+    """Inverse of ``_encode`` on a path of the family, by one scan of the
+    path from the right.  n is the number of up steps.  A down step adds
+    ``step`` to the value, which starts at n mod ``step``; the first up step
+    read after a run of down steps (or as the path's last step) places a
+    maximum of that value, and every other up step fills its position with
+    the largest unused value below the nearest maximum to its right."""
+    n = path.count(up)
     out = [0] * n
-    pos, val = n, n % step
-    for ups, downs in reversed(runs):
-        val += step * len(downs)
-        out[pos - 1] = val
-        pos -= len(ups)
+    pos, val, peak = n, n % step, True
     # Right to left the maxima rise, so the unused values below the bound
     # are a stack: a new maximum pushes the values it uncovers above the
     # last one, and the largest unused value is on top.
     free: list[int] = []
     bound = 0
-    for i in range(n - 1, -1, -1):
-        if out[i]:
-            free.extend(range(bound + 1, out[i]))
-            bound = out[i]
+    for c in reversed(path):
+        if c == down:
+            val += step
+            peak = True
+            continue
+        pos -= 1
+        if peak:
+            free.extend(range(bound + 1, val))
+            bound = out[pos] = val
+            peak = False
         elif free:
-            out[i] = free.pop()
+            out[pos] = free.pop()
         else:
             raise ValueError("path is not in the image of the map")
     return tuple(out)
@@ -227,8 +236,8 @@ def callan_inverse(path: str) -> str:
 
 
 _FLIP = str.maketrans("UD", "DU")
-_SPELL = {"H": "UD", "U": "UUD", "D": "D"}
-_UNSPELL = {w: m for m, w in _SPELL.items()}
+_SPELL = str.maketrans({"H": "UD", "U": "UUD", "D": "D"})
+_UNSPELL = {w: chr(m) for m, w in _SPELL.items()}
 
 
 def _flip(path: str) -> str:
@@ -249,7 +258,7 @@ def udu_uuu(path: str) -> str:
     which is the rightmost UD factor.  So the image is ``callan(path)``
     flipped, then spelled with H -> UD, U -> UUD, D -> D.
     """
-    return "".join(_SPELL[c] for c in _flip(callan(path)))
+    return _flip(callan(path)).translate(_SPELL)
 
 
 def udu_uuu_inverse(path: str) -> str:

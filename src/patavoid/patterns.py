@@ -496,13 +496,25 @@ def _anchored(pat: PatternExpr) -> SearchForm:
     return form
 
 
+def _shortest_first(pats: PatternSet) -> list[PatternExpr]:
+    """``pats`` in the order that their searches run: shortest full length
+    first (a barred pattern counts its bar), ties in their order in
+    ``pats``.  A short pattern is the likelier to occur, and so to reject
+    early; a permutation avoids a set iff it avoids each member, so the
+    order cannot change an answer."""
+    return sorted(pats, key=lambda pat: (
+        pat.k if isinstance(pat, GeneralizedPattern) else pat.full.k))
+
+
 def at_end(pats: PatternSet) -> tuple[SearchForm, ...]:
     """Compile the always-closed ``pats`` for children of parents that avoid it.
 
     The forms are each pattern's own (``_anchored``), so every tree walk
-    over one pattern set runs the same kernels, each compiled once.
+    over one pattern set runs the same kernels, each compiled once.  They
+    are listed in ``avoiders``' member order (``_shortest_first``), so
+    ``avoids`` tries the likeliest rejection first.
     """
-    return tuple(_anchored(pat) for pat in pats)
+    return tuple(_anchored(pat) for pat in _shortest_first(pats))
 
 
 def avoids(perm: Perm, pats: PatternSet | tuple[SearchForm, ...]) -> bool:
@@ -523,15 +535,11 @@ def avoiders(perms: Iterable[Perm], pats: PatternSet) -> Iterator[Perm]:
     in their input order.
 
     The stream passes one ``filterfalse`` per member's full kernel, so the
-    loop over it runs in C.  The shortest member filters first (a barred
-    one counts its full length; ties keep their order in ``pats``), as a
-    short pattern is the likelier to occur and so to reject early.  A
-    permutation avoids a set iff it avoids each member, so the order
-    cannot change the answer.
+    loop over it runs in C.  The members filter in ``_shortest_first``
+    order, the order in which ``at_end`` lists its forms.
     """
     out = iter(perms)
-    for pat in sorted(pats, key=lambda pat: (
-            pat.k if isinstance(pat, GeneralizedPattern) else pat.full.k)):
+    for pat in _shortest_first(pats):
         form = pat._form
         out = filterfalse(form.kernel or _compile(form), out)
     return out

@@ -1,6 +1,8 @@
 """Lattice-path bijections: worked examples, round trips, image sets."""
 
 import inspect
+import random
+import re
 import time
 from itertools import permutations, product
 
@@ -8,8 +10,9 @@ import pytest
 
 from patavoid import bijections as B
 from patavoid.closed_forms import formula_value
+from patavoid.enumerate import iter_tree_levels
 from patavoid.patterns import avoids, parse_pattern_set
-from patavoid.perms import parse_perm
+from patavoid.perms import parse_perm, right_to_left_maxima
 
 P213 = parse_pattern_set("2-1-3")
 P_BAR = parse_pattern_set("2-1-3,[2]-31")
@@ -288,3 +291,119 @@ def test_subdiag_bijective(n):
         assert B.subdiag_inverse(path) == p
         images.add(path)
     assert images == set(B.subdiagonal_paths(n))
+
+
+# The run codec as first written, the oracle for the one-scan codec:
+# maxima from perms.right_to_left_maxima, runs from re.findall.
+def _oracle_encode(perm, up, down, step):
+    maxima = right_to_left_maxima(perm)
+    floors = [v for _, v in maxima[1:]] + [len(perm) % step]
+    out = []
+    prev_pos = 0
+    for (pos, val), floor in zip(maxima, floors):
+        drops, rest = divmod(val - floor, step)
+        if rest:
+            raise AssertionError(f"maxima gap not a multiple of {step} in {perm}")
+        out.append(up * (pos - prev_pos) + down * drops)
+        prev_pos = pos
+    return "".join(out)
+
+
+def _oracle_decode(path, up, down, step):
+    runs = re.findall(f"({up}+)({down}*)", path)
+    n = sum(len(ups) for ups, _ in runs)
+    out = [0] * n
+    pos, val = n, n % step
+    for ups, downs in reversed(runs):
+        val += step * len(downs)
+        out[pos - 1] = val
+        pos -= len(ups)
+    free = []
+    bound = 0
+    for i in range(n - 1, -1, -1):
+        if out[i]:
+            free.extend(range(bound + 1, out[i]))
+            bound = out[i]
+        elif free:
+            out[i] = free.pop()
+        else:
+            raise ValueError("path is not in the image of the map")
+    return tuple(out)
+
+
+def _oracle_phi_inverse(path):
+    if not B.path_is(path, "dyck"):
+        raise ValueError(f"{path!r} is not a Dyck path")
+    return _oracle_decode(path, "U", "D", 1)
+
+
+def _oracle_subdiag_inverse(path):
+    if not B.path_is(path, "subdiagonal"):
+        raise ValueError(f"{path!r} is not a subdiagonal path")
+    perm = _oracle_decode(path, "E", "N", 2)
+    if not avoids(perm, P_ODD):
+        raise ValueError("path is not in the image of the map")
+    return perm
+
+
+def _outcome(f, x):
+    """``f(x)``, or the message of the ValueError it raises."""
+    try:
+        return f(x)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+CODECS = {  # map: ((up, down, step), map, inverse, oracle inverse)
+    "phi": (("U", "D", 1), B.phi, B.phi_inverse, _oracle_phi_inverse),
+    "subdiag": (("E", "N", 2), B.subdiag, B.subdiag_inverse, _oracle_subdiag_inverse),
+}
+
+
+def _random_path(rng, up, down, step, n):
+    """A random path of n up steps and n // ``step`` down steps, each
+    ``step`` high, that never goes below height 0."""
+    out, ups, downs, h = [], n, n // step, 0
+    while ups or downs:
+        if downs and h >= step and (not ups or rng.random() < 0.5):
+            out.append(down)
+            downs -= 1
+            h -= step
+        else:
+            out.append(up)
+            ups -= 1
+            h += 1
+    return "".join(out)
+
+
+@pytest.mark.parametrize("name,pats,nmax", [("phi", P213, 9), ("subdiag", P_ODD, 10)])
+def test_codec_matches_the_oracle_on_every_avoider(name, pats, nmax):
+    (up, down, step), forward, inverse, _ = CODECS[name]
+    for level in iter_tree_levels(pats, nmax):
+        for perm in level:
+            path = forward(perm)
+            assert path == _oracle_encode(perm, up, down, step), perm
+            assert inverse(path) == _oracle_decode(path, up, down, step) == perm, path
+
+
+@pytest.mark.parametrize("name", CODECS)
+def test_codec_inverse_matches_the_oracle_on_every_word(name):
+    (up, down, _), _, inverse, oracle = CODECS[name]
+    for size in range(13):
+        for word in product(up + down, repeat=size):
+            path = "".join(word)
+            assert _outcome(inverse, path) == _outcome(oracle, path), path
+
+
+@pytest.mark.parametrize("name", CODECS)
+def test_codec_matches_the_oracle_on_long_random_paths(name):
+    # 20 seeded paths per map, each of n = 2000 up steps: Dyck paths of
+    # semilength 2000, subdiagonal paths of length 3000.  The maps check
+    # their own domains, so the oracle is the bare codec.
+    (up, down, step), forward, inverse, _ = CODECS[name]
+    rng = random.Random(30)
+    for _ in range(20):
+        path = _random_path(rng, up, down, step, 2000)
+        perm = inverse(path)
+        assert perm == _oracle_decode(path, up, down, step)
+        assert forward(perm) == _oracle_encode(perm, up, down, step) == path

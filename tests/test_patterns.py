@@ -1,5 +1,6 @@
 """Pattern DSL parsing and occurrence matching, against a naive matcher."""
 
+import dataclasses
 import gc
 import random
 from collections import Counter
@@ -18,7 +19,7 @@ from patavoid.patterns import (EVEN, EXISTS, ODD, BarredPattern,
                                SearchForm, always_closed, at_end, avoiders,
                                avoids, parse_pattern, parse_pattern_set)
 from patavoid.perms import append_child
-from patavoid.rules import CLASS_IDS, REGISTRY
+from patavoid.rules import CLASS_IDS, REGISTRY, verify_rule
 
 
 def naive_occurrences(perm, pat):
@@ -387,6 +388,35 @@ def test_avoiders_keep_the_input_order():
     assert kept == [p for p in perms if avoids(p, pats)]
     assert 0 < len(kept) < len(perms)
     assert list(avoiders(perms, ())) == perms
+
+
+def test_at_end_lists_its_forms_in_avoiders_member_order(monkeypatch):
+    # avoiders filters by the members in the order of their full kernels'
+    # first calls on one permutation; at_end lists the members' anchored
+    # forms in that same order: shortest full length first ([2e]-31 counts
+    # its bar), ties in set order.
+    pats = parse_pattern_set("1-2-34,[2e]-31,12-3,2-1-3")
+    order = []
+    for pat in pats:
+        kernel = pat._form.kernel or patterns._compile(pat._form)
+        monkeypatch.setattr(pat._form, "kernel",
+                            lambda p, pat=pat, kernel=kernel: order.append(pat) or kernel(p))
+    assert list(avoiders([(1,)], pats)) == [(1,)]
+    assert order == [pats[1], pats[2], pats[3], pats[0]]
+    assert at_end(pats) == tuple(at_end((pat,))[0] for pat in order)
+
+
+@pytest.mark.parametrize("cid", ["C3", "C7", "C8", "C10"])
+def test_member_order_changes_no_tree_level_or_rule_report(cid):
+    # Reversed, C3 and C10 tie-break their members the other way, and C7
+    # and C8 list 2-1-3 first as at_end does: the levels, their order and
+    # the rule report stay the same.
+    spec = REGISTRY[cid]
+    flipped = dataclasses.replace(spec, patterns=spec.patterns[::-1])
+    assert list(iter_tree_levels(flipped.patterns, 8)) == list(iter_tree_levels(spec.patterns, 8))
+    assert count_tree(flipped.patterns, 8) == count_tree(spec.patterns, 8)
+    assert verify_rule(flipped, 8) == verify_rule(spec, 8)
+    assert verify_rule(spec, 8).ok
 
 
 def _live_forms_and_kernels():
