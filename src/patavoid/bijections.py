@@ -34,6 +34,7 @@ from .perms import Perm
 
 _P213 = parse_pattern_set("2-1-3")
 _P213_ODD = parse_pattern_set("2-1-3,[2o]-31")
+_ODD = parse_pattern_set("[2o]-31")
 
 # family -> ({step: height change} in generation order, highest end height);
 # heights never go below 0.  A subdiagonal path's height is x - 2y, so a
@@ -284,9 +285,20 @@ def subdiag(perm: Perm) -> str:
 
 
 def subdiag_inverse(path: str) -> Perm:
+    """Subdiagonal E/N path to the avoider of {2-1-3, [2o]-31} that
+    ``subdiag`` maps to it, by the run codec with step 2.
+
+    The decoded permutation is checked against [2o]-31 alone: ``_decode``
+    builds a 2-1-3 avoider from every path.  In an occurrence b, a, c of
+    2-1-3 (a < b < c), a is no right-to-left maximum, as c lies right of
+    it and above it.  So a took the largest value unused at its turn
+    below the nearest maximum at or right of it, which is at least c; but
+    b, placed later in the right-to-left scan and below c, was unused
+    then and is larger than a.
+    """
     if not path_is(path, "subdiagonal"):
         raise ValueError(f"{path!r} is not a subdiagonal path")
     perm = _decode(path, "E", "N", 2)
-    if not avoids(perm, _P213_ODD):
+    if not avoids(perm, _ODD):
         raise ValueError("path is not in the image of the map")
     return perm

@@ -63,9 +63,11 @@ the new last entry.  ``avoids(child, at_end(pats))`` equals
   their mode checked.
 
 Both cases also show that such a pattern's class is closed under deletion
-of the last entry.  A pattern with its bar last may break that closure
-(``13-[2]`` is avoided by 132 but not by its parent 12), so no tree prunes
-by one.
+of the last entry.  In the first case, when the last letter is the
+largest (or 1), the appended values that complete an occurrence form an
+up-set (a down-set): ``SearchForm.cutoff``.  A pattern with its bar last
+may break that closure (``13-[2]`` is avoided by 132 but not by its
+parent 12), so no tree prunes by one.
 """
 
 from __future__ import annotations
@@ -79,6 +81,10 @@ Perm = tuple[int, ...]
 EXISTS = "exists"
 ODD = "odd"
 EVEN = "even"
+
+# The shapes of an anchored form's rejected appended values (SearchForm.cutoff).
+UP = "up"
+DOWN = "down"
 
 
 class PatternSyntaxError(ValueError):
@@ -277,6 +283,20 @@ class SearchForm:
     pattern of a barred one: an occurrence then counts only if its
     extension count breaks the mode.
 
+    ``cutoff`` says which appended values an anchored form rejects, over
+    the children of one parent that avoids its pattern: ``UP`` when they
+    form an up-set of 1..n+1, ``DOWN`` when they form a down-set, and None
+    when nothing is known, so every candidate is tested.  An anchored form
+    is ``UP`` when its pattern is vincular with k >= 2 and its last letter
+    is k, and ``DOWN`` when that last letter is 1.  An occurrence in the
+    child ends at the new last entry, and its other letters are parent
+    entries, whose positions and relative order no v changes; they need
+    only lie below that entry (above it, for ``DOWN``), which a larger v
+    (a smaller one) keeps.  A full form, a bar-first form (its extension
+    count may move either way as v grows), and a form whose last letter
+    lies strictly inside (it needs parent entries on both sides of the
+    last entry) have cutoff None.
+
     The placement order is the plan of the kernel:
 
     * A full form without a bar places its longest block first (the
@@ -301,7 +321,7 @@ class SearchForm:
     is held on the form, so it lives and dies with it.
     """
 
-    __slots__ = ("k", "pinned", "blocks", "bar", "kernel")
+    __slots__ = ("k", "pinned", "blocks", "bar", "cutoff", "kernel")
 
     def __init__(self, pat: GeneralizedPattern, anchored: bool = False,
                  barred: BarredPattern | None = None):
@@ -351,6 +371,9 @@ class SearchForm:
             once = read.isdisjoint(run) and (barred is not None or m < len(order) - 1)
             blocks.append((tuple(item[j] for j in run), start, stop, once))
             read.update(i for j in run for i in item[j][1:])
+        self.cutoff = None
+        if anchored and barred is None and k >= 2:
+            self.cutoff = {k: UP, 1: DOWN}.get(letters[-1])
         self.k = k
         self.pinned = tuple(item[j] for j in pinned)
         self.blocks = tuple(reversed(blocks))
@@ -512,7 +535,10 @@ def at_end(pats: PatternSet) -> tuple[SearchForm, ...]:
     The forms are each pattern's own (``_anchored``), so every tree walk
     over one pattern set runs the same kernels, each compiled once.  They
     are listed in ``avoiders``' member order (``_shortest_first``), so
-    ``avoids`` tries the likeliest rejection first.
+    ``avoids`` tries the likeliest rejection first.  Each form's
+    ``cutoff`` says whether the appended values it rejects form an up-set
+    or a down-set; ``enumerate.tree_forms`` groups the forms by it, each
+    group in this order.
     """
     return tuple(_anchored(pat) for pat in _shortest_first(pats))
 

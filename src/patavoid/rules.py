@@ -40,9 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Union
 
-from .enumerate import kept_children
+from .enumerate import kept_children, tree_forms
 from .enumerate import iter_tree_levels  # unused; bench/tracing.py checks rules.iter_tree_levels
-from .patterns import PatternSet, at_end, parse_pattern_set
+from .patterns import PatternSet, parse_pattern_set
 from .patterns import avoids  # unused; bench/tracing.py rebinds and checks rules.avoids
 from .perms import STATISTICS, Perm
 from .series import Poly
@@ -390,7 +390,7 @@ def verify_rule(spec: ClassSpec, nmax: int) -> RuleReport:
     if spec.label_of(root) != spec.root_label:
         return RuleReport(spec.id, nmax, False, frozenset(),
                           (root, (spec.root_label,), (spec.label_of(root),)))
-    forms = at_end(spec.patterns)
+    forms = tree_forms(spec.patterns)
     level = kept_children((), forms) if nmax >= 1 else []
     labels = spec.labels_of(level)
     for n in range(1, nmax):

@@ -293,6 +293,16 @@ def test_subdiag_bijective(n):
     assert images == set(B.subdiagonal_paths(n))
 
 
+def test_every_subdiagonal_path_decodes_to_a_213_avoider():
+    # subdiag_inverse checks its decoded permutation against [2o]-31 alone,
+    # because the decoder builds a 2-1-3 avoider from every path.
+    for n in range(1, 13):
+        for path in B.subdiagonal_paths(n):
+            perm = B._decode(path, "E", "N", 2)
+            assert sorted(perm) == list(range(1, n + 1)), path
+            assert avoids(perm, P213), path
+
+
 # The run codec as first written, the oracle for the one-scan codec:
 # maxima from perms.right_to_left_maxima, runs from re.findall.
 def _oracle_encode(perm, up, down, step):

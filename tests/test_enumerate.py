@@ -1,12 +1,15 @@
 """Brute-force and tree counting, closure checking."""
 
-from itertools import permutations, product
+import time
+from collections import Counter
+from itertools import combinations, permutations, product
 
 import pytest
 
 from patavoid import enumerate as enumeration
 from patavoid.enumerate import (BRUTE_GUARD, ClosureError, closure_check,
-                                count_brute, count_tree, iter_tree_levels)
+                                count_brute, count_tree, iter_tree_levels,
+                                tree_forms)
 from patavoid.patterns import avoids, parse_pattern_set
 from patavoid.perms import reduce_to_perm
 from patavoid.rules import REGISTRY
@@ -117,3 +120,23 @@ def test_tree_counts_every_bar_last_set():
     for text in texts:
         pats = parse_pattern_set(text)
         assert count_tree(pats, 6) == [count_brute(pats, n) for n in range(1, 7)], text
+
+
+def test_tree_matches_brute_on_every_pair_of_length_3_vincular_patterns():
+    # The pairs mix members whose last letter is 3 (their cut-off hi is
+    # bisected), 1 (lo is bisected) and 2 (tested per candidate).
+    singles = [a + g + b + h + c for a, b, c in permutations("123")
+               for g, h in product(("-", ""), repeat=2)]
+    pairs = list(combinations(singles, 2))
+    assert len(set(singles)) == 24 and len(pairs) == 276
+    kinds = Counter()
+    start = time.perf_counter()
+    for a, b in pairs:
+        pats = parse_pattern_set(f"{a},{b}")
+        up, down, rest = tree_forms(pats)
+        kinds[len(up), len(down), len(rest)] += 1
+        assert count_tree(pats, 6) == [count_brute(pats, n) for n in range(1, 7)], (a, b)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5, f"276 pairs to n=6 took {elapsed:.1f}s"
+    assert kinds == {(2, 0, 0): 28, (0, 2, 0): 28, (0, 0, 2): 28,
+                     (1, 1, 0): 64, (1, 0, 1): 64, (0, 1, 1): 64}

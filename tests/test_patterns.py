@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from patavoid import patterns
 from patavoid.enumerate import (count_tree, iter_avoiders_brute,
-                                iter_tree_levels, kept_children)
-from patavoid.patterns import (EVEN, EXISTS, ODD, BarredPattern,
+                                iter_tree_levels, kept_children, tree_forms)
+from patavoid.patterns import (DOWN, EVEN, EXISTS, ODD, UP, BarredPattern,
                                GeneralizedPattern, PatternSyntaxError,
                                SearchForm, always_closed, at_end, avoiders,
                                avoids, parse_pattern, parse_pattern_set)
@@ -250,7 +250,40 @@ def test_doubled_buffer_children_match_built_children(texts):
             test = [2 * x for x in perm] + [2 * v - 1]
             assert avoids(test, forms) == avoids(child, forms), (perm, v)
         if avoids(perm, pats):
-            assert kept_children(perm, forms) == [c for c in built if avoids(c, pats)], perm
+            assert kept_children(perm, tree_forms(pats)) == [
+                c for c in built if avoids(c, pats)], perm
+
+
+def test_members_ending_on_their_largest_or_smallest_letter_keep_a_prefix_or_suffix():
+    # For a vincular pattern whose last letter is k, the values v whose
+    # child contains it are an up-set of 1..n+1 over every avoiding parent
+    # (a down-set when the last letter is 1), so kept_children bisects
+    # them.  Every bar-first form, and every form whose last letter lies
+    # strictly inside, is tested per candidate.
+    monotone = 0
+    for text in _single_patterns(4):
+        pat = parse_pattern(text)
+        vincular = isinstance(pat, GeneralizedPattern)
+        if not always_closed(pat) or (vincular and pat.k < 2):
+            continue
+        form, = at_end((pat,))
+        cutoff = {pat.k: UP, 1: DOWN}.get(pat.letters[-1]) if vincular else None
+        assert form.cutoff == cutoff, text
+        assert tree_forms((pat,)) == tuple(
+            (form,) if c == cutoff else () for c in (UP, DOWN, None)), text
+        if cutoff is None:
+            continue
+        monotone += 1
+        for parent in _PERMS_TO_6:
+            if not avoids(parent, (pat,)):
+                continue
+            top = len(parent) + 1
+            rejected = [v for v in range(1, top + 1)
+                        if not avoids(append_child(parent, v), (pat,))]
+            if rejected:
+                assert rejected == (list(range(rejected[0], top + 1)) if cutoff == UP
+                                    else list(range(1, rejected[-1] + 1))), (text, parent)
+    assert monotone == 116
 
 
 def _memo_occurrences():
