@@ -256,11 +256,6 @@ def gf_counts(cid: str, nmax: int) -> list[int]:
     return counts
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-
-
 def closed_form(name: str, order: int,
                 at_u: int | None = None, at_v: int | None = None) -> TruncatedSeries:
     """Expand the named generating function to the given t-order.
@@ -275,7 +270,8 @@ def closed_form(name: str, order: int,
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown generating function {name!r}")
-    _check_order(order)
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
     spec = REGISTRY[name]
     for var, val in (("u", at_u), ("v", at_v)):
         if val not in (None, 1):
@@ -328,10 +324,9 @@ def verify_identity(name: str, candidate: TruncatedSeries,
     nonzero residual).
     """
     spec = REGISTRY[name]
-    _check_order(order)
     if candidate.order < order:
         raise ValueError(f"candidate order {candidate.order} below requested {order}")
-    cand = candidate.truncate(order)
+    cand = candidate.to_order(order)
     if spec.kind == "sum":
         return _first_residual(cand - closed_form(name, order))
     if spec.kind == "algebraic":

@@ -16,6 +16,7 @@ this generator nor a kernel.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cache
 from itertools import accumulate
 from operator import add, sub
 from typing import Callable, Union
@@ -65,8 +66,6 @@ _KERNEL_GLOBALS: dict = {
     "accumulate": accumulate, "add": add, "sub": sub, "defaultdict": defaultdict,
     "_fill": _fill, "_shift": _shift, "_negative": _negative,
 }
-# The kernel of each rule table, keyed by the table itself.
-_KERNELS: dict[Rule, Callable[[Rows, int, str], Rows]] = {}
 
 
 def _nonneg(x: Affine) -> bool:
@@ -341,11 +340,9 @@ def kernel_source(rule: Rule) -> str:
     return "\n".join(body) + "\n"
 
 
+@cache
 def kernel_for(rule: Rule) -> Callable[[Rows, int, str], Rows]:
     """The level kernel of ``rule``, compiled on its first use."""
-    kernel = _KERNELS.get(rule)
-    if kernel is None:
-        scope: dict = {}
-        exec(kernel_source(rule), _KERNEL_GLOBALS, scope)
-        kernel = _KERNELS[rule] = scope["kernel"]
-    return kernel
+    scope: dict = {}
+    exec(kernel_source(rule), _KERNEL_GLOBALS, scope)
+    return scope["kernel"]

@@ -120,15 +120,3 @@ def statistic(perm: Perm, which: str) -> int:
     except (KeyError, TypeError):
         raise ValueError(f"unknown statistic {which!r}") from None
     return fn(perm)
-
-
-def right_to_left_maxima(perm: Perm) -> list[tuple[int, int]]:
-    """(position, value) pairs, 1-based, of entries exceeding all to their right."""
-    out = []
-    best = 0
-    for i in range(len(perm) - 1, -1, -1):
-        if perm[i] > best:
-            best = perm[i]
-            out.append((i + 1, perm[i]))
-    out.reverse()
-    return out

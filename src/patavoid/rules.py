@@ -15,11 +15,13 @@ diagonal, or (j,) for a one-component class, for lo <= j <= hi in steps of
 ``step``.  The row is affine in a and n, and lo and hi are affine in a, b
 and n with a b-coefficient of 0 or 1; a fixed child is a one-point span.
 Only a one-point span's lo may read b, and a span whose hi reads b steps
-by 1, or by 2 under a parity guard.  The builder raises ``ValueError`` on
-any other shape.  A node's children are the bodies of the cases it meets,
-and the cases of a table are disjoint on the labels that occur.  This is
-the form of Banderier, Bousquet-Mélou, Denise, Flajolet, Gardy and
-Gouyou-Beauchamps ("Generating functions for generating trees", 2002).
+by 1, or by 2 under a parity guard.  The builders raise ``ValueError`` on
+any other shape, and ``ClassSpec`` passes its table back through them, so
+a table built otherwise is checked too.  A node's children are the bodies
+of the cases it meets, and the cases of a table are disjoint on the labels
+that occur.  This is the form of Banderier, Bousquet-Mélou, Denise,
+Flajolet, Gardy and Gouyou-Beauchamps ("Generating functions for
+generating trees", 2002).
 
 ``ClassSpec.children`` reads the table one label at a time, and
 ``verify_rule`` compares that reading with the tree, whose nodes' children
@@ -219,15 +221,18 @@ class ClassSpec:
                                                          compare=False)
 
     def __post_init__(self):
+        # The table passes the builders' checks however it was built: each
+        # case and span is rebuilt through ``case`` and ``span``.
+        for c in self.rule:
+            case(*(span(s.lo, s.hi, row=s.row, diag=s.diag, step=s.step) for s in c.body),
+                 a=(c.a_lo, c.a_hi), b=(c.b_lo, c.b_hi), parity=c.parity)
+        _check_width(len(self.root_label), self.rule)
         object.__setattr__(self, "label_fns",
                            tuple(STATISTICS[w] for w in self.label_stats))
 
     def labels_of(self, perms: list[Perm]) -> list[Label]:
         """The label of each of ``perms``, in order: its statistics as one tuple."""
         return list(zip(*[map(f, perms) for f in self.label_fns]))
-
-    def label_of(self, perm: Perm) -> Label:
-        return self.labels_of([perm])[0]
 
     def children(self, label: Label, n: int) -> list[Label]:
         """The child labels of a length-n node: the spans of each case it meets, in order."""
@@ -237,7 +242,6 @@ class ClassSpec:
 
 
 def _spec(id: str, patterns: str, stats: tuple[str, ...], root: Label, *rule: Case) -> ClassSpec:
-    _check_width(len(root), rule)
     return ClassSpec(id, parse_pattern_set(patterns), stats, root, rule)
 
 
@@ -387,9 +391,10 @@ def verify_rule(spec: ClassSpec, nmax: int) -> RuleReport:
     """
     seen: set[Label] = set()
     root = (1,)
-    if spec.label_of(root) != spec.root_label:
+    [root_label] = spec.labels_of([root])
+    if root_label != spec.root_label:
         return RuleReport(spec.id, nmax, False, frozenset(),
-                          (root, (spec.root_label,), (spec.label_of(root),)))
+                          (root, (spec.root_label,), (root_label,)))
     forms = tree_forms(spec.patterns)
     level = kept_children((), forms) if nmax >= 1 else []
     labels = spec.labels_of(level)

@@ -85,9 +85,6 @@ class Poly:
     def const(cls, c: Scalar) -> Poly:
         return cls({(0, 0): c} if c else {})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
 
@@ -267,11 +264,6 @@ class TruncatedSeries:
         """This series at the given order: cut, or padded with zero terms."""
         return self if order == self.order else _series(self._coeffs, order)
 
-    def truncate(self, order: int) -> TruncatedSeries:
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return self.to_order(order)
-
     def is_zero(self) -> bool:
         return not any(self._coeffs)
 
@@ -432,7 +424,7 @@ def algebraic_root(eq_coeffs: Sequence[TruncatedSeries], order: int) -> Truncate
     while True:
         y = y.to_order(min(order, 2 * prec))
         # 1/f'(y) mod t^prec, padded with zeros to the order of y
-        inv = horner(derivs, y.truncate(prec - 1)).inverse()
+        inv = horner(derivs, y.to_order(prec - 1)).inverse()
         y = y - horner(coeffs, y) * inv.to_order(y.order)
         if 2 * prec > order:
             break

@@ -7,12 +7,14 @@ import time
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patavoid import bijections as B
 from patavoid.closed_forms import formula_value
 from patavoid.enumerate import iter_tree_levels
 from patavoid.patterns import avoids, parse_pattern_set
-from patavoid.perms import parse_perm, right_to_left_maxima
+from patavoid.perms import parse_perm
 
 P213 = parse_pattern_set("2-1-3")
 P_BAR = parse_pattern_set("2-1-3,[2]-31")
@@ -303,8 +305,40 @@ def test_every_subdiagonal_path_decodes_to_a_213_avoider():
             assert avoids(perm, P213), path
 
 
+def right_to_left_maxima(perm):
+    """(position, value) pairs, 1-based, of entries exceeding all to their right."""
+    out = []
+    best = 0
+    for i in range(len(perm) - 1, -1, -1):
+        if perm[i] > best:
+            best = perm[i]
+            out.append((i + 1, perm[i]))
+    out.reverse()
+    return out
+
+
+def test_right_to_left_maxima():
+    assert right_to_left_maxima(parse_perm("4675123")) == [(3, 7), (4, 5), (7, 3)]
+    assert right_to_left_maxima((1,)) == [(1, 1)]
+    assert right_to_left_maxima((3, 2, 1)) == [(1, 3), (2, 2), (3, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.permutations(list(range(1, n + 1)))).map(tuple))
+def test_right_to_left_maxima_properties(perm):
+    maxima = right_to_left_maxima(perm)
+    values = [v for _, v in maxima]
+    assert values[0] == len(perm)  # the maximum entry always qualifies
+    assert values == sorted(values, reverse=True)
+    assert maxima[-1][0] == len(perm)  # the last entry always qualifies
+    for pos, val in maxima:
+        assert perm[pos - 1] == val
+        assert all(x < val for x in perm[pos:])
+
+
 # The run codec as first written, the oracle for the one-scan codec:
-# maxima from perms.right_to_left_maxima, runs from re.findall.
+# maxima from right_to_left_maxima above, runs from re.findall.
 def _oracle_encode(perm, up, down, step):
     maxima = right_to_left_maxima(perm)
     floors = [v for _, v in maxima[1:]] + [len(perm) % step]

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -177,6 +178,32 @@ def test_verify_all_classes(capsys):
     assert out.count("identity holds") == 12
 
 
+def test_verify_reports_a_rule_mismatch(capsys, monkeypatch):
+    # C1 with C2's table: the rule line names the node, C1 gets no identity
+    # line, and every other class is still checked.
+    c1_with_c2 = dataclasses.replace(rules.REGISTRY["C1"], rule=rules.REGISTRY["C2"].rule)
+    monkeypatch.setitem(rules.REGISTRY, "C1", c1_with_c2)
+    code, out, _ = run(capsys, "verify", "--max-n", "5", "--order", "8")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == ("C1: MISMATCH at (1, 2, 3): rule predicts ((2,), (4,)), "
+                        "tree has ((1,), (2,), (4,))")
+    assert not [line for line in lines if line.startswith("C1: D identity")]
+    assert out.count("identity holds") == 11
+
+
+def test_verify_reports_a_failed_identity(capsys, monkeypatch):
+    # One coefficient of the rule series off by one at t^5: the residual is
+    # there, times the constant term of M's denominator.
+    rule_series = cli.rule_series
+    monkeypatch.setattr(cli, "rule_series", lambda cid, order: rule_series(cid, order)
+                        + TruncatedSeries.from_terms(order, {(5, 0, 0): 1}))
+    code, out, _ = run(capsys, "verify", "--class", "C4", "--max-n", "5", "--order", "8")
+    assert code == 1
+    assert out.splitlines() == ["C4: rule matches tree up to n=5 (11 distinct labels)",
+                                "C4: M identity FAILS, residual (2 - 2u - 2uv + 2u^2v)t^5"]
+
+
 def test_expand(capsys):
     code, out, _ = run(capsys, "expand", "--gf", "R", "--order", "5",
                        "--at-u", "1")
@@ -204,6 +231,18 @@ _EXPAND_GOLDEN = [(cmd.split()[2:], out)
 def test_expand_golden(capsys, argv, expected):
     # Integer-valued coefficients print the same whether they are held as
     # int or as Fraction; the text must not change with the series kernel.
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+# Whole outputs of ``patavoid report`` and ``patavoid verify``, which CI also
+# compares with the installed command's output.
+@pytest.mark.parametrize("argv,name", [
+    (["report", "--max-n", "8"], "report_max8.txt"),
+    (["report", "--max-n", "8", "--format", "csv"], "report_max8.csv"),
+    (["verify", "--max-n", "8", "--order", "12"], "verify_max8.txt"),
+], ids=["report", "report-csv", "verify"])
+def test_report_and_verify_golden(capsys, argv, name):
+    expected = (Path(__file__).parent / "data" / name).read_text()
     assert run(capsys, *argv) == (0, expected, "")
 
 

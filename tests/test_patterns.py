@@ -117,6 +117,16 @@ def test_barred_structural_errors():
         parse_pattern("3-[1]-2")  # barred letter in the middle
     with pytest.raises(PatternSyntaxError):
         parse_pattern("[2]31")  # barred letter not dash-separated
+    # Built directly, a pattern checks its own fields.
+    for letters in ((), (1, 3), (2, 2)):
+        with pytest.raises(ValueError, match="permutation of 1..k"):
+            GeneralizedPattern(letters, (False,) * max(len(letters) - 1, 0))
+    with pytest.raises(ValueError, match="length k-1"):
+        GeneralizedPattern((2, 1, 3), (False,))
+    with pytest.raises(ValueError, match="at least two letters"):
+        BarredPattern(GeneralizedPattern((1,), ()), 0, EXISTS)
+    with pytest.raises(ValueError, match="unknown mode 'some'"):
+        BarredPattern(GeneralizedPattern((2, 3, 1), (False, True)), 0, "some")
 
 
 def test_parse_pattern_set():

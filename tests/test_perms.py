@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patavoid.perms import (STATISTICS, append_child, format_perm, parse_perm,
-                            reduce_to_perm, right_to_left_maxima, statistic)
+                            reduce_to_perm, statistic)
 
 perms = st.integers(1, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))).map(tuple)
@@ -124,22 +124,3 @@ def test_statistic_reads_the_table():
     for bad in ["x", "", "R", "rl", " r", None, ["r"]]:
         with pytest.raises(ValueError, match="unknown statistic"):
             statistic(perm, bad)
-
-
-def test_right_to_left_maxima():
-    assert right_to_left_maxima(parse_perm("4675123")) == [(3, 7), (4, 5), (7, 3)]
-    assert right_to_left_maxima((1,)) == [(1, 1)]
-    assert right_to_left_maxima((3, 2, 1)) == [(1, 3), (2, 2), (3, 1)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(perms)
-def test_right_to_left_maxima_properties(perm):
-    maxima = right_to_left_maxima(perm)
-    values = [v for _, v in maxima]
-    assert values[0] == len(perm)  # the maximum entry always qualifies
-    assert values == sorted(values, reverse=True)
-    assert maxima[-1][0] == len(perm)  # the last entry always qualifies
-    for pos, val in maxima:
-        assert perm[pos - 1] == val
-        assert all(x < val for x in perm[pos:])

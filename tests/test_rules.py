@@ -15,7 +15,7 @@ import pytest
 from patavoid import enumerate as enumeration, level_kernel, rules
 from patavoid.closed_forms import formula_value, gf_counts
 from patavoid.enumerate import count_tree, iter_tree_levels
-from patavoid.patterns import avoids
+from patavoid.patterns import avoids, parse_pattern_set
 from patavoid.rules import (CLASS_IDS, REGISTRY, A, B, N, case, count_by_rule,
                             point, refined_by_rule, span, verify_rule)
 from patavoid.series import Poly
@@ -39,7 +39,7 @@ def test_registry_shape():
     assert len(CLASS_IDS) == 12
     for spec in REGISTRY.values():
         assert len(spec.label_stats) == len(spec.root_label)
-        assert spec.label_of((1,)) == spec.root_label
+        assert spec.labels_of([(1,)]) == [spec.root_label]
 
 
 def test_rule_children_examples():
@@ -287,7 +287,7 @@ def test_cases_are_disjoint_on_the_labels_that_occur(cid):
         for label, _ in _cells(spec, rows):
             assert len(_matching_cases(spec, label, n)) <= 1, (label, n)
     for n, level in enumerate(iter_tree_levels(spec.patterns, 8), start=1):
-        for label in {spec.label_of(perm) for perm in level}:
+        for label in set(spec.labels_of(level)):
             assert len(_matching_cases(spec, label, n)) <= 1, (label, n)
 
 
@@ -318,6 +318,15 @@ def test_table_builder_refuses_other_shapes():
             case(span(1, B, step=2), parity=flag)
     with pytest.raises(ValueError, match="step"):
         span(1, B, step=0)
+    with pytest.raises(ValueError, match="does not end on a step"):
+        case(span(1, A, row=A, step=2))
+    with pytest.raises(ValueError, match="not both"):
+        span(1, B, row=A, diag=0)
+    for diag in (1.0, True, "0"):
+        with pytest.raises(ValueError, match="diagonal offset .* is not an int"):
+            span(1, B, diag=diag)
+    with pytest.raises(ValueError, match="is not a span"):
+        case((1, B))
     with pytest.raises(ValueError):
         span(1, "B")
     with pytest.raises(ValueError, match="component A"):
@@ -340,6 +349,23 @@ def test_table_builder_refuses_other_shapes():
     assert case(span(1, A, row=A + 1), parity=0).parity == 0
 
 
+def test_a_spec_checks_a_table_built_without_the_builders():
+    # The (M, r) table of Av(1-23-4) with its span(B + 1, A, diag=0) written
+    # raw: the level kernel would emit it as one child per cell and count
+    # 24 and 119 at n = 4 and 5, where brute force has 23 and 105.  The
+    # labels are l and r, since perms has no M: the table is refused before
+    # any label is read.
+    raw = (case(span(1, A, row=A + 1), b=1),
+           case(span(1, B, row=A + 1), rules.Span(B + 1, A, None, 0, 1), b=(2, None)))
+    message = "only a one-point span's lo may read B"
+    with pytest.raises(ValueError, match=message):
+        rules.ClassSpec("X", parse_pattern_set("1-23-4"), ("l", "r"), (2, 1), raw)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(REGISTRY["C4"], rule=raw)
+    with pytest.raises(ValueError, match="row or a diagonal"):
+        dataclasses.replace(REGISTRY["C1"], rule=REGISTRY["C4"].rule)
+
+
 @pytest.mark.parametrize("cid", CLASS_IDS)
 def test_rule_replays_tree(cid):
     report = verify_rule(REGISTRY[cid], 7)
@@ -355,8 +381,7 @@ def test_refined_rule_matches_tree_statistics(cid):
     direct = []
     for n, level in enumerate(iter_tree_levels(spec.patterns, 7), start=1):
         terms = {}
-        for perm in level:
-            label = spec.label_of(perm)
+        for label in spec.labels_of(level):
             key = label if len(label) == 2 else (label[0], 0)
             terms[key] = terms.get(key, 0) + 1
         direct.append((n, Poly(terms)))

@@ -27,7 +27,7 @@ def test_poly_arithmetic():
     p = Poly({(1, 0): 1, (0, 0): 2})  # u + 2
     q = Poly({(0, 1): 1})  # v
     assert (p * q).terms == {(1, 1): 1, (0, 1): 2}
-    assert (p - p).is_zero()
+    assert not p - p
     assert p.subs_one(u=True) == Poly.const(3)
     assert str(Poly({(2, 1): 1, (0, 0): -1})) == "-1 + u^2v"
     # a plain number is a constant polynomial on either side of + and *
@@ -35,17 +35,17 @@ def test_poly_arithmetic():
     assert (p + -2).terms == {(1, 0): 1}
     assert (3 - p).terms == {(1, 0): -1, (0, 0): 1}
     assert (Fraction(1, 2) - p).terms == {(1, 0): -1, (0, 0): Fraction(-3, 2)}
-    assert (2 - Poly.const(2)).is_zero()
+    assert not 2 - Poly.const(2)
     assert (2 * p).terms == {(1, 0): 2, (0, 0): 4}
     half = p * Fraction(1, 2)
     assert half.terms == {(1, 0): Fraction(1, 2), (0, 0): 1}
     assert type(half.terms[(0, 0)]) is int
     assert not Poly() and p
-    assert (p * 0).is_zero() and (0 * p).is_zero() and not p * 0
+    assert not p * 0 and not 0 * p
 
 
 def test_poly_constants():
-    assert Poly.const(0).is_zero()
+    assert not Poly.const(0)
     assert Poly.const(Fraction(1, 2)).constant_value() == Fraction(1, 2)
     with pytest.raises(ValueError):
         Poly({(1, 0): 1}).constant_value()
@@ -261,7 +261,7 @@ def test_negative_order_is_refused():
     with pytest.raises(ValueError, match=message):
         TruncatedSeries.zero(-1)
     with pytest.raises(ValueError, match=message):
-        S({(0, 0, 0): 1}, 3).truncate(-1)
+        S({(0, 0, 0): 1}, 3).to_order(-1)
     with pytest.raises(ValueError, match=message):
         TruncatedSeries([])
     with pytest.raises(ValueError, match=message):
@@ -321,7 +321,7 @@ def test_uv_free_series_make_no_poly(poly_calls):
     a = TruncatedSeries([1, *_fractions(rng, 40)])
     b = TruncatedSeries([2, *_fractions(rng, 30)], 40)
     results = [a + b, a - b, b - a, a.scale(3), a.scale(Fraction(-2, 3)),
-               a.subs_one(u=True), b.subs_one(u=True, v=True), a.truncate(10), a.sqrt(),
+               a.subs_one(u=True), b.subs_one(u=True, v=True), a.to_order(10), a.sqrt(),
                closed_form("J", 60)]
     assert not poly_calls
     assert all(type(c) in (int, Fraction) for r in results for c in r._coeffs)
@@ -332,7 +332,7 @@ def test_an_empty_substitution_is_the_series_itself():
     s = S({(1, 1, 0): 1, (2, 0, 0): 3}, 4)
     assert s.subs_one() is s
     assert s.subs_one(u=True).coefficient(1) == Poly.const(1)
-    assert s.truncate(4) is s and s.to_order(4) is s
+    assert s.to_order(4) is s
     assert s.to_order(6).order == 6 and s.to_order(6) == s
     with pytest.raises(ValueError, match="order must be non-negative, got -1"):
         s.to_order(-1)
@@ -347,7 +347,7 @@ small_series = st.lists(
 @given(small_series, small_series)
 def test_product_division_round_trip(a, b):
     c0 = b.coefficient(0)
-    if c0.is_zero():
+    if not c0:
         b = b + S({(0, 0, 0): 1}, 6)
     assert (a * b) / b == a
 
@@ -355,7 +355,7 @@ def test_product_division_round_trip(a, b):
 @settings(max_examples=60, deadline=None)
 @given(small_series)
 def test_double_inverse(s):
-    if s.coefficient(0).is_zero():
+    if not s.coefficient(0):
         s = s + S({(0, 0, 0): 1}, 6)
     assert s.inverse().inverse() == s
 
@@ -363,7 +363,7 @@ def test_double_inverse(s):
 @settings(max_examples=60, deadline=None)
 @given(small_series)
 def test_sqrt_squares(s):
-    sq = (s * s).truncate(6)
+    sq = (s * s).to_order(6)
     shifted = sq + S({(0, 0, 0): 1 - (sq.coefficient(0).constant_value()
                                       if sq.coefficient(0).is_constant() else 0)}, 6)
     root = shifted.sqrt()
