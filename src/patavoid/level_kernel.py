@@ -8,9 +8,19 @@ table, never for a class id, so two specs share a kernel exactly when they
 share a table.  Each shape of span has one way into the next level, which
 ``kernel_source`` describes.  The source holds only integers from the
 table and fixed operators, and the class id reaches the kernel only as an
-argument, for its error message.  ``rules._dp_levels`` imports this
-module when it first runs, so importing the package compiles neither
-this generator nor a kernel.
+argument, for its error message.  ``rules._kernel`` imports this module
+on its first call, so importing the package compiles neither this
+generator nor a kernel.
+
+This module is the one reader of a table's guards and spans.  The label
+dynamic program runs the kernel level by level, and ``rules.verify_rule``
+predicts a label's children by one step from the level that holds that
+label alone.  Two properties make that prediction sound.  The kernel is
+linear in its level: every cell it writes is a sum of its input cells
+times integers, so a level's successor is the sum of its labels'
+one-label steps, each times its multiplicity.  And it emits rows in
+increasing a, each cut at its last nonzero cell and indexed by b, so a
+step read back cell by cell lists its labels in increasing order.
 """
 
 from __future__ import annotations
@@ -134,13 +144,13 @@ def kernel_source(rule: Rule) -> str:
     Rows are cut at their last nonzero cell and come out in increasing
     order of a.  Every test for a negative component calls
     ``_negative(cid)``, and it fails only on a cell of nonzero
-    multiplicity, so the kernel refuses a table exactly where reading it
-    label by label (``ClassSpec.children``) meets a negative component.  A
-    test is left out where its affine form is >= 0 for every b >= 0,
-    n >= 1 and a at least the case's least a (or 0), and one that is
-    constant is folded.  A case that pins a reads that value into the
-    forms of its b bounds and spans before anything is written, and a span
-    that is then empty (lo > hi, neither reading b) writes nothing.
+    multiplicity, so the kernel refuses a level exactly when one of its
+    labels has a child with a negative component.  A test is left out
+    where its affine form is >= 0 for every b >= 0, n >= 1 and a at least
+    the case's least a (or 0), and one that is constant is folded.  A case
+    that pins a reads that value into the forms of its b bounds and spans
+    before anything is written, and a span that is then empty (lo > hi,
+    neither reading b) writes nothing.
     """
     body: list[str] = []
     diags: dict[int, set[int]] = {}  # each diagonal and the steps of its lists, 0 for values

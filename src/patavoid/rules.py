@@ -16,25 +16,33 @@ diagonal, or (j,) for a one-component class, for lo <= j <= hi in steps of
 and n with a b-coefficient of 0 or 1; a fixed child is a one-point span.
 Only a one-point span's lo may read b, and a span whose hi reads b steps
 by 1, or by 2 under a parity guard.  The builders raise ``ValueError`` on
-any other shape, and ``ClassSpec`` passes its table back through them, so
-a table built otherwise is checked too.  A node's children are the bodies
-of the cases it meets, and the cases of a table are disjoint on the labels
-that occur.  This is the form of Banderier, Bousquet-Mélou, Denise,
-Flajolet, Gardy and Gouyou-Beauchamps ("Generating functions for
-generating trees", 2002).
+any other shape.  ``ClassSpec`` refuses a field of the wrong type with
+``ValueError``, passes its table back through the builders and keeps what
+they return, so a table built otherwise is checked too.  A node's children
+are the bodies of the cases it meets, and the cases of a table are
+disjoint on the labels that occur.  This is the form of Banderier,
+Bousquet-Mélou, Denise, Flajolet, Gardy and Gouyou-Beauchamps
+("Generating functions for generating trees", 2002).
 
-``ClassSpec.children`` reads the table one label at a time, and
-``verify_rule`` compares that reading with the tree, whose nodes' children
-it reads from ``enumerate.kept_children``.  A spec binds the function of
-each of its statistics once (``ClassSpec.label_fns``), and
-``ClassSpec.labels_of`` labels a list of nodes by mapping each function
-over it; ``verify_rule`` holds a level as its nodes and their labels, in
-two parallel lists.  ``count_by_rule`` and
+Past those checks, only ``level_kernel`` reads a table's guards and spans.
+Each table generates one level kernel, compiled on the table's first use,
+which maps a level's rows to the next level's rows and evaluates no rule
+label by label; ``level_kernel`` describes it.  ``count_by_rule`` and
 ``refined_by_rule`` read one dynamic program, which holds a level as rows
 {a: [multiplicity of (a, b) for b = 0, 1, ...]}, the single row 0 for a
-one-component class.  Each table generates one level kernel, compiled on
-the table's first use, which maps a level's rows to the next level's rows
-and evaluates no rule label by label; ``level_kernel`` describes it.
+one-component class.  ``verify_rule`` predicts a label's children by one
+step of the same kernel from the level that holds that label alone, read
+back as labels with multiplicity; the kernel emits rows in increasing a
+and each row's cells in increasing b, so they come out sorted.  It
+compares them with the tree, whose nodes' children it reads from
+``enumerate.kept_children``.  The kernel is linear in its level: a level's
+successor is the sum of its labels' one-label steps, each times its
+multiplicity.  So when the children of every node of lengths 1..N - 1 are
+predicted right, the dynamic program's levels 1..N are the tree's labelled
+levels, by induction on n.  A spec binds the function of each of its
+statistics once (``ClassSpec.label_fns``), and ``ClassSpec.labels_of``
+labels a list of nodes by mapping each function over it; ``verify_rule``
+holds a level as its nodes and their labels, in two parallel lists.
 """
 
 from __future__ import annotations
@@ -77,9 +85,6 @@ class Affine(NamedTuple):
     def __sub__(self, other: Union[Affine, int]) -> Affine:
         return self + _affine(other) * -1
 
-    def __call__(self, a: int, b: int, n: int) -> int:
-        return self.c + self.a * a + self.b * b + self.n * n
-
 
 A, B, N = Affine(a=1), Affine(b=1), Affine(n=1)
 
@@ -105,15 +110,6 @@ class Span(NamedTuple):
     diag: int | None
     step: int
 
-    def labels(self, a: int, b: int, n: int, width: int) -> list[Label]:
-        js = range(self.lo(a, b, n), self.hi(a, b, n) + 1, self.step)
-        if self.diag is not None:
-            return [(j, j + self.diag) for j in js]
-        if width == 1:
-            return [(j,) for j in js]
-        t = self.row(a, b, n)
-        return [(t, j) for j in js]
-
 
 class Case(NamedTuple):
     """A guard a_lo <= a <= a_hi, b_lo <= b <= b_hi, b = parity mod 2, and its body."""
@@ -124,13 +120,6 @@ class Case(NamedTuple):
     b_lo: Affine | None
     b_hi: Affine | None
     parity: int | None
-
-    def holds(self, a: int, b: int, n: int) -> bool:
-        return ((self.a_lo is None or self.a_lo(a, b, n) <= a)
-                and (self.a_hi is None or a <= self.a_hi(a, b, n))
-                and (self.b_lo is None or self.b_lo(a, b, n) <= b)
-                and (self.b_hi is None or b <= self.b_hi(a, b, n))
-                and (self.parity is None or b % 2 == self.parity))
 
 
 Rule = tuple[Case, ...]
@@ -221,24 +210,38 @@ class ClassSpec:
                                                          compare=False)
 
     def __post_init__(self):
+        # Each field is checked for its type before the table is read: a
+        # label has one or two components, one statistic each, and a table
+        # is a tuple of cases, each with a tuple of spans.
+        stats, root = self.label_stats, self.root_label
+        if not (isinstance(stats, tuple) and isinstance(root, tuple)
+                and len(stats) == len(root) in (1, 2)):
+            raise ValueError(f"{self.id}: a label is one or two components, one per statistic, "
+                             f"not the root {root!r} with the statistics {stats!r}")
+        for w in stats:
+            if not isinstance(w, str) or w not in STATISTICS:
+                raise ValueError(f"{self.id}: {w!r} is not a label statistic")
+        for x in root:
+            if isinstance(x, bool) or not isinstance(x, int) or x < 0:
+                raise ValueError(f"{self.id}: the root label {root!r} is not of ints >= 0")
+        if not (isinstance(self.rule, tuple) and all(
+                isinstance(c, Case) and isinstance(c.body, tuple)
+                and all(isinstance(s, Span) for s in c.body) for c in self.rule)):
+            raise ValueError(f"{self.id}: a rule is a tuple of cases, each with a tuple of spans")
         # The table passes the builders' checks however it was built: each
-        # case and span is rebuilt through ``case`` and ``span``.
-        for c in self.rule:
-            case(*(span(s.lo, s.hi, row=s.row, diag=s.diag, step=s.step) for s in c.body),
-                 a=(c.a_lo, c.a_hi), b=(c.b_lo, c.b_hi), parity=c.parity)
-        _check_width(len(self.root_label), self.rule)
-        object.__setattr__(self, "label_fns",
-                           tuple(STATISTICS[w] for w in self.label_stats))
+        # case and span is rebuilt through ``case`` and ``span``, and the
+        # spec keeps the rebuilt table, whose bounds are all affine forms.
+        rule = tuple(case(*(span(s.lo, s.hi, row=s.row, diag=s.diag, step=s.step)
+                            for s in c.body),
+                          a=(c.a_lo, c.a_hi), b=(c.b_lo, c.b_hi), parity=c.parity)
+                     for c in self.rule)
+        _check_width(len(root), rule)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "label_fns", tuple(STATISTICS[w] for w in stats))
 
     def labels_of(self, perms: list[Perm]) -> list[Label]:
         """The label of each of ``perms``, in order: its statistics as one tuple."""
         return list(zip(*[map(f, perms) for f in self.label_fns]))
-
-    def children(self, label: Label, n: int) -> list[Label]:
-        """The child labels of a length-n node: the spans of each case it meets, in order."""
-        a, b = label if len(label) == 2 else (0, label[0])
-        return [child for c in self.rule if c.holds(a, b, n)
-                for s in c.body for child in s.labels(a, b, n, len(label))]
 
 
 def _spec(id: str, patterns: str, stats: tuple[str, ...], root: Label, *rule: Case) -> ClassSpec:
@@ -303,6 +306,36 @@ CLASS_IDS = tuple(REGISTRY)
 Rows = dict[int, list[int]]
 
 
+def _kernel(spec: ClassSpec) -> Callable[[Rows, int, str], Rows]:
+    """The level kernel of the spec's table.
+
+    ``level_kernel`` is imported here, on the first call, so importing the
+    package compiles neither its generator nor a kernel.
+    """
+    from .level_kernel import kernel_for
+    return kernel_for(spec.rule)
+
+
+def _level(label: Label) -> Rows:
+    """The level that holds ``label`` once."""
+    a, b = label if len(label) == 2 else (0, label[0])
+    return {a: [0] * b + [1]}
+
+
+def _children(kernel: Callable[[Rows, int, str], Rows], spec: ClassSpec, label: Label,
+              n: int) -> list[Label]:
+    """The child labels of a length-n node labelled ``label``, in increasing order.
+
+    They are one step of ``kernel`` from the level that holds ``label``
+    alone, read back as labels with multiplicity.  The kernel emits rows
+    in increasing a and each row's cells in increasing b, so the list
+    comes out sorted.
+    """
+    one = len(label) == 1
+    return [(b,) if one else (a, b) for a, row in kernel(_level(label), n, spec.id).items()
+            for b, m in enumerate(row) for _ in range(m)]
+
+
 def _dp_levels(spec: ClassSpec, nmax: int) -> Iterator[Rows]:
     """The rows of levels 1..nmax, yielded one at a time.
 
@@ -314,13 +347,8 @@ def _dp_levels(spec: ClassSpec, nmax: int) -> Iterator[Rows]:
     """
     if nmax < 1:
         return
-    # The generator loads with the first kernel, so importing the package
-    # compiles neither.
-    from .level_kernel import kernel_for
-    kernel = kernel_for(spec.rule)
-    root = spec.root_label
-    a, b = root if len(root) == 2 else (0, root[0])
-    level = {a: [0] * b + [1]}
+    kernel = _kernel(spec)
+    level = _level(spec.root_label)
     yield level
     for n in range(1, nmax):
         level = kernel(level, n, spec.id)
@@ -385,9 +413,13 @@ def verify_rule(spec: ClassSpec, nmax: int) -> RuleReport:
 
     Grows the tree parent by parent from the empty permutation, reading each
     parent's children from ``kept_children``, so it tests the same children
-    as ``iter_tree_levels``; a level's rule is read once per distinct label.
-    A level is held as two parallel lists, its nodes and their labels, and
-    each parent's children are labelled together by ``ClassSpec.labels_of``.
+    as ``iter_tree_levels``.  A label's children are predicted by one step
+    of the level kernel that ``count_by_rule`` and ``refined_by_rule`` run
+    (``_children``), once per distinct label of a level.  The kernel is
+    linear in its level, so a pass to nmax shows that the dynamic
+    program's levels 1..nmax are the tree's labelled levels.  A level is
+    held as two parallel lists, its nodes and their labels, and each
+    parent's children are labelled together by ``ClassSpec.labels_of``.
     """
     seen: set[Label] = set()
     root = (1,)
@@ -395,6 +427,7 @@ def verify_rule(spec: ClassSpec, nmax: int) -> RuleReport:
     if root_label != spec.root_label:
         return RuleReport(spec.id, nmax, False, frozenset(),
                           (root, (spec.root_label,), (root_label,)))
+    kernel = _kernel(spec)
     forms = tree_forms(spec.patterns)
     level = kept_children((), forms) if nmax >= 1 else []
     labels = spec.labels_of(level)
@@ -408,7 +441,7 @@ def verify_rule(spec: ClassSpec, nmax: int) -> RuleReport:
             kid_labels = spec.labels_of(kids)
             actual = sorted(kid_labels)
             if label not in predicted:
-                predicted[label] = sorted(spec.children(label, n))
+                predicted[label] = _children(kernel, spec, label, n)
             if actual != predicted[label]:
                 return RuleReport(spec.id, nmax, False, frozenset(seen),
                                   (perm, tuple(predicted[label]), tuple(actual)))

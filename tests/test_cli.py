@@ -192,6 +192,15 @@ def test_verify_reports_a_rule_mismatch(capsys, monkeypatch):
     assert out.count("identity holds") == 11
 
 
+def test_verify_refuses_a_table_with_a_negative_component(capsys, monkeypatch):
+    # The table sends the root's one child to (-1,): verify predicts with
+    # the level kernel, which refuses it, where a mismatch was reported.
+    x1 = rules._spec("X1", "2-1-3", ("r",), (1,), rules.case(rules.point(rules.B - 2)))
+    monkeypatch.setitem(rules.REGISTRY, "C1", x1)
+    code, out, err = run(capsys, "verify", "--max-n", "6")
+    assert (code, out, err) == (2, "", "error: the rule of X1 gives a negative component\n")
+
+
 def test_verify_reports_a_failed_identity(capsys, monkeypatch):
     # One coefficient of the rule series off by one at t^5: the residual is
     # there, times the constant term of M's denominator.

@@ -35,6 +35,54 @@ def _cells(spec, rows):
                 yield ((a, b) if two else (b,)), mult
 
 
+# The oracle of the level kernel: a rule table read one label at a time.  A
+# node's children are the spans of each case whose guard its label meets,
+# in the table's order.
+
+def _value(x, a, b, n):
+    """The affine form ``x`` at the label (a, b), or (b,) with a = 0, and the length n."""
+    return x.c + x.a * a + x.b * b + x.n * n
+
+
+def _holds(c, a, b, n):
+    return ((c.a_lo is None or _value(c.a_lo, a, b, n) <= a)
+            and (c.a_hi is None or a <= _value(c.a_hi, a, b, n))
+            and (c.b_lo is None or _value(c.b_lo, a, b, n) <= b)
+            and (c.b_hi is None or b <= _value(c.b_hi, a, b, n))
+            and (c.parity is None or b % 2 == c.parity))
+
+
+def _span_labels(s, a, b, n, width):
+    js = range(_value(s.lo, a, b, n), _value(s.hi, a, b, n) + 1, s.step)
+    if s.diag is not None:
+        return [(j, j + s.diag) for j in js]
+    if width == 1:
+        return [(j,) for j in js]
+    t = _value(s.row, a, b, n)
+    return [(t, j) for j in js]
+
+
+def _matching_cases(spec, label, n):
+    a, b = label if len(label) == 2 else (0, label[0])
+    return [c for c in spec.rule if _holds(c, a, b, n)]
+
+
+def _table_children(spec, label, n):
+    """The child labels of a length-n node, read from the table label by label."""
+    a, b = label if len(label) == 2 else (0, label[0])
+    return [child for c in _matching_cases(spec, label, n)
+            for s in c.body for child in _span_labels(s, a, b, n, len(label))]
+
+
+def _labels_met(spec):
+    """Each (label, n) of a node of the tree to n = 8 or of the DP to n = 40."""
+    met = {(label, n) for n, rows in enumerate(rules._dp_levels(spec, 40), start=1)
+           for label, _ in _cells(spec, rows)}
+    met.update((label, n) for n, level in enumerate(iter_tree_levels(spec.patterns, 8), start=1)
+               for label in spec.labels_of(level))
+    return met
+
+
 def test_registry_shape():
     assert len(CLASS_IDS) == 12
     for spec in REGISTRY.values():
@@ -43,16 +91,27 @@ def test_registry_shape():
 
 
 def test_rule_children_examples():
-    assert REGISTRY["C1"].children((3,), 3) == [(1,), (2,), (4,)]
-    assert REGISTRY["C2"].children((3,), 3) == [(2,), (4,)]
-    assert REGISTRY["C2e"].children((3,), 3) == [(1,), (3,), (4,)]
-    assert REGISTRY["C3"].children((1,), 1) == [(1,), (2,)]
-    assert REGISTRY["C5"].children((0, 1), 1) == [(1, 1), (0, 2)]
-    assert REGISTRY["C9"].children((1,), 1) == [(1,), (2,)]
-    assert REGISTRY["C6"].children((1, 3), 4) == [(2, 1), (1, 2), (3, 4)]
-    assert REGISTRY["C6"].children((3, 1), 4) == [(4, 2)]
-    assert REGISTRY["C6"].children((2, 2), 4) == []
-    assert REGISTRY["C11"].children((0, 1), 3) == [(1, 2), (1, 3), (1, 4), (0, 1)]
+    assert _table_children(REGISTRY["C1"], (3,), 3) == [(1,), (2,), (4,)]
+    assert _table_children(REGISTRY["C2"], (3,), 3) == [(2,), (4,)]
+    assert _table_children(REGISTRY["C2e"], (3,), 3) == [(1,), (3,), (4,)]
+    assert _table_children(REGISTRY["C3"], (1,), 1) == [(1,), (2,)]
+    assert _table_children(REGISTRY["C5"], (0, 1), 1) == [(1, 1), (0, 2)]
+    assert _table_children(REGISTRY["C9"], (1,), 1) == [(1,), (2,)]
+    assert _table_children(REGISTRY["C6"], (1, 3), 4) == [(2, 1), (1, 2), (3, 4)]
+    assert _table_children(REGISTRY["C6"], (3, 1), 4) == [(4, 2)]
+    assert _table_children(REGISTRY["C6"], (2, 2), 4) == []
+    assert _table_children(REGISTRY["C11"], (0, 1), 3) == [(1, 2), (1, 3), (1, 4), (0, 1)]
+
+
+@pytest.mark.parametrize("cid", CLASS_IDS)
+def test_kernel_steps_match_the_table_label_by_label(cid):
+    # verify_rule's prediction, one kernel step from the level that holds a
+    # label alone, is the table's reading of that label, sorted.
+    spec = REGISTRY[cid]
+    kernel = rules._kernel(spec)
+    for label, n in _labels_met(spec):
+        assert rules._children(kernel, spec, label, n) \
+            == sorted(_table_children(spec, label, n)), (label, n)
 
 
 def test_counts_match_known_sequences():
@@ -87,13 +146,13 @@ def test_counts_match_formulas():
 
 def _expanded(spec, nmax):
     """Levels 1..nmax as {label: multiplicity}, from a reference DP that adds
-    every child label of ``spec.children`` one at a time."""
+    every child label of ``_table_children`` one at a time."""
     level = {spec.root_label: 1}
     levels = [level]
     for n in range(1, nmax):
         nxt = {}
         for label, mult in level.items():
-            for child in spec.children(label, n):
+            for child in _table_children(spec, label, n):
                 nxt[child] = nxt.get(child, 0) + mult
         level = nxt
         levels.append(level)
@@ -270,30 +329,24 @@ def test_kernels_test_nothing_their_case_settles():
 def test_a_negative_component_is_refused(spec):
     # A point, a row, a diagonal's cells, a diagonal span, a diagonal's
     # single child and a span start, each negative from the root on, and a
-    # row that is negative at the a its case pins.
-    with pytest.raises(ValueError, match=f"^the rule of {spec.id} gives a negative component$"):
-        count_by_rule(spec, 6)
-
-
-def _matching_cases(spec, label, n):
-    a, b = label if len(label) == 2 else (0, label[0])
-    return [c for c in spec.rule if c.holds(a, b, n)]
+    # row that is negative at the a its case pins.  verify_rule predicts
+    # with the same kernel, so it refuses the table too.
+    for route in (count_by_rule, verify_rule):
+        with pytest.raises(ValueError,
+                           match=f"^the rule of {spec.id} gives a negative component$"):
+            route(spec, 6)
 
 
 @pytest.mark.parametrize("cid", CLASS_IDS)
 def test_cases_are_disjoint_on_the_labels_that_occur(cid):
     spec = REGISTRY[cid]
-    for n, rows in enumerate(rules._dp_levels(spec, 40), start=1):
-        for label, _ in _cells(spec, rows):
-            assert len(_matching_cases(spec, label, n)) <= 1, (label, n)
-    for n, level in enumerate(iter_tree_levels(spec.patterns, 8), start=1):
-        for label in set(spec.labels_of(level)):
-            assert len(_matching_cases(spec, label, n)) <= 1, (label, n)
+    for label, n in _labels_met(spec):
+        assert len(_matching_cases(spec, label, n)) <= 1, (label, n)
 
 
 def test_table_builder_refuses_other_shapes():
     assert 2 * A - B + N + 1 == rules.Affine(c=1, a=2, b=-1, n=1)
-    assert (A + 2 * B - 1)(3, 4, 0) == 10
+    assert _value(A + 2 * B - 1, 3, 4, 0) == 10
     # A span's row may not depend on B; (j, j + c) is written as a diagonal.
     with pytest.raises(ValueError, match="diagonal"):
         span(1, B, row=B + 1)
@@ -366,6 +419,59 @@ def test_a_spec_checks_a_table_built_without_the_builders():
         dataclasses.replace(REGISTRY["C1"], rule=REGISTRY["C4"].rule)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("rule", (rules.Case(("x",), None, None, None, None, None),), "tuple of cases"),
+    ("rule", case(point(1)), "tuple of cases"),
+    ("rule", [case(point(1))], "tuple of cases"),
+    ("label_stats", ("q",), "'q' is not a label statistic"),
+    ("label_stats", ("l", "r"), "one or two components"),
+    ("label_stats", ("l", "r", "s"), "one or two components"),
+    ("root_label", (-1,), "ints >= 0"),
+], ids=["str-span", "bare-case", "list-table", "unknown-stat", "width-mismatch",
+        "three-components", "negative-root"])
+def test_a_spec_refuses_a_malformed_field(field, value, message):
+    # Each is refused before the table is read; C1's labels are (r,).
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(REGISTRY["C1"], **{field: value})
+
+
+def test_a_spec_keeps_its_table_as_the_builders_return_it():
+    # A raw case with int bounds, where the builders hold affine forms: the
+    # spec keeps the rebuilt case, so the kernel reads C3's table.
+    c3 = REGISTRY["C3"]
+    first = c3.rule[0]
+    raw = dataclasses.replace(c3, rule=(first._replace(b_lo=1, b_hi=1), c3.rule[1]))
+    assert raw.rule == c3.rule
+    assert count_by_rule(raw, 9) == count_by_rule(c3, 9)
+
+
+def test_verify_rule_predicts_with_the_level_kernel(monkeypatch):
+    # C3's kernel, wrapped to drop the child (3,) of the label (2,) when
+    # that label is alone in the level: verify_rule runs that kernel, so it
+    # reports the first node labelled (2,).
+    c3 = REGISTRY["C3"]
+    kernel_for = level_kernel.kernel_for
+
+    def dropping(rule):
+        kernel = kernel_for(rule)
+        if rule != c3.rule:
+            return kernel
+
+        def step(level, n, cid):
+            rows = kernel(level, n, cid)
+            if level == {0: [0, 0, 1]}:
+                rows[0] = rows[0][:3]
+            return rows
+        return step
+    monkeypatch.setattr(level_kernel, "kernel_for", dropping)
+    report = verify_rule(c3, 6)
+    assert not report.ok
+    perm, predicted, actual = report.counterexample
+    assert c3.labels_of([perm]) == [(2,)]
+    assert (predicted, actual) == (((1,), (2,)), ((1,), (2,), (3,)))
+    assert verify_rule(REGISTRY["C9"], 6).ok
+
+
 @pytest.mark.parametrize("cid", CLASS_IDS)
 def test_rule_replays_tree(cid):
     report = verify_rule(REGISTRY[cid], 7)
@@ -417,8 +523,8 @@ def test_no_levels_below_one(nmax):
 
 @pytest.mark.parametrize("cid", CLASS_IDS)
 def test_verify_rule_grows_the_tree_once(cid, monkeypatch):
-    # verify_rule reads the levels iter_tree_levels grows: it tests no
-    # permutation that count_tree does not.
+    # verify_rule grows the tree through kept_children, as count_tree does:
+    # it tests no permutation that count_tree does not.
     calls = []
 
     def counted(perm, pats):
