@@ -6,6 +6,15 @@ truncated series), biject (apply one of the lattice-path maps), report
 (cross-method comparison table).  Exit status 0 means every requested check
 agreed, 1 means a mismatch, 2 means a usage error or an input the requested
 route refuses, 141 (128 + SIGPIPE) that the reader closed stdout.
+
+``ROUTES`` is the one description of the four counting routes that the
+commands read.  Brute force and the tree count any pattern set, the rule DP
+and the closed form (gf) a registered class only.  Brute force reaches
+n = ``BRUTE_GUARD``, the others any n: ``count`` refuses a route out of its
+scope or past its reach, and ``report`` prints ``-`` past it.  ``verify``
+runs each class's route checks in table order (the rule against the tree,
+then the closed form against the rule's series) and stops that class at its
+first failure.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, Iterable, NamedTuple
 
 from . import bijections
 from .closed_forms import GF_FOR_CLASS, REGISTRY as GF_REGISTRY, closed_form, \
@@ -24,17 +34,56 @@ from .perms import format_perm, parse_perm
 from .rules import CLASS_IDS, REGISTRY, iter_rule_counts, verify_rule
 
 
-# The counting routes in report column order: (class id or None, pattern
-# set, max_n) -> counts for n = 1..max_n, None past the brute-force guard,
-# each yielded as soon as its route has it (gf expands all orders at once).
+class Route(NamedTuple):
+    """One counting route: what it counts, how far, and what it checks.
+
+    ``counts(cid, pats, max_n)`` yields the counts for n = 1..max_n, each as
+    soon as the route has it (gf expands all orders at once); ``cid`` is
+    None for an ad-hoc set.  ``any_set`` is False for a route that answers
+    registered classes only.  ``reach`` is None, or the largest n the route
+    answers and the name of that bound.  ``check(cid, args)``, if any, is the
+    route's ``verify`` of one class: it prints one line and returns whether
+    the check holds.
+    """
+
+    counts: Callable[..., Iterable[int]]
+    any_set: bool
+    reach: tuple[int, str] | None
+    check: Callable[..., bool] | None
+
+
+def _check_rule(cid, args) -> bool:
+    report = verify_rule(REGISTRY[cid], args.max_n)
+    print(report)
+    return report.ok
+
+
+def _check_gf(cid, args) -> bool:
+    name = GF_FOR_CLASS[cid]
+    ok, residual = verify_identity(name, rule_series(cid, args.order), args.order)
+    print(f"{cid}: {name} identity holds to order {args.order}" if ok else
+          f"{cid}: {name} identity FAILS, residual ({residual[1]})t^{residual[0]}")
+    return ok
+
+
+# The routes in report column order.  An entry looks up the module's names
+# when it is called, so that a test may replace them.
 ROUTES = {
-    "brute": lambda cid, pats, max_n: (
-        count_brute(pats, n) if n <= BRUTE_GUARD else None
-        for n in range(1, max_n + 1)),
-    "tree": lambda cid, pats, max_n: map(len, iter_tree_levels(pats, max_n)),
-    "rule": lambda cid, pats, max_n: iter_rule_counts(REGISTRY[cid], max_n),
-    "gf": lambda cid, pats, max_n: gf_counts(cid, max_n),
+    "brute": Route(lambda cid, pats, max_n: (count_brute(pats, n) for n in range(1, max_n + 1)),
+                   True, (BRUTE_GUARD, "brute-force guard"), None),
+    "tree": Route(lambda cid, pats, max_n: map(len, iter_tree_levels(pats, max_n)),
+                  True, None, None),
+    "rule": Route(lambda cid, pats, max_n: iter_rule_counts(REGISTRY[cid], max_n),
+                  False, None, _check_rule),
+    "gf": Route(lambda cid, pats, max_n: gf_counts(cid, max_n), False, None, _check_gf),
 }
+
+
+def _reached(route: Route, cid, pats, max_n: int) -> list[int | None]:
+    """The counts for n = 1..max_n by ``route``, None past its reach."""
+    reach = min(max_n, route.reach[0]) if route.reach else max_n
+    return [*route.counts(cid, pats, reach), *[None] * (max_n - reach)]
+
 
 # The lattice-path maps as (forward, inverse), each from text to text.
 MAPS = {
@@ -48,37 +97,22 @@ MAPS = {
 
 
 def _cmd_count(args) -> int:
-    if args.method in ("rule", "gf") and not args.klass:
+    route = ROUTES[args.method]
+    if not (route.any_set or args.klass):
         raise ValueError(f"--method {args.method} requires --class")
-    if args.method == "brute" and args.max_n > BRUTE_GUARD:
-        raise ValueError(f"--max-n {args.max_n} is above the brute-force "
-                         f"guard {BRUTE_GUARD}")
-    pats = (REGISTRY[args.klass].patterns if args.klass
-            else parse_pattern_set(args.avoid))
-    counts = ROUTES[args.method](args.klass, pats, args.max_n)
-    for n, c in enumerate(counts, start=1):
+    if route.reach and args.max_n > route.reach[0]:
+        raise ValueError(f"--max-n {args.max_n} is above the {route.reach[1]} {route.reach[0]}")
+    pats = REGISTRY[args.klass].patterns if args.klass else parse_pattern_set(args.avoid)
+    for n, c in enumerate(route.counts(args.klass, pats, args.max_n), start=1):
         print(f"{n} {c}", flush=True)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    ids = [args.klass] if args.klass else list(CLASS_IDS)
-    failed = False
-    for cid in ids:
-        report = verify_rule(REGISTRY[cid], args.max_n)
-        print(report)
-        if not report.ok:
-            failed = True
-            continue
-        name = GF_FOR_CLASS[cid]
-        ok, residual = verify_identity(name, rule_series(cid, args.order), args.order)
-        if ok:
-            print(f"{cid}: {name} identity holds to order {args.order}")
-        else:
-            failed = True
-            n, poly = residual
-            print(f"{cid}: {name} identity FAILS, residual ({poly})t^{n}")
-    return 1 if failed else 0
+    # all() stops a class at its first failed check
+    ok = [all(route.check(cid, args) for route in ROUTES.values() if route.check)
+          for cid in ([args.klass] if args.klass else CLASS_IDS)]
+    return 0 if all(ok) else 1
 
 
 def _cmd_expand(args) -> int:
@@ -95,14 +129,12 @@ def _cmd_biject(args) -> int:
 def _cmd_report(args) -> int:
     routes = [r for r in ROUTES if not (args.no_brute and r == "brute")]
     rows = []
-    all_agree = True
     for cid in CLASS_IDS:
         pats = REGISTRY[cid].patterns
-        counts = {r: list(ROUTES[r](cid, pats, args.max_n)) for r in routes}
+        counts = {r: _reached(ROUTES[r], cid, pats, args.max_n) for r in routes}
         for n in range(1, args.max_n + 1):
             row = {r: counts[r][n - 1] if r in counts else None for r in ROUTES}
             agree = len({v for v in row.values() if v is not None}) == 1
-            all_agree = all_agree and agree
             rows.append((cid, n, row, agree))
     if args.format == "json":
         print(json.dumps([
@@ -119,7 +151,7 @@ def _cmd_report(args) -> int:
         for cid, n, row, agree in rows:
             cells = (f"{r}={'-' if v is None else v}" for r, v in row.items())
             print(" ".join([cid, f"n={n}", *cells, "ok" if agree else "MISMATCH"]))
-    return 0 if all_agree else 1
+    return 0 if all(agree for *_, agree in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -137,7 +137,8 @@ class BarredPattern:
     dash-separated from the remainder.  ``mode`` states how many extensions
     each occurrence of the reduced pattern must have: at least one
     (``exists``), an odd number (``odd``) or an even number (``even``, with
-    zero counting as even).
+    zero counting as even).  The reduced pattern, ``full`` with the barred
+    letter removed and the others relabeled, is kept as ``_reduced``.
     """
 
     full: GeneralizedPattern
@@ -166,10 +167,6 @@ class BarredPattern:
         object.__setattr__(self, "_reduced", GeneralizedPattern(letters, adjacency))
         object.__setattr__(self, "_form", SearchForm(self._reduced, barred=self))
         object.__setattr__(self, "_anchored", None)
-
-    def reduced(self) -> GeneralizedPattern:
-        """The pattern with the barred letter removed and letters relabeled."""
-        return self._reduced
 
     def render(self) -> str:
         suffix = {EXISTS: "", ODD: "o", EVEN: "e"}[self.mode]

@@ -52,7 +52,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 
 from .enumerate import kept_children, tree_forms
 from .enumerate import iter_tree_levels  # unused; bench/tracing.py checks rules.iter_tree_levels
-from .patterns import PatternSet, parse_pattern_set
+from .patterns import BarredPattern, GeneralizedPattern, PatternSet, parse_pattern_set
 from .patterns import avoids  # unused; bench/tracing.py rebinds and checks rules.avoids
 from .perms import STATISTICS, Perm
 from .series import Poly
@@ -210,9 +210,13 @@ class ClassSpec:
                                                          compare=False)
 
     def __post_init__(self):
-        # Each field is checked for its type before the table is read: a
-        # label has one or two components, one statistic each, and a table
-        # is a tuple of cases, each with a tuple of spans.
+        # Each field is checked for its type before the table is read: the
+        # patterns are a tuple of parsed patterns, a label has one or two
+        # components, one statistic each, and a table is a tuple of cases,
+        # each with a tuple of spans.
+        if not (isinstance(self.patterns, tuple) and all(
+                isinstance(p, (GeneralizedPattern, BarredPattern)) for p in self.patterns)):
+            raise ValueError(f"{self.id}: {self.patterns!r} is not a tuple of patterns")
         stats, root = self.label_stats, self.root_label
         if not (isinstance(stats, tuple) and isinstance(root, tuple)
                 and len(stats) == len(root) in (1, 2)):

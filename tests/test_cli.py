@@ -89,6 +89,9 @@ def test_count_prints_each_level_as_it_is_computed(monkeypatch, method, owner, n
 def test_count_usage_errors(capsys):
     code, _, err = run(capsys, "count", "--avoid", "2-1-3", "--method", "gf")
     assert code == 2 and "requires --class" in err
+    # the scope is checked before the pattern text is parsed
+    assert run(capsys, "count", "--avoid", "1-2-", "--method", "rule") == (
+        2, "", "error: --method rule requires --class\n")
     # refused before any length is enumerated, not after S_1..S_10
     code, out, err = run(capsys, "count", "--class", "C1", "--max-n", "11",
                          "--method", "brute")
@@ -211,6 +214,73 @@ def test_verify_reports_a_failed_identity(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines() == ["C4: rule matches tree up to n=5 (11 distinct labels)",
                                 "C4: M identity FAILS, residual (2 - 2u - 2uv + 2u^2v)t^5"]
+
+
+def test_report_and_verify_fail_on_a_disagreement(capsys, monkeypatch):
+    # A gf route whose count for C1 at n = 3 is one too many: that row, and
+    # only that one, disagrees in every format, and the status is 1.
+    gf = cli.ROUTES["gf"]
+
+    def off_by_one(cid, pats, max_n):
+        return [c + (cid == "C1" and n == 3)
+                for n, c in enumerate(gf.counts(cid, pats, max_n), start=1)]
+    monkeypatch.setitem(cli.ROUTES, "gf", gf._replace(counts=off_by_one))
+    code, out, _ = run(capsys, "report", "--max-n", "3")
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.endswith(" ok")] == [
+        "C1 n=3 brute=2 tree=2 rule=2 gf=3 MISMATCH"]
+    code, out, _ = run(capsys, "report", "--max-n", "3", "--format", "csv", "--no-brute")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.endswith(",false")] == ["C1,3,,2,2,3,false"]
+    code, out, _ = run(capsys, "report", "--max-n", "3", "--format", "json")
+    assert code == 1
+    assert [(row["class"], row["n"], row["counts"]["gf"]) for row in json.loads(out)
+            if row["agree"] is False] == [("C1", 3, "3")]
+    # A check entry ahead of the others that fails for C1 alone: verify
+    # prints no later check of C1, and checks every other class in full.
+
+    def extra(cid, args):
+        print(f"{cid}: extra check {'FAILS' if cid == 'C1' else 'holds'}")
+        return cid != "C1"
+    monkeypatch.setattr(cli, "ROUTES", {"extra": cli.Route(None, True, None, extra),
+                                        **cli.ROUTES})
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--order", "6")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("C1:")] == ["C1: extra check FAILS"]
+    assert lines[1:4] == ["C2: extra check holds",
+                          "C2: rule matches tree up to n=4 (4 distinct labels)",
+                          "C2: J identity holds to order 6"]
+    assert len(lines) == 1 + 3 * 11
+
+
+def test_a_routes_scope_and_reach_are_read_from_the_table(capsys, monkeypatch):
+    # Brute force with its reach lowered to 3: report prints - past it and
+    # never asks it for more, and count refuses before it prints a line.
+    asked = []
+    count_brute = cli.count_brute
+
+    def spy(pats, n):
+        asked.append(n)
+        return count_brute(pats, n)
+    monkeypatch.setattr(cli, "count_brute", spy)
+    monkeypatch.setitem(cli.ROUTES, "brute",
+                        cli.ROUTES["brute"]._replace(reach=(3, "brute-force guard")))
+    code, out, _ = run(capsys, "report", "--max-n", "5")
+    assert code == 0 and max(asked) == 3
+    lines = out.splitlines()
+    assert "C1 n=3 brute=2 tree=2 rule=2 gf=2 ok" in lines
+    assert "C1 n=4 brute=- tree=4 rule=4 gf=4 ok" in lines
+    assert "C1 n=5 brute=- tree=9 rule=9 gf=9 ok" in lines
+    assert [line.split()[1] for line in lines if "brute=-" in line] == ["n=4", "n=5"] * 12
+    code, out, err = run(capsys, "count", "--class", "C1", "--method", "brute", "--max-n", "4")
+    assert (code, out, err) == (2, "", "error: --max-n 4 is above the brute-force guard 3\n")
+    assert run(capsys, "count", "--class", "C1", "--method", "brute", "--max-n", "3") == (
+        0, "1 1\n2 1\n3 2\n", "")
+    # The tree limited to registered classes: an ad-hoc set is refused.
+    monkeypatch.setitem(cli.ROUTES, "tree", cli.ROUTES["tree"]._replace(any_set=False))
+    assert run(capsys, "count", "--avoid", "2-1-3", "--method", "tree") == (
+        2, "", "error: --method tree requires --class\n")
 
 
 def test_expand(capsys):

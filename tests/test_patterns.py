@@ -82,10 +82,10 @@ def test_parse_barred():
     assert isinstance(p, BarredPattern)
     assert p.barred_index == 0 and p.mode == "odd"
     assert p.full.letters == (2, 3, 1) and p.full.adjacency == (False, True)
-    assert p.reduced().letters == (2, 1) and p.reduced().adjacency == (True,)
+    assert p._reduced.letters == (2, 1) and p._reduced.adjacency == (True,)
     q = parse_pattern("21-[3]")
     assert q.barred_index == 2 and q.mode == "exists"
-    assert q.reduced().letters == (2, 1) and q.reduced().adjacency == (True,)
+    assert q._reduced.letters == (2, 1) and q._reduced.adjacency == (True,)
 
 
 @pytest.mark.parametrize("text,offset", [

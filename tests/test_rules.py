@@ -427,8 +427,10 @@ def test_a_spec_checks_a_table_built_without_the_builders():
     ("label_stats", ("l", "r"), "one or two components"),
     ("label_stats", ("l", "r", "s"), "one or two components"),
     ("root_label", (-1,), "ints >= 0"),
+    ("patterns", "2-1-3", "not a tuple of patterns"),
+    ("patterns", ("2-1-3",), "not a tuple of patterns"),
 ], ids=["str-span", "bare-case", "list-table", "unknown-stat", "width-mismatch",
-        "three-components", "negative-root"])
+        "three-components", "negative-root", "str-patterns", "unparsed-member"])
 def test_a_spec_refuses_a_malformed_field(field, value, message):
     # Each is refused before the table is read; C1's labels are (r,).
     with pytest.raises(ValueError, match=message):
