@@ -1,16 +1,15 @@
 """The level kernels of the label dynamic program in ``rules``.
 
 A rule table generates the Python source of one function,
-``kernel(level, n, cid)``, which maps one level's rows {a: [multiplicity
-of (a, b) for b = 0, 1, ...]} to the next level's rows (``kernel_source``).
-``kernel_for`` compiles it on the table's first use and keeps it for that
-table, never for a class id, so two specs share a kernel exactly when they
-share a table.  Each shape of span has one way into the next level, which
-``kernel_source`` describes.  The source holds only integers from the
-table and fixed operators, and the class id reaches the kernel only as an
-argument, for its error message.  ``rules._kernel`` imports this module
-on its first call, so importing the package compiles neither this
-generator nor a kernel.
+``kernel(level, n)``, which maps one level's rows {a: [multiplicity of
+(a, b) for b = 0, 1, ...]} to the next level's rows (``kernel_source``).
+``compile_kernel`` compiles it for one spec, whose ``ClassSpec.kernel``
+keeps it, so a kernel is freed with its spec.  Each shape of span has one
+way into the next level, which ``kernel_source`` describes.  The source
+holds only integers from the table and fixed operators, and the class id
+lives in the kernel's own namespace, for its error message.
+``ClassSpec.kernel`` imports this module on its first use, so importing
+the package compiles neither this generator nor a kernel.
 
 This module is the one reader of a table's guards and spans.  The label
 dynamic program runs the kernel level by level, and ``rules.verify_rule``
@@ -26,7 +25,6 @@ step read back cell by cell lists its labels in increasing order.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cache
 from itertools import accumulate
 from operator import add, sub
 from typing import Callable, Union
@@ -68,8 +66,9 @@ def _negative(cid: str) -> None:
     raise ValueError(f"the rule of {cid} gives a negative component")
 
 
-# Every kernel runs in this one namespace, which holds no kernel, so a
-# kernel and its globals form no reference cycle.
+# Each kernel runs in its own copy of this namespace, with its class id as
+# ``cid``; the copy holds no kernel, so a kernel and its globals form no
+# reference cycle.
 _KERNEL_GLOBALS: dict = {
     "__builtins__": {"any": any, "enumerate": enumerate, "len": len, "list": list,
                      "range": range, "sorted": sorted, "sum": sum},
@@ -117,7 +116,7 @@ def _src(x: Affine, b: Union[str, int] = 0) -> str:
 
 
 def kernel_source(rule: Rule) -> str:
-    """Python source of ``kernel(level, n, cid)``, built from the table's integers.
+    """Python source of ``kernel(level, n)``, built from the table's integers.
 
     The kernel loops once over the rows of a level.  For each row, a
     case's guard on a is one comparison, and the b range it guards is cut
@@ -328,7 +327,7 @@ def kernel_source(rule: Rule) -> str:
         if not acted:
             del body[mark:]
 
-    head = ["def kernel(level, n, cid):", " nxt = defaultdict(list)"]
+    head = ["def kernel(level, n):", " nxt = defaultdict(list)"]
     head += [f" {diag_list(d, k)} = []" for d in sorted(diags) for k in sorted(diags[d])]
     head += [" for a, row in level.items():", "  top = len(row) - 1"]
     body[:0] = head
@@ -350,9 +349,8 @@ def kernel_source(rule: Rule) -> str:
     return "\n".join(body) + "\n"
 
 
-@cache
-def kernel_for(rule: Rule) -> Callable[[Rows, int, str], Rows]:
-    """The level kernel of ``rule``, compiled on its first use."""
+def compile_kernel(rule: Rule, cid: str) -> Callable[[Rows, int], Rows]:
+    """The level kernel of ``rule``, which names the class ``cid`` in its error."""
     scope: dict = {}
-    exec(kernel_source(rule), _KERNEL_GLOBALS, scope)
+    exec(kernel_source(rule), {**_KERNEL_GLOBALS, "cid": cid}, scope)
     return scope["kernel"]

@@ -25,10 +25,13 @@ Bousquet-Mélou, Denise, Flajolet, Gardy and Gouyou-Beauchamps
 ("Generating functions for generating trees", 2002).
 
 Past those checks, only ``level_kernel`` reads a table's guards and spans.
-Each table generates one level kernel, compiled on the table's first use,
-which maps a level's rows to the next level's rows and evaluates no rule
-label by label; ``level_kernel`` describes it.  ``count_by_rule`` and
-``refined_by_rule`` read one dynamic program, which holds a level as rows
+Each table generates one level kernel, ``kernel(level, n)``, which maps a
+level's rows to the next level's rows and evaluates no rule label by
+label; ``level_kernel`` describes it.  A spec compiles its kernel on first
+use and keeps it (``ClassSpec.kernel``), so the kernel is freed with the
+spec; the class id the kernel names in its error lives in the kernel's
+namespace.  ``count_by_rule`` and ``refined_by_rule`` read one dynamic
+program, which holds a level as rows
 {a: [multiplicity of (a, b) for b = 0, 1, ...]}, the single row 0 for a
 one-component class.  ``verify_rule`` predicts a label's children by one
 step of the same kernel from the level that holds that label alone, read
@@ -48,6 +51,7 @@ holds a level as its nodes and their labels, in two parallel lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .enumerate import kept_children, tree_forms
@@ -247,6 +251,16 @@ class ClassSpec:
         """The label of each of ``perms``, in order: its statistics as one tuple."""
         return list(zip(*[map(f, perms) for f in self.label_fns]))
 
+    @cached_property
+    def kernel(self) -> Callable[[Rows, int], Rows]:
+        """The level kernel of the spec's table, compiled on first use.
+
+        ``level_kernel`` is imported here, so importing the package
+        compiles neither its generator nor a kernel.
+        """
+        from .level_kernel import compile_kernel
+        return compile_kernel(self.rule, self.id)
+
 
 def _spec(id: str, patterns: str, stats: tuple[str, ...], root: Label, *rule: Case) -> ClassSpec:
     return ClassSpec(id, parse_pattern_set(patterns), stats, root, rule)
@@ -310,33 +324,22 @@ CLASS_IDS = tuple(REGISTRY)
 Rows = dict[int, list[int]]
 
 
-def _kernel(spec: ClassSpec) -> Callable[[Rows, int, str], Rows]:
-    """The level kernel of the spec's table.
-
-    ``level_kernel`` is imported here, on the first call, so importing the
-    package compiles neither its generator nor a kernel.
-    """
-    from .level_kernel import kernel_for
-    return kernel_for(spec.rule)
-
-
 def _level(label: Label) -> Rows:
     """The level that holds ``label`` once."""
     a, b = label if len(label) == 2 else (0, label[0])
     return {a: [0] * b + [1]}
 
 
-def _children(kernel: Callable[[Rows, int, str], Rows], spec: ClassSpec, label: Label,
-              n: int) -> list[Label]:
+def _children(spec: ClassSpec, label: Label, n: int) -> list[Label]:
     """The child labels of a length-n node labelled ``label``, in increasing order.
 
-    They are one step of ``kernel`` from the level that holds ``label``
-    alone, read back as labels with multiplicity.  The kernel emits rows
-    in increasing a and each row's cells in increasing b, so the list
-    comes out sorted.
+    They are one step of the spec's kernel from the level that holds
+    ``label`` alone, read back as labels with multiplicity.  The kernel
+    emits rows in increasing a and each row's cells in increasing b, so
+    the list comes out sorted.
     """
     one = len(label) == 1
-    return [(b,) if one else (a, b) for a, row in kernel(_level(label), n, spec.id).items()
+    return [(b,) if one else (a, b) for a, row in spec.kernel(_level(label), n).items()
             for b, m in enumerate(row) for _ in range(m)]
 
 
@@ -346,16 +349,15 @@ def _dp_levels(spec: ClassSpec, nmax: int) -> Iterator[Rows]:
     Row a of a level is the list of multiplicities of the labels (a, b),
     b = 0, 1, ..., with no trailing zeros; a one-component class has the
     single row 0 for its labels (b,).  Each level comes from the one
-    before by the level kernel of the rule table, compiled once per table;
-    ``level_kernel`` describes how it moves each row's cells.
+    before by the spec's level kernel; ``level_kernel`` describes how it
+    moves each row's cells.
     """
     if nmax < 1:
         return
-    kernel = _kernel(spec)
     level = _level(spec.root_label)
     yield level
     for n in range(1, nmax):
-        level = kernel(level, n, spec.id)
+        level = spec.kernel(level, n)
         yield level
 
 
@@ -431,7 +433,6 @@ def verify_rule(spec: ClassSpec, nmax: int) -> RuleReport:
     if root_label != spec.root_label:
         return RuleReport(spec.id, nmax, False, frozenset(),
                           (root, (spec.root_label,), (root_label,)))
-    kernel = _kernel(spec)
     forms = tree_forms(spec.patterns)
     level = kept_children((), forms) if nmax >= 1 else []
     labels = spec.labels_of(level)
@@ -445,7 +446,7 @@ def verify_rule(spec: ClassSpec, nmax: int) -> RuleReport:
             kid_labels = spec.labels_of(kids)
             actual = sorted(kid_labels)
             if label not in predicted:
-                predicted[label] = _children(kernel, spec, label, n)
+                predicted[label] = _children(spec, label, n)
             if actual != predicted[label]:
                 return RuleReport(spec.id, nmax, False, frozenset(seen),
                                   (perm, tuple(predicted[label]), tuple(actual)))

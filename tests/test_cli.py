@@ -390,23 +390,26 @@ def test_closed_stdout_exits_141_without_a_traceback():
     src = str(Path(patavoid.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "patavoid.cli", "count", "--class", "C1",
-         "--method", "rule", "--max-n", "1000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"1 1\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    with subprocess.Popen(
+            [sys.executable, "-m", "patavoid.cli", "count", "--class", "C1",
+             "--method", "rule", "--max-n", "1000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"1 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert err == b""
 
 
 def test_runtime_imports_only_the_standard_library():
     # A fresh isolated interpreter, compared with the modules it held before
     # the import: site hooks may preload third-party modules of their own.
+    # The level kernel generator is loaded with the first kernel, not with
+    # the package.
     src = str(Path(patavoid.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules)\n"
             "import patavoid, patavoid.cli\n"
+            "assert 'patavoid.level_kernel' not in sys.modules\n"
             "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
             "print(sorted(added - set(sys.stdlib_module_names)))")
     # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps the tree under test

@@ -1,6 +1,8 @@
 """Succession rules: registry consistency, dynamic program, tree replay."""
 
+import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -8,6 +10,7 @@ import random
 import re
 import time
 import tokenize
+import weakref
 from pathlib import Path
 
 import pytest
@@ -108,9 +111,8 @@ def test_kernel_steps_match_the_table_label_by_label(cid):
     # verify_rule's prediction, one kernel step from the level that holds a
     # label alone, is the table's reading of that label, sorted.
     spec = REGISTRY[cid]
-    kernel = rules._kernel(spec)
     for label, n in _labels_met(spec):
-        assert rules._children(kernel, spec, label, n) \
+        assert rules._children(spec, label, n) \
             == sorted(_table_children(spec, label, n)), (label, n)
 
 
@@ -274,8 +276,8 @@ def test_dp_levels_match_the_pinned_levels(cid):
 
 
 def test_a_kernel_follows_its_rule_table():
-    # The level kernel belongs to the table, not to the class id: C1's id
-    # on C2's table, run after C1, counts C2.
+    # A spec compiles its kernel from its own table, whatever its class id:
+    # C1's id on C2's table, run after C1, counts C2.
     c1 = REGISTRY["C1"]
     c1_with_c2 = dataclasses.replace(c1, rule=REGISTRY["C2"].rule)
     count_by_rule(c1, 30)
@@ -286,7 +288,8 @@ def test_a_kernel_follows_its_rule_table():
 
 def test_kernel_sources_hold_no_text():
     # A generated level kernel is made of the table's integers and fixed
-    # names and operators; the class id is an argument, not a literal.
+    # names and operators; the class id lives in the kernel's namespace,
+    # not in its source.
     for cid in CLASS_IDS:
         source = level_kernel.kernel_source(REGISTRY[cid].rule)
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
@@ -450,28 +453,60 @@ def test_a_spec_keeps_its_table_as_the_builders_return_it():
 def test_verify_rule_predicts_with_the_level_kernel(monkeypatch):
     # C3's kernel, wrapped to drop the child (3,) of the label (2,) when
     # that label is alone in the level: verify_rule runs that kernel, so it
-    # reports the first node labelled (2,).
-    c3 = REGISTRY["C3"]
-    kernel_for = level_kernel.kernel_for
+    # reports the first node labelled (2,).  A fresh copy of C3 compiles
+    # its own kernel, where the registry's spec may already hold one.
+    c3 = dataclasses.replace(REGISTRY["C3"])
+    compile_kernel = level_kernel.compile_kernel
 
-    def dropping(rule):
-        kernel = kernel_for(rule)
+    def dropping(rule, cid):
+        kernel = compile_kernel(rule, cid)
         if rule != c3.rule:
             return kernel
 
-        def step(level, n, cid):
-            rows = kernel(level, n, cid)
+        def step(level, n):
+            rows = kernel(level, n)
             if level == {0: [0, 0, 1]}:
                 rows[0] = rows[0][:3]
             return rows
         return step
-    monkeypatch.setattr(level_kernel, "kernel_for", dropping)
+    monkeypatch.setattr(level_kernel, "compile_kernel", dropping)
     report = verify_rule(c3, 6)
     assert not report.ok
     perm, predicted, actual = report.counterexample
     assert c3.labels_of([perm]) == [(2,)]
     assert (predicted, actual) == (((1,), (2,)), ((1,), (2,), (3,)))
     assert verify_rule(REGISTRY["C9"], 6).ok
+
+
+def test_a_spec_compiles_its_kernel_once(monkeypatch):
+    # The DP routes and verify_rule all run the one kernel a spec keeps.
+    c3 = dataclasses.replace(REGISTRY["C3"])
+    counts, refined = count_by_rule(REGISTRY["C3"], 12), refined_by_rule(REGISTRY["C3"], 12)
+    compiled = []
+    compile_kernel = level_kernel.compile_kernel
+
+    def counting(rule, cid):
+        compiled.append(cid)
+        return compile_kernel(rule, cid)
+    monkeypatch.setattr(level_kernel, "compile_kernel", counting)
+    assert count_by_rule(c3, 12) == counts
+    assert refined_by_rule(c3, 12) == refined
+    assert verify_rule(c3, 6).ok
+    assert compiled == ["C3"]
+
+
+def test_a_kernel_is_freed_with_its_spec():
+    # No cache outlives the specs: the kernels of 50 dropped tables are gone.
+    rng = random.Random(35)
+    refs = []
+    for i in range(50):
+        spec = _random_table(rng, 1 + i % 2)
+        with contextlib.suppress(ValueError):
+            count_by_rule(spec, 4)
+        refs.append(weakref.ref(spec.kernel))
+    del spec
+    gc.collect()
+    assert not [ref for ref in refs if ref() is not None]
 
 
 @pytest.mark.parametrize("cid", CLASS_IDS)
