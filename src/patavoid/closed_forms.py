@@ -274,8 +274,8 @@ def closed_form(name: str, order: int,
         raise ValueError(f"order must be non-negative, got {order}")
     spec = REGISTRY[name]
     for var, val in (("u", at_u), ("v", at_v)):
-        if val not in (None, 1):
-            raise ValueError(f"{var} may only be substituted by 1")
+        if not (val is None or type(val) is int and val == 1):
+            raise ValueError(f"{var} may only be substituted by the int 1")
         if val is not None and var not in spec.variables:
             raise ValueError(f"{spec.name} has no variable {var}")
     subs = dict(u=at_u == 1, v=at_v == 1)

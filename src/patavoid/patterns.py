@@ -20,12 +20,12 @@ Every check runs the kernel of a ``SearchForm``: the pattern's blocks
 (maximal runs of adjacent letters) in a placement order, each letter with
 the already-placed letters just below and just above it in value, and for
 a barred pattern a test on the extension count of each reduced
-occurrence.  On its first search a form generates the Python source of
-one function and compiles it once: a ``for`` loop per block over the
-position of the block's first letter, bounded by the blocks placed before
-it and the room the others need, each letter checked by exactly the
-comparison it needs, and the bar's extension count taken at the
-innermost level.  That source
+occurrence.  A pattern builds each of its forms on first use and keeps
+it, and a form generates the Python source of one function and compiles
+it when it is built: a ``for`` loop per block over the position of the
+block's first letter, bounded by the blocks placed before it and the room
+the others need, each letter checked by exactly the comparison it needs,
+and the bar's extension count taken at the innermost level.  That source
 holds only integers taken from the form (letter indices and block
 lengths) and fixed operators; pattern text never reaches it.
 
@@ -34,8 +34,8 @@ pats)`` filters a stream of them, with one C-level ``filterfalse`` per
 member's kernel, shortest member first.
 
 Each form plans its kernel by three rules (``SearchForm``).  The full
-form, which every pattern builds at construction and ``avoids`` and
-``avoiders`` use, places its longest block first when it has no bar (the
+form, which a pattern builds on its first ``avoids`` or ``avoiders`` and
+then keeps, places its longest block first when it has no bar (the
 leftmost on a tie), then the other blocks left to right; a barred full
 form goes left to right.  The anchored form, which a pattern builds on
 its first ``at_end`` and then keeps, reads the last block straight from
@@ -73,6 +73,7 @@ parent 12), so no tree prunes by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import filterfalse
 from typing import Iterable, Iterator, Union
 
@@ -113,12 +114,20 @@ class GeneralizedPattern:
             raise ValueError("letters must be a permutation of 1..k")
         if len(self.adjacency) != k - 1:
             raise ValueError("adjacency must have length k-1")
-        object.__setattr__(self, "_form", SearchForm(self))
-        object.__setattr__(self, "_anchored", None)
 
     @property
     def k(self) -> int:
         return len(self.letters)
+
+    @cached_property
+    def _form(self) -> SearchForm:
+        """The full form, built on the pattern's first search."""
+        return SearchForm(self)
+
+    @cached_property
+    def _anchored(self) -> SearchForm:
+        """The anchored form, built on the pattern's first ``at_end``."""
+        return SearchForm(self, anchored=True)
 
     def render(self) -> str:
         out = [str(self.letters[0])]
@@ -138,7 +147,8 @@ class BarredPattern:
     each occurrence of the reduced pattern must have: at least one
     (``exists``), an odd number (``odd``) or an even number (``even``, with
     zero counting as even).  The reduced pattern, ``full`` with the barred
-    letter removed and the others relabeled, is kept as ``_reduced``.
+    letter removed and the others relabeled, is built on first use and
+    kept as ``_reduced``.
     """
 
     full: GeneralizedPattern
@@ -156,6 +166,9 @@ class BarredPattern:
             raise ValueError("barred letter must be dash-separated")
         if self.mode not in (EXISTS, ODD, EVEN):
             raise ValueError(f"unknown mode {self.mode!r}")
+
+    @cached_property
+    def _reduced(self) -> GeneralizedPattern:
         e = self.barred_index
         bar = self.full.letters[e]
         letters = tuple(x - 1 if x > bar else x
@@ -164,9 +177,22 @@ class BarredPattern:
             adjacency = self.full.adjacency[1:]
         else:
             adjacency = self.full.adjacency[:-1]
-        object.__setattr__(self, "_reduced", GeneralizedPattern(letters, adjacency))
-        object.__setattr__(self, "_form", SearchForm(self._reduced, barred=self))
-        object.__setattr__(self, "_anchored", None)
+        return GeneralizedPattern(letters, adjacency)
+
+    @cached_property
+    def _form(self) -> SearchForm:
+        """The full form of the reduced pattern, built on the first search."""
+        return SearchForm(self._reduced, barred=self)
+
+    @cached_property
+    def _anchored(self) -> SearchForm:
+        """The anchored form of the reduced pattern, built on the first
+        ``at_end``.  A bar-last pattern raises ValueError on every request,
+        so that no tree prunes by one."""
+        if not always_closed(self):
+            raise ValueError(f"{self.render()} has its bar last: no tree "
+                             f"may prune by it")
+        return SearchForm(self._reduced, anchored=True, barred=self)
 
     def render(self) -> str:
         suffix = {EXISTS: "", ODD: "o", EVEN: "e"}[self.mode]
@@ -314,8 +340,8 @@ class SearchForm:
       its first placement anyway, so neither is ``once``.
 
     ``kernel`` is the search itself, ``kernel(perm) -> bool``, compiled
-    from the fields above on the form's first search (``_compile``).  It
-    is held on the form, so it lives and dies with it.
+    from the fields above when the form is built.  It is held on the form,
+    so it lives and dies with it.
     """
 
     __slots__ = ("k", "pinned", "blocks", "bar", "cutoff", "kernel")
@@ -374,7 +400,9 @@ class SearchForm:
         self.k = k
         self.pinned = tuple(item[j] for j in pinned)
         self.blocks = tuple(reversed(blocks))
-        self.kernel = None
+        scope: dict = {}
+        exec(_kernel_source(self), _KERNEL_GLOBALS, scope)
+        self.kernel = scope["kernel"]
 
 
 # Every kernel runs in this one namespace, which holds no kernel, so a
@@ -461,8 +489,8 @@ def _kernel_source(form: SearchForm) -> str:
         if bar_first:
             slot = f"p[:{'i0' if blocks else -len(pinned)}]"
         else:
-            # Only a full form has its bar last (``_anchored``), and it
-            # places its last block last.
+            # Only a full form has its bar last (``BarredPattern._anchored``
+            # refuses one), and it places its last block last.
             last = blocks[-1][0]
             slot = f"p[{_plus(f'i{last[0][0]}', len(last))}:]"
         # The barred letter has a bound among the k >= 1 reduced letters.
@@ -482,38 +510,11 @@ def _kernel_source(form: SearchForm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile(form: SearchForm):
-    """Compile, store and return ``form.kernel``."""
-    scope: dict = {}
-    exec(_kernel_source(form), _KERNEL_GLOBALS, scope)
-    form.kernel = scope["kernel"]
-    return form.kernel
-
-
 def always_closed(pat: PatternExpr) -> bool:
     """Whether the parent of every avoider of ``pat`` avoids it too: true
     of a vincular pattern and of a barred one with its bar first (the two
     cases of the module docstring)."""
     return isinstance(pat, GeneralizedPattern) or pat.barred_index == 0
-
-
-def _anchored(pat: PatternExpr) -> SearchForm:
-    """The anchored form of one always-closed pattern, built on first use
-    and kept on it: a vincular pattern, or the reduced pattern of a
-    bar-first one, searched as it is.  A bar-last pattern raises
-    ValueError, so that no tree prunes by one.
-    """
-    form = pat._anchored
-    if form is None:
-        if not always_closed(pat):
-            raise ValueError(f"{pat.render()} has its bar last: no tree "
-                             f"may prune by it")
-        if isinstance(pat, GeneralizedPattern):
-            form = SearchForm(pat, anchored=True)
-        else:
-            form = SearchForm(pat._reduced, anchored=True, barred=pat)
-        object.__setattr__(pat, "_anchored", form)
-    return form
 
 
 def _shortest_first(pats: PatternSet) -> list[PatternExpr]:
@@ -537,7 +538,7 @@ def at_end(pats: PatternSet) -> tuple[SearchForm, ...]:
     or a down-set; ``enumerate.tree_forms`` groups the forms by it, each
     group in this order.
     """
-    return tuple(_anchored(pat) for pat in _shortest_first(pats))
+    return tuple(pat._anchored for pat in _shortest_first(pats))
 
 
 def avoids(perm: Perm, pats: PatternSet | tuple[SearchForm, ...]) -> bool:
@@ -548,7 +549,7 @@ def avoids(perm: Perm, pats: PatternSet | tuple[SearchForm, ...]) -> bool:
     """
     for pat in pats:
         form = pat if isinstance(pat, SearchForm) else pat._form
-        if (form.kernel or _compile(form))(perm):
+        if form.kernel(perm):
             return False
     return True
 
@@ -563,6 +564,5 @@ def avoiders(perms: Iterable[Perm], pats: PatternSet) -> Iterator[Perm]:
     """
     out = iter(perms)
     for pat in _shortest_first(pats):
-        form = pat._form
-        out = filterfalse(form.kernel or _compile(form), out)
+        out = filterfalse(pat._form.kernel, out)
     return out

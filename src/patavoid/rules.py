@@ -43,14 +43,15 @@ successor is the sum of its labels' one-label steps, each times its
 multiplicity.  So when the children of every node of lengths 1..N - 1 are
 predicted right, the dynamic program's levels 1..N are the tree's labelled
 levels, by induction on n.  A spec binds the function of each of its
-statistics once (``ClassSpec.label_fns``), and ``ClassSpec.labels_of``
-labels a list of nodes by mapping each function over it; ``verify_rule``
-holds a level as its nodes and their labels, in two parallel lists.
+statistics on first use and keeps them (``ClassSpec.label_fns``), and
+``ClassSpec.labels_of`` labels a list of nodes by mapping each function
+over it; ``verify_rule`` holds a level as its nodes and their labels, in
+two parallel lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Union
 
@@ -80,6 +81,8 @@ class Affine(NamedTuple):
         return Affine(self.c + o.c, self.a + o.a, self.b + o.b, self.n + o.n)
 
     def __mul__(self, k: int) -> Affine:
+        if isinstance(k, bool):
+            raise ValueError(f"{k!r} is not an int factor")
         if not isinstance(k, int):
             return NotImplemented
         return Affine(self.c * k, self.a * k, self.b * k, self.n * k)
@@ -210,8 +213,6 @@ class ClassSpec:
     label_stats: tuple[str, ...]  # the perms.STATISTICS name of each component
     root_label: Label
     rule: Rule
-    label_fns: tuple[Callable[[Perm], int], ...] = field(init=False, repr=False,
-                                                         compare=False)
 
     def __post_init__(self):
         # Each field is checked for its type before the table is read: the
@@ -245,7 +246,11 @@ class ClassSpec:
                      for c in self.rule)
         _check_width(len(root), rule)
         object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "label_fns", tuple(STATISTICS[w] for w in stats))
+
+    @cached_property
+    def label_fns(self) -> tuple[Callable[[Perm], int], ...]:
+        """The function of each label statistic, bound on first use."""
+        return tuple(STATISTICS[w] for w in self.label_stats)
 
     def labels_of(self, perms: list[Perm]) -> list[Label]:
         """The label of each of ``perms``, in order: its statistics as one tuple."""

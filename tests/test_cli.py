@@ -140,7 +140,7 @@ def test_count_tree_counts_sets_not_closed(capsys):
             assert out.splitlines() == [f"{n} {c}" for n, c in enumerate(counts, 1)]
 
 
-def test_count_skips_the_closure_check_where_it_cannot_fail(capsys, monkeypatch):
+def test_count_makes_only_its_routes_avoids_calls(capsys, monkeypatch):
     # The count command checks nothing beyond its route: the tree's own
     # avoids calls are the only ones.
     calls = []
@@ -405,11 +405,15 @@ def test_runtime_imports_only_the_standard_library():
     # A fresh isolated interpreter, compared with the modules it held before
     # the import: site hooks may preload third-party modules of their own.
     # The level kernel generator is loaded with the first kernel, not with
-    # the package.
+    # the package, and a pattern builds its search forms on first use, so
+    # parsing the registered class sets builds none.
     src = str(Path(patavoid.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules)\n"
             "import patavoid, patavoid.cli\n"
             "assert 'patavoid.level_kernel' not in sys.modules\n"
+            "import gc\n"
+            "assert not any(isinstance(obj, patavoid.patterns.SearchForm)\n"
+            "               for obj in gc.get_objects())\n"
             "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
             "print(sorted(added - set(sys.stdlib_module_names)))")
     # -I ignores PYTHONDONTWRITEBYTECODE, so -B keeps the tree under test

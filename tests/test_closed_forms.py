@@ -110,6 +110,10 @@ def test_substitution_validation():
         closed_form("R", 5, at_v=1)  # R is registered at v = 1 already
     with pytest.raises(ValueError):
         closed_form("N", 5, at_u=2)
+    # 1 is the int 1: a bool or a float equal to it is refused.
+    for one in (True, 1.0):
+        with pytest.raises(ValueError, match="the int 1"):
+            closed_form("R", 5, at_u=one)
 
 
 def _within(seconds, fn, *args):

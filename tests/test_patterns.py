@@ -220,6 +220,15 @@ def test_anchored_items_decide_every_single_pattern():
             at_end(parse_pattern_set(text))
 
 
+def test_a_bar_last_pattern_refuses_every_at_end():
+    # The refusal is no first-use check: a second request, of the pattern
+    # alone or in a set with a closed member, is refused as the first was.
+    pat = parse_pattern("13-[2]")
+    for pats in ((pat,), (pat,), (parse_pattern("2-1-3"), pat)):
+        with pytest.raises(ValueError, match="13-\\[2\\] has its bar last"):
+            at_end(pats)
+
+
 @st.composite
 def _pattern_texts(draw, kmin=1, bars=(None, "first", "last")):
     k = draw(st.integers(kmin, 5))
@@ -441,7 +450,7 @@ def test_at_end_lists_its_forms_in_avoiders_member_order(monkeypatch):
     pats = parse_pattern_set("1-2-34,[2e]-31,12-3,2-1-3")
     order = []
     for pat in pats:
-        kernel = pat._form.kernel or patterns._compile(pat._form)
+        kernel = pat._form.kernel
         monkeypatch.setattr(pat._form, "kernel",
                             lambda p, pat=pat, kernel=kernel: order.append(pat) or kernel(p))
     assert list(avoiders([(1,)], pats)) == [(1,)]
@@ -494,16 +503,37 @@ def test_matching_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+def _count_kernel_sources(monkeypatch):
+    """A list that gets one entry for each kernel source generated."""
+    generated = []
+    source = patterns._kernel_source
+    monkeypatch.setattr(patterns, "_kernel_source",
+                        lambda form: generated.append(form) or source(form))
+    return generated
+
+
 def test_a_second_tree_walk_compiles_no_kernel(monkeypatch):
     pats = REGISTRY["C2"].patterns
     count_tree(pats, 6)
-    compiled = []
-    compile_form = patterns._compile
-    monkeypatch.setattr(patterns, "_compile",
-                        lambda form: compiled.append(form) or compile_form(form))
+    generated = _count_kernel_sources(monkeypatch)
     count_tree(pats, 6)
-    assert compiled == []
+    assert generated == []
     assert all(a is b for a, b in zip(at_end(pats), at_end(pats), strict=True))
+
+
+def test_parsing_compiles_no_kernel(monkeypatch):
+    # A pattern builds its forms on first use: parsing the 12 class sets
+    # and a barred one generates no kernel source, and a first search
+    # builds the full forms alone.
+    generated = _count_kernel_sources(monkeypatch)
+    texts = [",".join(p.render() for p in REGISTRY[cid].patterns) for cid in CLASS_IDS]
+    sets = [parse_pattern_set(text) for text in [*texts, "[2o]-31"]]
+    assert generated == []
+    pats = sets[-1]
+    assert avoids((2, 3, 1), pats)
+    assert generated == [pats[0]._form]
+    at_end(pats)
+    assert generated == [pats[0]._form, pats[0]._anchored]
 
 
 def _reference_levels(pats, nmax):

@@ -350,6 +350,12 @@ def test_cases_are_disjoint_on_the_labels_that_occur(cid):
 def test_table_builder_refuses_other_shapes():
     assert 2 * A - B + N + 1 == rules.Affine(c=1, a=2, b=-1, n=1)
     assert _value(A + 2 * B - 1, 3, 4, 0) == 10
+    # A factor is an int, not a bool, and two forms have no affine product.
+    for product in (lambda: A * True, lambda: False * B):
+        with pytest.raises(ValueError, match="not an int factor"):
+            product()
+    with pytest.raises(TypeError):
+        A * B
     # A span's row may not depend on B; (j, j + c) is written as a diagonal.
     with pytest.raises(ValueError, match="diagonal"):
         span(1, B, row=B + 1)

@@ -51,6 +51,18 @@ def test_poly_constants():
         Poly({(1, 0): 1}).constant_value()
 
 
+def test_foreign_comparisons_are_false_and_reads_past_the_order_refused():
+    # Each __eq__ gives way to a type it does not know, so Python compares
+    # identities: a Poly is no text, and a series is no number.
+    s = S({(0, 0, 0): 1}, 3)
+    assert (Poly({(1, 0): 1}) == "u") is False
+    assert (s == 1) is False and (TruncatedSeries.zero(2) == 0) is False
+    assert s.coefficient(3) == 0
+    for n in (4, -1):
+        with pytest.raises(IndexError, match=f"coefficient {n} beyond order 3"):
+            s.coefficient(n)
+
+
 def _random_poly(rng, max_terms=6):
     coeff = (lambda: rng.choice([-3, -1, 1, 2, 5])) if rng.random() < 0.5 else (
         lambda: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)))
