@@ -270,6 +270,8 @@ def closed_form(name: str, order: int,
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown generating function {name!r}")
+    if isinstance(order, bool):
+        raise ValueError(f"an order is an int, not the bool {order}")
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     spec = REGISTRY[name]

@@ -39,6 +39,8 @@ def iter_avoiders_brute(pats: PatternSet, n: int) -> Iterator[Perm]:
 
 def count_brute(pats: PatternSet, n: int) -> int:
     """|S_n(pats)| by filtering all n! permutations."""
+    if isinstance(n, bool):
+        raise ValueError(f"a length is an int, not the bool {n}")
     if not 1 <= n <= BRUTE_GUARD:
         raise ValueError(f"n={n} outside the brute-force guard 1..{BRUTE_GUARD}")
     return sum(1 for _ in iter_avoiders_brute(pats, n))
@@ -129,6 +131,8 @@ def iter_tree_levels(pats: PatternSet, nmax: int) -> Iterator[list[Perm]]:
     avoiders of ``pats``.  The tree grows from the empty permutation, so
     there are no levels when nmax < 1.
     """
+    if isinstance(nmax, bool):
+        raise ValueError(f"a length is an int, not the bool {nmax}")
     closed = tuple(p for p in pats if always_closed(p))
     rest = tuple(p for p in pats if not always_closed(p))
     forms = tree_forms(closed)

@@ -5,9 +5,23 @@ A rule table generates the Python source of one function,
 (a, b) for b = 0, 1, ...]} to the next level's rows (``kernel_source``).
 ``compile_kernel`` compiles it for one spec, whose ``ClassSpec.kernel``
 keeps it, so a kernel is freed with its spec.  Each shape of span has one
-way into the next level, which ``kernel_source`` describes.  The source
-holds only integers from the table and fixed operators, and the class id
-lives in the kernel's own namespace, for its error message.
+way into the next level, which ``kernel_source`` describes.
+
+A row's cells move before its range fills.  Where a case adds one value
+m along a range of a row whose bounds do not read b, it adds m into one
+sum per (row, range, step), zeroed for each row of the level, and each
+nonzero sum is written by one ``_fill`` after the row's cases.  So the
+cases that fill one range of a row write it once (C8's cases b = a and
+b >= a + 1), and a target row is first built as a copy of the cells that
+move into it (``_shift``) and then filled by one list comprehension
+(C6's row a + 1).  Three writes keep their place.  A fill under a case
+that pins a runs on one row of a level only, and deferring it made C11
+slower.  The leading fill of a running sum ends at the child of the
+case's first cell, which moves with the row, so it is no fixed range.  A
+one-cell bump is one addition, and deferring it gained nothing.
+
+The source holds only integers from the table and fixed operators, and
+the class id lives in the kernel's own namespace, for its error message.
 ``ClassSpec.kernel`` imports this module on its first use, so importing
 the package compiles neither this generator nor a kernel.
 
@@ -127,7 +141,10 @@ def kernel_source(rule: Rule) -> str:
     Each span shape has one way into the next level:
 
     - onto a row, straight into the next level's row: a range whose bounds
-      do not read b adds m along it (``_fill``); a range whose hi reads b
+      do not read b adds m into the sum of its (row, range, step),
+      ``fill<k>``, which one ``_fill`` adds along the range after the
+      row's cases (see the module docstring), or, under a case that pins
+      a, adds m along it in place (``_fill``); a range whose hi reads b
       adds m from lo up to the first cell's end, and from there the cells'
       running sum from the right, ``accumulate(c[:-1], sub, initial=m)``,
       since the child at the end of cell i comes from cells i, i + 1, ...;
@@ -153,7 +170,9 @@ def kernel_source(rule: Rule) -> str:
     """
     body: list[str] = []
     diags: dict[int, set[int]] = {}  # each diagonal and the steps of its lists, 0 for values
+    fills: dict[tuple[Affine, Affine, Affine, int], str] = {}  # (row, lo, hi, step): sum
     a_lo = Affine()  # the least a the case being written reads, where that is >= 0
+    pinned = False  # whether the case being written pins a
 
     def nonneg(x: Affine) -> bool:
         """Whether x >= 0 on every label the case reads, as far as a >= a_lo tells."""
@@ -203,13 +222,19 @@ def kernel_source(rule: Rule) -> str:
             emit(depth, f"if {_src(s.lo)} <= {_src(s.hi)}:")
             depth += 1
         row = s.row if s.row is not None else Affine()
+        deferred = s.diag is None and s.lo != s.hi and not s.hi.b and not pinned
         if s.diag is None:
             negative_if(depth, row, cells="c" if s.lo.b else "")
-            emit(depth, f"d = nxt[{_src(row)}]")
+            if not deferred:
+                emit(depth, f"d = nxt[{_src(row)}]")
         # A point that reads b has j < 0 for the first -lo(s0) / stride cells,
         # which must be zero.
         below = f"c[:({_src(s.lo * -1 + stride - 1, s0)}) // {stride}]" if s.lo.b else ""
         negative_if(depth, s.lo, s0, below)
+        if deferred:  # m along a range of a row, written once after the row's cases
+            key = (row, s.lo, s.hi, int(s.step))
+            emit(depth, f"{fills.setdefault(key, f'fill{len(fills)}')} += m")
+            return
         d = "d" if s.diag is None else diag_list(s.diag, s.step if s.lo != s.hi else 0)
         if s.lo.b:  # one child per cell: the cells, shifted
             emit(depth, f"_shift({d}, {_src(s.lo, s0)}, c, {stride}, add)")
@@ -230,12 +255,13 @@ def kernel_source(rule: Rule) -> str:
                 emit(depth, f"_fill(d, {_src(s.lo)}, {first}, {int(s.step)}, m)")
             emit(depth, f"_shift(d, {first}, list(accumulate(c[:-1], sub, initial=m)), "
                         f"{stride}, add)")
-        else:
+        else:  # m along a range, under a case that pins a
             emit(depth, f"_fill(d, {_src(s.lo)}, {_src(s.hi + 1)}, {int(s.step)}, m)")
 
     for c in rule:
         depth, mark, acted, a_lo = 2, len(body), False, Affine()
-        if c.a_lo is not None and c.a_lo == c.a_hi:
+        pinned = c.a_lo is not None and c.a_lo == c.a_hi
+        if pinned:
             emit(depth, f"if a == {_src(c.a_lo)}:")
             depth += 1
             c = _pinned(c)
@@ -327,9 +353,14 @@ def kernel_source(rule: Rule) -> str:
         if not acted:
             del body[mark:]
 
+    for (row, lo, hi, step), name in fills.items():
+        fill = f"_fill(nxt[{_src(row)}], {_src(lo)}, {_src(hi + 1)}, {step}, {name})"
+        emit(2, f"if {name}:", f" {fill}")
     head = ["def kernel(level, n):", " nxt = defaultdict(list)"]
     head += [f" {diag_list(d, k)} = []" for d in sorted(diags) for k in sorted(diags[d])]
     head += [" for a, row in level.items():", "  top = len(row) - 1"]
+    if fills:
+        head.append(f"  {' = '.join(fills.values())} = 0")
     body[:0] = head
     for d in sorted(diags):
         g = diag_list(d)

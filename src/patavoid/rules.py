@@ -357,6 +357,8 @@ def _dp_levels(spec: ClassSpec, nmax: int) -> Iterator[Rows]:
     before by the spec's level kernel; ``level_kernel`` describes how it
     moves each row's cells.
     """
+    if isinstance(nmax, bool):
+        raise ValueError(f"a length is an int, not the bool {nmax}")
     if nmax < 1:
         return
     level = _level(spec.root_label)
@@ -432,6 +434,8 @@ def verify_rule(spec: ClassSpec, nmax: int) -> RuleReport:
     held as two parallel lists, its nodes and their labels, and each
     parent's children are labelled together by ``ClassSpec.labels_of``.
     """
+    if isinstance(nmax, bool):
+        raise ValueError(f"a length is an int, not the bool {nmax}")
     seen: set[Label] = set()
     root = (1,)
     [root_label] = spec.labels_of([root])

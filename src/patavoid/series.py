@@ -238,6 +238,8 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, order: int) -> TruncatedSeries:
+        if isinstance(order, bool):
+            raise ValueError(f"an order is an int, not the bool {order}")
         return _series([], order)
 
     @classmethod
@@ -256,12 +258,16 @@ class TruncatedSeries:
         return [_as_poly(c) for c in self._coeffs]
 
     def coefficient(self, n: int) -> Poly:
+        if isinstance(n, bool):
+            raise ValueError(f"a coefficient index is an int, not the bool {n}")
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond order {self.order}")
         return _as_poly(self._coeffs[n])
 
     def to_order(self, order: int) -> TruncatedSeries:
         """This series at the given order: cut, or padded with zero terms."""
+        if isinstance(order, bool):
+            raise ValueError(f"an order is an int, not the bool {order}")
         return self if order == self.order else _series(self._coeffs, order)
 
     def is_zero(self) -> bool:

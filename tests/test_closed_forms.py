@@ -13,7 +13,9 @@ import pytest
 from patavoid.closed_forms import (GF_FOR_CLASS, REGISTRY as GFS, closed_form,
                                    formula_value, gf_counts, rule_series,
                                    series_from_refined, verify_identity)
-from patavoid.rules import REGISTRY as CLASSES, count_by_rule, refined_by_rule
+from patavoid.enumerate import count_brute, count_tree, iter_tree_levels
+from patavoid.rules import (REGISTRY as CLASSES, count_by_rule, iter_rule_counts,
+                            refined_by_rule, verify_rule)
 from patavoid.series import Poly, TruncatedSeries, divide_cancel
 
 
@@ -114,6 +116,31 @@ def test_substitution_validation():
     for one in (True, 1.0):
         with pytest.raises(ValueError, match="the int 1"):
             closed_form("R", 5, at_u=one)
+
+
+_C1 = CLASSES["C1"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: count_brute(_C1.patterns, n),
+    lambda n: count_tree(_C1.patterns, n),
+    lambda n: list(iter_tree_levels(_C1.patterns, n)),
+    lambda n: count_by_rule(_C1, n),
+    lambda n: list(iter_rule_counts(_C1, n)),
+    lambda n: refined_by_rule(_C1, n),
+    lambda n: verify_rule(_C1, n),
+    lambda n: closed_form("N", n),
+    lambda n: gf_counts("C1", n),
+    lambda n: TruncatedSeries.zero(n),
+    lambda n: TruncatedSeries([1, 2, 3]).to_order(n),
+    lambda n: TruncatedSeries([1, 2, 3]).coefficient(n),
+], ids=["count_brute", "count_tree", "iter_tree_levels", "count_by_rule", "iter_rule_counts",
+        "refined_by_rule", "verify_rule", "closed_form", "gf_counts", "zero", "to_order",
+        "coefficient"])
+def test_a_bool_length_or_order_is_refused(call):
+    # True is not the length or order 1, as it is not the substitution 1.
+    with pytest.raises(ValueError, match="not the bool True"):
+        call(True)
 
 
 def _within(seconds, fn, *args):

@@ -320,6 +320,60 @@ def test_kernels_test_nothing_their_case_settles():
     assert "if s0 < 0:" not in level_kernel.kernel_source(REGISTRY["C5"].rule)
 
 
+def _row_loop_writes(source):
+    """The row loop's ``_fill`` and ``_shift`` writes into rows, in source order:
+    (kind, row, rest of the arguments), with ``d`` read as the row it names."""
+    loop = source.split(" for a, row in level.items():\n", 1)[1]
+    writes, row = [], None
+    for line in loop.splitlines():
+        if not line.startswith("  "):
+            break
+        text = line.strip()
+        target = re.fullmatch(r"d = nxt\[(.*)\]", text)
+        if target:
+            row = target[1]
+        call = re.fullmatch(r"(_fill|_shift)\((d|nxt\[.*?\]), (.*)\)", text)
+        if call:
+            writes.append((call[1], row if call[2] == "d" else call[2][4:-1], call[3]))
+    return writes
+
+
+def test_a_row_range_is_filled_once_after_the_rows_cell_moves():
+    # m along a range of a row goes into one sum per (row, range) and is
+    # written once, after the row's cases, so it follows the cell moves into
+    # that row.  Pinned cases and the leading fill of a running sum write
+    # in place.
+    deferred = set()
+    for cid in CLASS_IDS:
+        writes = _row_loop_writes(level_kernel.kernel_source(REGISTRY[cid].rule))
+        fills = [(row, args.rsplit(", ", 1)[0]) for kind, row, args in writes if kind == "_fill"]
+        assert len(fills) == len(set(fills)), cid
+        last_shift = max((i for i, w in enumerate(writes) if w[0] == "_shift"), default=-1)
+        for i, (kind, _, args) in enumerate(writes):
+            if kind == "_fill" and re.search(r", fill\d+$", args):
+                assert i > last_shift, cid
+                deferred.add(cid)
+    assert deferred == {"C4", "C6", "C8", "C10", "C11"}
+    # C8's cases b = A and b >= A + 1 both fill row A + 1 over 1..A.
+    assert level_kernel.kernel_source(REGISTRY["C8"].rule).count(
+        "_fill(nxt[a + 1], 1, a + 1, 1, ") == 1
+
+
+def test_two_unpinned_cases_and_a_pinned_one_filling_one_row_range():
+    # At a = 0 all three cases fill row 1 over 1..2: the two unpinned ones
+    # into one sum written after the row, the pinned one in place.
+    spec = rules._spec("F", "2-1-3", ("l", "r"), (0, 1),
+                       case(span(1, 2, row=A + 1), point(B + 1, row=A), b=(None, 1)),
+                       case(span(1, 2, row=A + 1), span(1, B + 2, row=A), b=(2, 3)),
+                       case(span(1, 2, row=A + 1), point(B + 1, row=A + 1), a=0, b=(4, None)))
+    source = level_kernel.kernel_source(spec.rule)
+    assert source.count("_fill(nxt[a + 1], 1, 3, 1, fill0)") == 1
+    assert source.count("_fill(d, 1, 3, 1, m)") == 1
+    levels = _expanded(spec, 12)
+    assert any(label[0] == 0 and label[1] >= 4 for level in levels for label in level)
+    assert [(rc.n, rc.poly) for rc in refined_by_rule(spec, 12)] == _as_refined(spec, levels)
+
+
 @pytest.mark.parametrize("spec", [
     rules._spec("X1", "2-1-3", ("r",), (1,), case(point(B - 2))),
     rules._spec("X3", "2-1-3", ("l", "r"), (2, 1), case(point(1, row=A - 3))),
@@ -328,12 +382,20 @@ def test_kernels_test_nothing_their_case_settles():
     rules._spec("X7", "2-1-3", ("l", "r"), (2, 1), case(point(1, diag=-3))),
     rules._spec("X8", "2-1-3", ("l", "r"), (2, 1), case(span(A - 3, B, row=A))),
     rules._spec("X9", "2-1-3", ("l", "r"), (2, 1), case(point(1, row=A - 3), a=2)),
+    rules._spec("X10", "2-1-3", ("l", "r"), (2, 1),
+                case(span(1, 2, row=A - 3), b=(None, 1)),
+                case(span(1, 2, row=A - 3), a=(3, None), b=(2, None)),
+                case(span(1, 2, row=A - 3), a=2, b=(2, None))),
 ], ids=lambda spec: spec.id)
 def test_a_negative_component_is_refused(spec):
     # A point, a row, a diagonal's cells, a diagonal span, a diagonal's
-    # single child and a span start, each negative from the root on, and a
-    # row that is negative at the a its case pins.  verify_rule predicts
-    # with the same kernel, so it refuses the table too.
+    # single child and a span start, each negative from the root on, a
+    # row that is negative at the a its case pins, and a row range that
+    # two unpinned cases and a pinned one fill, whose write waits for the
+    # end of the row.  The label-by-label reading meets the negative
+    # component too, and verify_rule predicts with the same kernel, so it
+    # refuses the table as well.
+    assert any(min(label) < 0 for level in _expanded(spec, 6) for label in level)
     for route in (count_by_rule, verify_rule):
         with pytest.raises(ValueError,
                            match=f"^the rule of {spec.id} gives a negative component$"):
