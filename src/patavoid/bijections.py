@@ -96,16 +96,22 @@ def _walks(kind: str, length: int) -> Iterator[str]:
 
 def dyck_paths(n: int) -> Iterator[str]:
     """All Dyck paths with n up steps, lexicographically (D < U)."""
+    if isinstance(n, bool):
+        raise ValueError(f"a length is an int, not the bool {n}")
     return _walks("dyck", 2 * n)
 
 
 def motzkin_paths(n: int) -> Iterator[str]:
     """All Motzkin paths of length n."""
+    if isinstance(n, bool):
+        raise ValueError(f"a length is an int, not the bool {n}")
     return _walks("motzkin", n)
 
 
 def subdiagonal_paths(n: int) -> Iterator[str]:
     """All E/N paths staying weakly below y = x/2 from (0,0) to (n, n//2)."""
+    if isinstance(n, bool):
+        raise ValueError(f"a length is an int, not the bool {n}")
     return _walks("subdiagonal", n + n // 2)
 
 

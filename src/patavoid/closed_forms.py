@@ -352,6 +352,8 @@ def formula_value(name: str, n: int) -> int:
     """Exact closed-form count formulas (binomials with negative index are 0)."""
     if name not in _FORMULA_START:
         raise KeyError(f"unknown formula {name!r}")
+    if isinstance(n, bool):
+        raise ValueError(f"a length is an int, not the bool {n}")
     if n < _FORMULA_START[name]:
         raise ValueError(f"{name} is defined for n >= {_FORMULA_START[name]}, got {n}")
     if name == "motzkin":

@@ -16,6 +16,11 @@ way (plain brackets), in an odd number of ways (``[2o]``) or in an even
 number of ways (``[2e]``; zero counts as even).  The bracketed letter must be
 the first or last letter and must be dash-separated from the rest.
 
+Both kinds are one type, ``GeneralizedPattern(letters, adjacency, bar)``:
+``bar`` is None for a vincular pattern and ``(index, mode)`` for a barred
+one, so no mode exists without a bar, and every reader of a pattern reads
+the same fields.
+
 Every check runs the kernel of a ``SearchForm``: the pattern's blocks
 (maximal runs of adjacent letters) in a placement order, each letter with
 the already-placed letters just below and just above it in value, and for
@@ -31,7 +36,9 @@ lengths) and fixed operators; pattern text never reaches it.
 
 ``avoids(perm, pats)`` checks one permutation; ``avoiders(perms,
 pats)`` filters a stream of them, with one C-level ``filterfalse`` per
-member's kernel, shortest member first.
+member's kernel, shortest member first.  A pattern's ``kernel`` is its
+full form's, so ``avoids`` reads it from a pattern and from an anchored
+form alike.
 
 Each form plans its kernel by three rules (``SearchForm``).  The full
 form, which a pattern builds on its first ``avoids`` or ``avoiders`` and
@@ -75,13 +82,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator
 
 Perm = tuple[int, ...]
 
 EXISTS = "exists"
 ODD = "odd"
 EVEN = "even"
+# The DSL suffix of each mode inside a bar's brackets.
+_SUFFIX = {EXISTS: "", ODD: "o", EVEN: "e"}
 
 # The shapes of an anchored form's rejected appended values (SearchForm.cutoff).
 UP = "up"
@@ -99,14 +108,24 @@ class PatternSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class GeneralizedPattern:
-    """A pattern of distinct letters 1..k with per-gap adjacency flags.
+    """A pattern of distinct letters 1..k with per-gap adjacency flags and
+    an optional bar.
 
     ``adjacency[j]`` is True when the entries matching letters j and j+1 must
     occupy consecutive positions (no dash between them in the DSL).
+    ``bar`` is None for a vincular pattern, or ``(index, mode)`` for a
+    barred one: the letter at ``index`` is barred, and it sits first or last
+    and is dash-separated from the rest.  ``mode`` states how many
+    extensions each occurrence of the reduced pattern must have: at least
+    one (``exists``), an odd number (``odd``) or an even number (``even``,
+    with zero counting as even).  The reduced pattern, the barred letter
+    removed and the others relabeled, is built on first use and kept as
+    ``_reduced``.
     """
 
     letters: tuple[int, ...]
     adjacency: tuple[bool, ...]
+    bar: tuple[int, str] | None = None
 
     def __post_init__(self):
         k = len(self.letters)
@@ -114,10 +133,32 @@ class GeneralizedPattern:
             raise ValueError("letters must be a permutation of 1..k")
         if len(self.adjacency) != k - 1:
             raise ValueError("adjacency must have length k-1")
+        if self.bar is None:
+            return
+        e, mode = self.bar
+        if e not in (0, k - 1):
+            raise ValueError("barred letter must be first or last")
+        if k < 2:
+            raise ValueError("barred pattern needs at least two letters")
+        if self.adjacency[0 if e == 0 else k - 2]:
+            raise ValueError("barred letter must be dash-separated")
+        if mode not in _SUFFIX:
+            raise ValueError(f"unknown mode {mode!r}")
 
     @property
     def k(self) -> int:
+        """The number of letters, the barred one included."""
         return len(self.letters)
+
+    @cached_property
+    def _reduced(self) -> GeneralizedPattern:
+        """The pattern without its barred letter (a barred pattern only)."""
+        e = self.bar[0]
+        x = self.letters[e]
+        letters = tuple(y - 1 if y > x else y
+                        for i, y in enumerate(self.letters) if i != e)
+        adjacency = self.adjacency[1:] if e == 0 else self.adjacency[:-1]
+        return GeneralizedPattern(letters, adjacency)
 
     @cached_property
     def _form(self) -> SearchForm:
@@ -125,93 +166,34 @@ class GeneralizedPattern:
         return SearchForm(self)
 
     @cached_property
-    def _anchored(self) -> SearchForm:
-        """The anchored form, built on the pattern's first ``at_end``."""
-        return SearchForm(self, anchored=True)
-
-    def render(self) -> str:
-        out = [str(self.letters[0])]
-        for j in range(1, len(self.letters)):
-            if not self.adjacency[j - 1]:
-                out.append("-")
-            out.append(str(self.letters[j]))
-        return "".join(out)
-
-
-@dataclass(frozen=True)
-class BarredPattern:
-    """A generalized pattern with one distinguished (barred) letter.
-
-    The barred letter sits at the first or last position of ``full`` and is
-    dash-separated from the remainder.  ``mode`` states how many extensions
-    each occurrence of the reduced pattern must have: at least one
-    (``exists``), an odd number (``odd``) or an even number (``even``, with
-    zero counting as even).  The reduced pattern, ``full`` with the barred
-    letter removed and the others relabeled, is built on first use and
-    kept as ``_reduced``.
-    """
-
-    full: GeneralizedPattern
-    barred_index: int
-    mode: str
-
-    def __post_init__(self):
-        k = self.full.k
-        if self.barred_index not in (0, k - 1):
-            raise ValueError("barred letter must be first or last")
-        if k < 2:
-            raise ValueError("barred pattern needs at least two letters")
-        gap = 0 if self.barred_index == 0 else k - 2
-        if self.full.adjacency[gap]:
-            raise ValueError("barred letter must be dash-separated")
-        if self.mode not in (EXISTS, ODD, EVEN):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-    @cached_property
-    def _reduced(self) -> GeneralizedPattern:
-        e = self.barred_index
-        bar = self.full.letters[e]
-        letters = tuple(x - 1 if x > bar else x
-                        for i, x in enumerate(self.full.letters) if i != e)
-        if e == 0:
-            adjacency = self.full.adjacency[1:]
-        else:
-            adjacency = self.full.adjacency[:-1]
-        return GeneralizedPattern(letters, adjacency)
-
-    @cached_property
-    def _form(self) -> SearchForm:
-        """The full form of the reduced pattern, built on the first search."""
-        return SearchForm(self._reduced, barred=self)
+    def kernel(self) -> Callable[[Perm], bool]:
+        """The full form's kernel: ``kernel(perm)`` is True iff ``perm``
+        contains the pattern."""
+        return self._form.kernel
 
     @cached_property
     def _anchored(self) -> SearchForm:
-        """The anchored form of the reduced pattern, built on the first
-        ``at_end``.  A bar-last pattern raises ValueError on every request,
-        so that no tree prunes by one."""
+        """The anchored form, built on the pattern's first ``at_end``.  A
+        bar-last pattern raises ValueError on every request, so that no
+        tree prunes by one."""
         if not always_closed(self):
             raise ValueError(f"{self.render()} has its bar last: no tree "
                              f"may prune by it")
-        return SearchForm(self._reduced, anchored=True, barred=self)
+        return SearchForm(self, anchored=True)
 
     def render(self) -> str:
-        suffix = {EXISTS: "", ODD: "o", EVEN: "e"}[self.mode]
-        out = []
-        for j, letter in enumerate(self.full.letters):
-            if j:
-                out.append("" if self.full.adjacency[j - 1] else "-")
-            if j == self.barred_index:
-                out.append(f"[{letter}{suffix}]")
-            else:
-                out.append(str(letter))
-        return "".join(out)
+        out = [str(x) for x in self.letters]
+        if self.bar is not None:
+            e, mode = self.bar
+            out[e] = f"[{out[e]}{_SUFFIX[mode]}]"
+        return out[0] + "".join(("" if glued else "-") + x
+                                for glued, x in zip(self.adjacency, out[1:]))
 
 
-PatternExpr = Union[GeneralizedPattern, BarredPattern]
-PatternSet = tuple[PatternExpr, ...]
+PatternSet = tuple[GeneralizedPattern, ...]
 
 
-def parse_pattern(text: str) -> PatternExpr:
+def parse_pattern(text: str) -> GeneralizedPattern:
     """Parse the DSL above into a pattern; offsets in errors are 0-based."""
     if not text:
         raise PatternSyntaxError("empty pattern", 0)
@@ -260,15 +242,14 @@ def parse_pattern(text: str) -> PatternExpr:
         seen.add(digit)
 
     barred = [(idx, off) for idx, (_, b, _, off) in enumerate(items) if b]
-    letters = tuple(d for d, _, _, _ in items)
-    gp = GeneralizedPattern(letters, tuple(adjacency))
-    if not barred:
-        return gp
     if len(barred) > 1:
         raise PatternSyntaxError("more than one barred letter", barred[1][1])
+    letters = tuple(d for d, _, _, _ in items)
+    if not barred:
+        return GeneralizedPattern(letters, tuple(adjacency))
     idx, off = barred[0]
     try:
-        return BarredPattern(gp, idx, items[idx][2])
+        return GeneralizedPattern(letters, tuple(adjacency), (idx, items[idx][2]))
     except ValueError as exc:
         raise PatternSyntaxError(str(exc), off) from None
 
@@ -288,7 +269,11 @@ def parse_pattern_set(text: str) -> PatternSet:
 
 
 class SearchForm:
-    """A vincular pattern laid out for its search kernel.
+    """A pattern laid out for its search kernel.
+
+    ``SearchForm(pat, anchored)`` lays out ``pat`` itself when it has no
+    bar, and otherwise its reduced pattern, with the test that the bar of
+    ``pat`` puts on each occurrence (``bar`` below).
 
     Each letter is stored as ``(j, lo, hi)``: its index j and the indices
     of the letters placed before it that are next below and next above it
@@ -346,8 +331,15 @@ class SearchForm:
 
     __slots__ = ("k", "pinned", "blocks", "bar", "cutoff", "kernel")
 
-    def __init__(self, pat: GeneralizedPattern, anchored: bool = False,
-                 barred: BarredPattern | None = None):
+    def __init__(self, pat: GeneralizedPattern, anchored: bool = False):
+        self.bar = None
+        if pat.bar is not None:
+            e, mode = pat.bar
+            x = pat.letters[e]
+            pat = pat._reduced
+            # The reduced letters next below and next above the barred one.
+            self.bar = (pat.letters.index(x - 1) if x > 1 else None,
+                        pat.letters.index(x) if x <= pat.k else None, mode, e == 0)
         k, letters = pat.k, pat.letters
         # Maximal runs of adjacent letters, as index ranges.
         runs, start = [], 0
@@ -358,7 +350,7 @@ class SearchForm:
         runs.append(range(start, k))
         pinned = runs.pop() if anchored else range(0)
         lead = 0
-        if not anchored and barred is None:
+        if not anchored and self.bar is None:
             lead = max(range(len(runs)), key=lambda b: (len(runs[b]), -b))
         order = sorted(range(len(runs)), key=lambda b: b != lead)
         item = {}
@@ -369,17 +361,11 @@ class SearchForm:
             item[j] = (j, max(below, key=letters.__getitem__, default=None),
                        min(above, key=letters.__getitem__, default=None))
             placed.append(j)
-        self.bar = None
         # The letters whose values or positions the bar's test reads.
         read = set()
-        if barred is not None:
-            # The reduced letters next below and next above the barred one.
-            x = barred.full.letters[barred.barred_index]
-            first = barred.barred_index == 0
-            self.bar = (letters.index(x - 1) if x > 1 else None,
-                        letters.index(x) if x <= k else None,
-                        barred.mode, first)
-            read = {*self.bar[:2], 0 if first else k - 1}
+        if self.bar is not None:
+            lo, hi, _, first = self.bar
+            read = {lo, hi, 0 if first else k - 1}
         blocks = []
         for m in reversed(range(len(order))):
             b, run = order[m], runs[order[m]]
@@ -391,11 +377,11 @@ class SearchForm:
                 stop = (runs[lead][0], 1 - sum(map(len, runs[b:lead])))
             else:
                 stop = (None, 1 - len(pinned) - sum(map(len, runs[b:])))
-            once = read.isdisjoint(run) and (barred is not None or m < len(order) - 1)
+            once = read.isdisjoint(run) and (self.bar is not None or m < len(order) - 1)
             blocks.append((tuple(item[j] for j in run), start, stop, once))
             read.update(i for j in run for i in item[j][1:])
         self.cutoff = None
-        if anchored and barred is None and k >= 2:
+        if anchored and self.bar is None and k >= 2:
             self.cutoff = {k: UP, 1: DOWN}.get(letters[-1])
         self.k = k
         self.pinned = tuple(item[j] for j in pinned)
@@ -489,7 +475,7 @@ def _kernel_source(form: SearchForm) -> str:
         if bar_first:
             slot = f"p[:{'i0' if blocks else -len(pinned)}]"
         else:
-            # Only a full form has its bar last (``BarredPattern._anchored``
+            # Only a full form has its bar last (``GeneralizedPattern._anchored``
             # refuses one), and it places its last block last.
             last = blocks[-1][0]
             slot = f"p[{_plus(f'i{last[0][0]}', len(last))}:]"
@@ -510,21 +496,20 @@ def _kernel_source(form: SearchForm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def always_closed(pat: PatternExpr) -> bool:
+def always_closed(pat: GeneralizedPattern) -> bool:
     """Whether the parent of every avoider of ``pat`` avoids it too: true
     of a vincular pattern and of a barred one with its bar first (the two
     cases of the module docstring)."""
-    return isinstance(pat, GeneralizedPattern) or pat.barred_index == 0
+    return pat.bar is None or pat.bar[0] == 0
 
 
-def _shortest_first(pats: PatternSet) -> list[PatternExpr]:
+def _shortest_first(pats: PatternSet) -> list[GeneralizedPattern]:
     """``pats`` in the order that their searches run: shortest full length
     first (a barred pattern counts its bar), ties in their order in
     ``pats``.  A short pattern is the likelier to occur, and so to reject
     early; a permutation avoids a set iff it avoids each member, so the
     order cannot change an answer."""
-    return sorted(pats, key=lambda pat: (
-        pat.k if isinstance(pat, GeneralizedPattern) else pat.full.k))
+    return sorted(pats, key=lambda pat: pat.k)
 
 
 def at_end(pats: PatternSet) -> tuple[SearchForm, ...]:
@@ -545,11 +530,11 @@ def avoids(perm: Perm, pats: PatternSet | tuple[SearchForm, ...]) -> bool:
     """True iff ``perm`` avoids every pattern in ``pats``.
 
     ``pats`` may instead be the forms ``at_end`` compiles; the answer is
-    then exact only when the parent of ``perm`` avoids the patterns.
+    then exact only when the parent of ``perm`` avoids the patterns.  A
+    pattern's ``kernel`` is its full form's, so each member is read alike.
     """
     for pat in pats:
-        form = pat if isinstance(pat, SearchForm) else pat._form
-        if form.kernel(perm):
+        if pat.kernel(perm):
             return False
     return True
 
@@ -564,5 +549,5 @@ def avoiders(perms: Iterable[Perm], pats: PatternSet) -> Iterator[Perm]:
     """
     out = iter(perms)
     for pat in _shortest_first(pats):
-        out = filterfalse(pat._form.kernel, out)
+        out = filterfalse(pat.kernel, out)
     return out

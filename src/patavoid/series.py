@@ -227,6 +227,8 @@ class TruncatedSeries:
     def __init__(self, coeffs: Sequence[Poly | Scalar], order: int | None = None):
         if order is None:
             order = len(coeffs) - 1
+        if isinstance(order, bool):
+            raise ValueError(f"an order is an int, not the bool {order}")
         self._fill(_normed(coeffs[: order + 1]), order)
 
     def _fill(self, elements: list[Poly | Scalar], order: int) -> TruncatedSeries:
@@ -246,6 +248,8 @@ class TruncatedSeries:
     def from_terms(cls, order: int,
                    terms: Mapping[tuple[int, int, int], Scalar]) -> TruncatedSeries:
         """Build from {(deg_t, deg_u, deg_v): coefficient}."""
+        if isinstance(order, bool):
+            raise ValueError(f"an order is an int, not the bool {order}")
         out: list[Poly | Scalar] = [0] * (order + 1)
         for (i, a, b), c in terms.items():
             if i <= order and c:

@@ -114,6 +114,16 @@ def test_count_usage_errors(capsys):
         assert exc.value.code == 2 and message in err, argv
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1-[2]-3", "barred letter must be first or last (offset 2)"),
+    ("[1]", "barred pattern needs at least two letters (offset 0)"),
+    ("[2]31", "barred letter must be dash-separated (offset 0)"),
+])
+def test_a_malformed_bar_is_refused_when_parsed(capsys, text, message):
+    # The pattern's own field checks, reported with the bar's offset.
+    assert run(capsys, "count", "--avoid", text) == (2, "", f"error: {message}\n")
+
+
 def test_gf_refuses_a_non_integral_coefficient(capsys, monkeypatch):
     # A wrong closed form must not print a truncated count with status 0.
     monkeypatch.setattr(closed_forms, "closed_form", lambda name, order, **_:

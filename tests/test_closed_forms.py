@@ -10,7 +10,8 @@ from operator import mul
 
 import pytest
 
-from patavoid.closed_forms import (GF_FOR_CLASS, REGISTRY as GFS, closed_form,
+from patavoid.bijections import dyck_paths, motzkin_paths, subdiagonal_paths
+from patavoid.closed_forms import (GF_FOR_CLASS, REGISTRY as GFS, _FORMULA_START, closed_form,
                                    formula_value, gf_counts, rule_series,
                                    series_from_refined, verify_identity)
 from patavoid.enumerate import count_brute, count_tree, iter_tree_levels
@@ -134,9 +135,16 @@ _C1 = CLASSES["C1"]
     lambda n: TruncatedSeries.zero(n),
     lambda n: TruncatedSeries([1, 2, 3]).to_order(n),
     lambda n: TruncatedSeries([1, 2, 3]).coefficient(n),
+    lambda n: TruncatedSeries([1, 2, 3], n),
+    lambda n: TruncatedSeries.from_terms(n, {(0, 0, 0): 1}),
+    *(lambda n, name=name: formula_value(name, n) for name in sorted(_FORMULA_START)),
+    lambda n: dyck_paths(n),
+    lambda n: motzkin_paths(n),
+    lambda n: subdiagonal_paths(n),
 ], ids=["count_brute", "count_tree", "iter_tree_levels", "count_by_rule", "iter_rule_counts",
         "refined_by_rule", "verify_rule", "closed_form", "gf_counts", "zero", "to_order",
-        "coefficient"])
+        "coefficient", "series", "from_terms", *sorted(_FORMULA_START), "dyck_paths",
+        "motzkin_paths", "subdiagonal_paths"])
 def test_a_bool_length_or_order_is_refused(call):
     # True is not the length or order 1, as it is not the substitution 1.
     with pytest.raises(ValueError, match="not the bool True"):

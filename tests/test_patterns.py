@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random
+import re
 from collections import Counter
 from itertools import combinations, permutations, product
 from types import FunctionType, SimpleNamespace
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from patavoid import patterns
 from patavoid.enumerate import (count_tree, iter_avoiders_brute,
                                 iter_tree_levels, kept_children, tree_forms)
-from patavoid.patterns import (DOWN, EVEN, EXISTS, ODD, UP, BarredPattern,
+from patavoid.patterns import (DOWN, EVEN, EXISTS, ODD, UP,
                                GeneralizedPattern, PatternSyntaxError,
                                SearchForm, always_closed, at_end, avoiders,
                                avoids, parse_pattern, parse_pattern_set)
@@ -41,35 +42,38 @@ def naive_avoids(perm, pat, occurrences=naive_occurrences):
     """Reference avoidance: a barred pattern's extensions of a reduced
     occurrence are the full occurrences that drop to it.  ``occurrences``
     is ``naive_occurrences`` or a memo of it."""
-    if isinstance(pat, GeneralizedPattern):
+    if pat.bar is None:
         return not occurrences(perm, pat)
-    full, e = pat.full, pat.barred_index
+    e, mode = pat.bar
     # The reduced letters keep their relative order, so no relabeling.
     reduced = SimpleNamespace(
-        k=full.k - 1, letters=full.letters[:e] + full.letters[e + 1:],
-        adjacency=full.adjacency[1:] if e == 0 else full.adjacency[:-1])
+        k=pat.k - 1, letters=pat.letters[:e] + pat.letters[e + 1:],
+        adjacency=pat.adjacency[1:] if e == 0 else pat.adjacency[:-1])
     extensions = Counter(occ[:e] + occ[e + 1:]
-                         for occ in occurrences(perm, full))
+                         for occ in occurrences(perm, pat))
     for occ in occurrences(perm, reduced):
         count = extensions[occ]
-        if pat.mode == "exists" and count == 0:
+        if mode == "exists" and count == 0:
             return False
-        if pat.mode == "odd" and count % 2 == 0:
+        if mode == "odd" and count % 2 == 0:
             return False
-        if pat.mode == "even" and count % 2 == 1:
+        if mode == "even" and count % 2 == 1:
             return False
     return True
 
 
 def test_parse_render_round_trip():
-    for text in ["2-1-3", "12-3", "1-23", "34-21", "2-3-41", "[2]-31",
-                 "[2o]-31", "[2e]-31", "1-2-34", "21-[3]", "321"]:
+    # Every pattern text of length <= 4: all letter orders and dash
+    # patterns, with no bar, or a bar first or last in each of the modes.
+    texts = list(_single_patterns(4))
+    assert len(set(texts)) == len(texts) == 881
+    for text in texts:
         assert parse_pattern(text).render() == text
 
 
 def test_parse_classical_and_vincular():
     p = parse_pattern("2-1-3")
-    assert isinstance(p, GeneralizedPattern)
+    assert isinstance(p, GeneralizedPattern) and p.bar is None
     assert p.letters == (2, 1, 3) and p.adjacency == (False, False)
     q = parse_pattern("12-3")
     assert q.adjacency == (True, False)
@@ -79,12 +83,12 @@ def test_parse_classical_and_vincular():
 
 def test_parse_barred():
     p = parse_pattern("[2o]-31")
-    assert isinstance(p, BarredPattern)
-    assert p.barred_index == 0 and p.mode == "odd"
-    assert p.full.letters == (2, 3, 1) and p.full.adjacency == (False, True)
+    assert isinstance(p, GeneralizedPattern)
+    assert p.bar == (0, "odd")
+    assert p.letters == (2, 3, 1) and p.adjacency == (False, True)
     assert p._reduced.letters == (2, 1) and p._reduced.adjacency == (True,)
     q = parse_pattern("21-[3]")
-    assert q.barred_index == 2 and q.mode == "exists"
+    assert q.bar == (2, "exists")
     assert q._reduced.letters == (2, 1) and q._reduced.adjacency == (True,)
 
 
@@ -123,10 +127,15 @@ def test_barred_structural_errors():
             GeneralizedPattern(letters, (False,) * max(len(letters) - 1, 0))
     with pytest.raises(ValueError, match="length k-1"):
         GeneralizedPattern((2, 1, 3), (False,))
-    with pytest.raises(ValueError, match="at least two letters"):
-        BarredPattern(GeneralizedPattern((1,), ()), 0, EXISTS)
-    with pytest.raises(ValueError, match="unknown mode 'some'"):
-        BarredPattern(GeneralizedPattern((2, 3, 1), (False, True)), 0, "some")
+    for letters, adjacency, bar, message in [
+        ((3, 1, 2), (False, False), (1, EXISTS), "barred letter must be first or last"),
+        ((2, 3, 1), (True, False), (0, ODD), "barred letter must be dash-separated"),
+        ((1, 3, 2), (False, True), (2, EVEN), "barred letter must be dash-separated"),
+        ((1,), (), (0, EXISTS), "barred pattern needs at least two letters"),
+        ((2, 3, 1), (False, True), (0, "some"), "unknown mode 'some'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GeneralizedPattern(letters, adjacency, bar)
 
 
 def test_parse_pattern_set():
@@ -282,7 +291,7 @@ def test_members_ending_on_their_largest_or_smallest_letter_keep_a_prefix_or_suf
     monotone = 0
     for text in _single_patterns(4):
         pat = parse_pattern(text)
-        vincular = isinstance(pat, GeneralizedPattern)
+        vincular = pat.bar is None
         if not always_closed(pat) or (vincular and pat.k < 2):
             continue
         form, = at_end((pat,))
@@ -403,9 +412,10 @@ def test_avoids_matches_naive_where_the_plan_is_not_left_to_right():
 
 
 def _kind(pat):
-    if isinstance(pat, GeneralizedPattern):
+    if pat.bar is None:
         return "vincular"
-    return ("first" if pat.barred_index == 0 else "last", pat.mode)
+    e, mode = pat.bar
+    return ("first" if e == 0 else "last", mode)
 
 
 def test_avoiders_match_the_per_permutation_check():
@@ -450,8 +460,8 @@ def test_at_end_lists_its_forms_in_avoiders_member_order(monkeypatch):
     pats = parse_pattern_set("1-2-34,[2e]-31,12-3,2-1-3")
     order = []
     for pat in pats:
-        kernel = pat._form.kernel
-        monkeypatch.setattr(pat._form, "kernel",
+        kernel = pat.kernel
+        monkeypatch.setitem(vars(pat), "kernel",
                             lambda p, pat=pat, kernel=kernel: order.append(pat) or kernel(p))
     assert list(avoiders([(1,)], pats)) == [(1,)]
     assert order == [pats[1], pats[2], pats[3], pats[0]]
@@ -532,6 +542,7 @@ def test_parsing_compiles_no_kernel(monkeypatch):
     pats = sets[-1]
     assert avoids((2, 3, 1), pats)
     assert generated == [pats[0]._form]
+    assert pats[0].kernel is pats[0]._form.kernel
     at_end(pats)
     assert generated == [pats[0]._form, pats[0]._anchored]
 

@@ -18,8 +18,13 @@ def test_parse_format():
     assert parse_perm("10,2,1,3,4,5,6,7,8,9") == (10, 2, 1, 3, 4, 5, 6, 7, 8, 9)
     assert format_perm((2, 4, 1, 3, 5)) == "24135"
     assert format_perm(tuple(range(1, 11))) == "1,2,3,4,5,6,7,8,9,10"
-    for bad in ["", "132a", "122", "24", "0,1"]:
-        with pytest.raises(ValueError):
+    # Text that is no list of integers, in either spelling, and integers
+    # that are no permutation of 1..n.
+    for bad in ["", "132a", "1,x", "1,,2"]:
+        with pytest.raises(ValueError, match="^bad permutation text"):
+            parse_perm(bad)
+    for bad in ["122", "24", "0,1"]:
+        with pytest.raises(ValueError, match="is not a permutation of 1..n$"):
             parse_perm(bad)
 
 
